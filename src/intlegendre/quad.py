@@ -8,8 +8,8 @@ singularity polynomially and stay in exact arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,10 +52,6 @@ class QuadratureRule:
         )
 
 
-_cache: dict[int, QuadratureRule] = {}
-_cache_lock = threading.Lock()
-
-
 def _newton_node(m: int, x0: float) -> tuple[float, float]:
     """Polish one node from the asymptotic initial guess; returns (node, deriv).
 
@@ -74,21 +70,18 @@ def _newton_node(m: int, x0: float) -> tuple[float, float]:
     raise ConvergenceFailure(f"node near {x0} did not settle in {_NEWTON_STEPS} steps")
 
 
+@functools.cache
 def gauss_legendre(m: int) -> QuadratureRule:
     """Order-m rule: nodes at the roots of the degree-m Legendre polynomial,
     weights 2/((1-x^2) P'_m(x)^2).
 
     Initial guesses are cos(pi (4i-1)/(4m+2)); only the positive half is
     iterated and the rule is mirrored, so node antisymmetry and weight
-    symmetry hold exactly. Rules are cached behind a lock.
+    symmetry hold exactly. Rules are cached per order; an out-of-range
+    order raises ValueError and is never cached.
     """
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}")
-    with _cache_lock:
-        rule = _cache.get(m)
-    if rule is not None:
-        return rule
-
     positive: list[tuple[float, float]] = []
     for i in range(1, m // 2 + 1):
         x0 = math.cos(math.pi * (4 * i - 1) / (4 * m + 2))
@@ -105,10 +98,7 @@ def gauss_legendre(m: int) -> QuadratureRule:
     nodes.extend(x for x, _ in positive)
     weights.extend(w for _, w in positive)
 
-    rule = QuadratureRule(m, tuple(nodes), tuple(weights))
-    with _cache_lock:
-        _cache.setdefault(m, rule)
-    return rule
+    return QuadratureRule(m, tuple(nodes), tuple(weights))
 
 
 @dataclass(frozen=True)

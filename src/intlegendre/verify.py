@@ -7,14 +7,13 @@ correction, and the witness carries a concrete instance. FAILED means no
 recorded correction reconciles the two sides.
 
 Every random draw is seeded from the identity id, so reports are
-byte-for-byte reproducible no matter how the checks are scheduled.
+byte-for-byte reproducible.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -38,7 +37,6 @@ from .qfamily import (
     q_at_zero,
     q_boundary_derivatives,
     q_rodrigues,
-    weighted_inner_product,
 )
 from .verdict import Verdict
 
@@ -160,9 +158,9 @@ def _check_orthln(ctx: _Ctx) -> list[IdentityEntry]:
     desc = "plain-weight orthogonality with norm 2/(2n+1)"
     top = ctx.max_degree
     for n in range(top + 1):
-        pn = ctx.ltable.poly(n)
+        pair = ctx.ltable.poly(n).pairing(top)
         for m in range(n, top + 1):
-            got = (pn * ctx.ltable.poly(m)).integral(-1, 1)
+            got = pair(ctx.ltable.poly(m))
             want = Fraction(2, 2 * n + 1) if n == m else Fraction(0)
             if got != want:
                 return [IdentityEntry("orthLn", desc, f"0..{top}", Verdict.FAILED,
@@ -380,8 +378,10 @@ def _check_orthqn(ctx: _Ctx) -> list[IdentityEntry]:
     desc = "weighted orthogonality of distinct members"
     top = ctx.max_degree
     for n in range(2, top + 1):
+        # <Q_n, Q_m>_w = -integral of interior_n * Q_m, as in weighted_inner_product
+        pair = ctx.qtable.interior_factor(n).pairing(top)
         for m in range(n + 1, top + 1):
-            got = weighted_inner_product(ctx.qtable.q(n), ctx.qtable.q(m))
+            got = -pair(ctx.qtable.q(m))
             if got != 0:
                 return [IdentityEntry("OrthQn", desc, f"2..{top}", Verdict.FAILED,
                                       {"n": n, "inputs": {"m": m}, "oracle_value": _w(got),
@@ -393,7 +393,7 @@ def _check_normqn(ctx: _Ctx) -> list[IdentityEntry]:
     desc = "weighted squared norm 2/(n(n-1)(2n-1))"
     top = ctx.max_degree
     for n in range(2, top + 1):
-        got = weighted_inner_product(ctx.qtable.q(n), ctx.qtable.q(n))
+        got = -ctx.qtable.interior_factor(n).pairing(n)(ctx.qtable.q(n))
         want = Fraction(2, n * (n - 1) * (2 * n - 1))
         if got != want:
             return [IdentityEntry("NormQn", desc, f"2..{top}", Verdict.FAILED,
@@ -781,26 +781,19 @@ EXPECTED_NON_CONFIRMED = frozenset(
 )
 
 
-def run_verification(max_degree: int = 40, workers: Optional[int] = None) -> VerificationReport:
+def run_verification(max_degree: int = 40) -> VerificationReport:
     """Run the whole registry at the given depth and assemble the report.
 
-    Checks run across a small thread pool (they are pure functions over
-    immutable tables); assembly sorts entries by id, so the output does not
-    depend on scheduling.
+    Checks run one after another (each is pure Python over immutable tables,
+    so threads would only take turns at the interpreter lock); assembly
+    sorts entries by id.
     """
     if not MIN_DEGREE <= max_degree <= MAX_DEGREE:
         raise ValueError(f"max_degree must be in {MIN_DEGREE}..{MAX_DEGREE}")
     ltable = build_legendre(max_degree + 1)
     qtable = build_q_table(max_degree + 1, ltable)
     ctx = _Ctx(max_degree, ltable, qtable)
-    entries: list[IdentityEntry] = []
-    if workers == 0:
-        for check in _CHECKS:
-            entries.extend(check(ctx))
-    else:
-        with ThreadPoolExecutor(max_workers=workers or 8) as pool:
-            for result in pool.map(lambda chk: chk(ctx), _CHECKS):
-                entries.extend(result)
+    entries = [entry for check in _CHECKS for entry in check(ctx)]
     entries.sort(key=lambda e: e.identity_id)
     ids = [e.identity_id for e in entries]
     if len(ids) != len(set(ids)):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -141,3 +142,154 @@ def test_eval_float_matches_exact(p, x):
     exact = float(p.at(x))
     approx = p.at_float(float(x))
     assert approx == pytest.approx(exact, abs=1e-12)
+
+
+# -- the integer-numerator core against a naive Fraction-list reference --------
+
+
+def _ref(cs):
+    cs = [F(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _ref([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)])
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref(out)
+
+
+def _ref_deriv(a, order):
+    for _ in range(order):
+        a = _ref([k * a[k] for k in range(1, len(a))])
+    return a
+
+
+def _ref_antideriv(a):
+    return _ref([0] + [c / (k + 1) for k, c in enumerate(a)])
+
+
+def _ref_at(a, x):
+    acc = F(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_integral(a, lo, hi):
+    f = _ref_antideriv(a)
+    return _ref_at(f, hi) - _ref_at(f, lo)
+
+
+def _ref_divmod(a, d):
+    rem, quot = list(a), [F(0)] * (len(a) - len(d) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        q = rem[k + len(d) - 1] / d[-1]
+        quot[k] = q
+        for j, c in enumerate(d):
+            rem[k + j] -= q * c
+    return _ref(quot), _ref(rem)
+
+
+wide_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+wide_lists = st.lists(wide_fractions, max_size=9)
+
+
+def _assert_normalised(p):
+    assert p.den > 0
+    assert math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert all(isinstance(c, F) for c in p.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_lists, wide_lists, wide_fractions, st.integers(0, 4), st.integers(0, 3))
+def test_core_matches_fraction_reference(a, b, c, order, power):
+    ra, rb = _ref(a), _ref(b)
+    p, q = Poly(a), Poly(b)
+    assert p.coeffs == ra
+    ra_pow = (F(1),)
+    for _ in range(power):
+        ra_pow = _ref_mul(ra_pow, ra)
+    results = {
+        "add": (p + q, _ref_add(ra, rb)),
+        "radd": (c + p, _ref_add(ra, (c,))),
+        "sub": (p - q, _ref_add(ra, tuple(-x for x in rb))),
+        "rsub": (c - p, _ref_add((c,), tuple(-x for x in ra))),
+        "neg": (-p, _ref([-x for x in ra])),
+        "mul": (p * q, _ref_mul(ra, rb)),
+        "scale": (p.scale(c), _ref([c * x for x in ra])),
+        "rmul": (c * p, _ref([c * x for x in ra])),
+        "pow": (p**power, ra_pow),
+        "deriv": (p.deriv(order), _ref_deriv(ra, order)),
+        "antideriv": (p.antideriv(), _ref_antideriv(ra)),
+    }
+    if c:
+        results["truediv"] = (p / c, _ref([x / c for x in ra]))
+    for name, (got, want) in results.items():
+        assert got.coeffs == want, name
+        assert got == Poly(want), name
+        _assert_normalised(got)
+    assert p.integral(-1, 1) == _ref_integral(ra, -1, 1)
+    assert p.integral(c, F(1, 3)) == _ref_integral(ra, c, F(1, 3))
+    assert p.at(c) == _ref_at(ra, c)
+    assert p.at(3) == _ref_at(ra, 3)
+    assert p.coeff(2) == (ra[2] if len(ra) > 2 else 0)
+    if abs(c) <= 1:
+        want = 0.0
+        for x in reversed(ra):
+            want = want * float(c) + float(x)
+        assert p.at_float(float(c)) == want  # bit for bit
+    top = max(len(rb) - 1, 0) + order
+    assert p.pairing(top)(q) == _ref_integral(_ref_mul(ra, rb), -1, 1)
+    if rb and len(ra) >= len(rb):
+        quot, rem = _ref_divmod(ra, rb)
+        if rem:
+            with pytest.raises(NotDivisible):
+                p.divexact(q)
+        else:
+            assert p.divexact(q).coeffs == quot
+    if rb:
+        assert (p * q).divexact(q).coeffs == ra
+
+
+def test_at_float_rounds_each_coefficient_once():
+    # numerators far beyond 2**53: each coefficient must still convert exactly
+    # like float(Fraction), with no intermediate rounding
+    cs = [F((-1) ** k * (3**45 + k), 7**22 + 2 * k) for k in range(12)]
+    p = Poly(cs)
+    for x in (0.9, -0.37, 1.0):
+        want = 0.0
+        for c in reversed(cs):
+            want = want * x + float(c)
+        assert p.at_float(x) == want
+
+
+def test_pairing_rejects_degree_above_its_bound():
+    pair = X.pairing(2)
+    assert pair(X * X) == 0
+    assert pair(X) == F(2, 3)
+    with pytest.raises(ValueError):
+        pair(X**3)
+
+
+def test_normalisation_makes_equal_polys_equal_and_hash_equal():
+    a = Poly((F(1, 2), F(2, 4)))
+    b = Poly((F(1, 2), F(1, 2)))
+    c = (Poly((3, 3)) * 2).scale(F(1, 12))
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+    assert (a.den, a.nums) == (2, (1, 1))
+    assert len({a, b, c}) == 1
+    assert Poly((0, F(-6, 4))).den == 2 and Poly((0, F(-6, 4))).nums == (0, -3)
+    assert (X - X).nums == () and (X - X) == Poly() and hash(X - X) == hash(Poly())

@@ -1,13 +1,26 @@
+import dataclasses
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from intlegendre.exactpoly import X
+from intlegendre.legendre import build_legendre
+from intlegendre.qfamily import X2_MINUS_1, build_q_table, weighted_inner_product
 from intlegendre.verdict import Verdict
 from intlegendre.verify import (
     EXPECTED_NON_CONFIRMED,
     IdentityEntry,
+    _check_normqn,
+    _check_orthln,
+    _check_orthqn,
+    _Ctx,
+    _w,
     run_verification,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +87,7 @@ def test_json_roundtrip_idempotent(report):
 
 
 def test_runs_are_deterministic():
-    a = run_verification(4, workers=0)
+    a = run_verification(4)
     b = run_verification(4)
     assert a.to_json() == b.to_json()
 
@@ -90,3 +103,65 @@ def test_entry_serialization():
     entry = IdentityEntry("id", "desc", "2..4", Verdict.CONFIRMED)
     assert entry.to_dict()["witness"] is None
     assert entry.to_dict()["verdict"] == "CONFIRMED"
+
+
+@pytest.mark.parametrize("depth", [4, 40, 64])
+def test_report_matches_golden(depth):
+    # goldens were written by the all-pairs Fraction implementation
+    golden = (GOLDEN / f"verify_{depth}.json").read_text()
+    assert run_verification(depth).to_json() == golden
+
+
+def _perturbed_ctx(depth, k, j, c):
+    """Context whose degree-k members get c*(x^2-1)*x^j (Q) and c*x^j (L) added.
+
+    j <= k - 2 keeps each member's degree, which the checks' pairings are sized for.
+    """
+    ltable = build_legendre(depth + 1)
+    qtable = build_q_table(depth + 1, ltable)
+    bump = X**j * c
+    lpolys = list(ltable.polys)
+    lpolys[k] = lpolys[k] + bump
+    polys, interior = list(qtable.polys), list(qtable.interior)
+    polys[k] = polys[k] + X2_MINUS_1 * bump
+    interior[k] = interior[k] + bump
+    ltable = dataclasses.replace(ltable, polys=tuple(lpolys))
+    qtable = dataclasses.replace(qtable, polys=tuple(polys), interior=tuple(interior))
+    return _Ctx(depth, ltable, qtable)
+
+
+def _first_pairwise_failure(ctx):
+    """(orthLn, OrthQn, NormQn) witnesses from the pairwise product path."""
+    top, lt, qt = ctx.max_degree, ctx.ltable, ctx.qtable
+    orthln = next(
+        {"n": n, "inputs": {"m": m}, "oracle_value": _w(got), "stated_value": _w(want)}
+        for n in range(top + 1) for m in range(n, top + 1)
+        for got, want in [((lt.poly(n) * lt.poly(m)).integral(-1, 1),
+                           Fraction(2, 2 * n + 1) if n == m else Fraction(0))]
+        if got != want
+    )
+    orthqn = next(
+        {"n": n, "inputs": {"m": m}, "oracle_value": _w(got), "stated_value": "0"}
+        for n in range(2, top + 1) for m in range(n + 1, top + 1)
+        for got in [weighted_inner_product(qt.q(n), qt.q(m))]
+        if got != 0
+    )
+    normqn = next(
+        {"n": n, "oracle_value": _w(got), "stated_value": _w(want)}
+        for n in range(2, top + 1)
+        for got, want in [(weighted_inner_product(qt.q(n), qt.q(n)),
+                           Fraction(2, n * (n - 1) * (2 * n - 1)))]
+        if got != want
+    )
+    return orthln, orthqn, normqn
+
+
+@pytest.mark.parametrize("k, j, c", [(7, 3, Fraction(1, 5)), (10, 0, Fraction(-3, 7)),
+                                     (12, 10, Fraction(2, 9))])
+def test_contracted_checks_report_the_pairwise_witness(k, j, c):
+    ctx = _perturbed_ctx(12, k, j, c)
+    want = _first_pairwise_failure(ctx)
+    for check, expected in zip((_check_orthln, _check_orthqn, _check_normqn), want):
+        [entry] = check(ctx)
+        assert entry.verdict is Verdict.FAILED, entry.identity_id
+        assert entry.witness == expected, entry.identity_id
