@@ -25,22 +25,46 @@ class SingularSystem(ArithmeticError):
     definite form can never do this, so it signals an implementation bug."""
 
 
+def _exact_div(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"fraction-free elimination left a remainder: {a} / {b}")
+    return q
+
+
 def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Gauss-Jordan elimination over Fractions; any nonzero pivot is exact."""
+    """Fraction-free (Bareiss) elimination on integer rows.
+
+    Each row is scaled by the lcm of its denominators. Every division in the
+    elimination and in the back substitution is exact by Sylvester's
+    identity and Cramer's rule; a remainder raises ArithmeticError.
+    """
     n = len(rhs)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    a = []
+    for row, b in zip(matrix, rhs):
+        row = [*row, b]
+        scale = math.lcm(*(v.denominator for v in row))
+        a.append([v.numerator * (scale // v.denominator) for v in row])
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
             raise SingularSystem(f"zero pivot in column {col}")
         a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+        top = a[col]
+        p = top[col]
+        for row in a[col + 1:]:
+            f = row[col]
+            row[col + 1:] = [_exact_div(v * p - f * w, prev)
+                             for v, w in zip(row[col + 1:], top[col + 1:])]
+        prev = p
+    # prev is now the determinant up to sign, so each prev * x_i is an integer
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = row[n] * prev - sum(row[j] * y[j] for j in range(i + 1, n))
+        y[i] = _exact_div(acc, row[i])
+    return [Fraction(v, prev) for v in y]
 
 
 @dataclass(frozen=True)
@@ -60,21 +84,21 @@ def brute_force_minimizer(n: int, qtable: QTable) -> BruteForceResult:
     """
     if n < 2:
         raise ValueError("minimization needs degree >= 2")
-    dim = n - 1  # coefficients r_0..r_{n-2}
 
     def gram(i: int, j: int) -> Fraction:
+        # integral of x^(i+j) (1-x^2) over [-1, 1], for even i + j
         s = i + j
-        if s % 2:
-            return Fraction(0)
         return 2 * (Fraction(1, s + 1) - Fraction(1, s + 3))
 
-    free = dim - 1
-    coeffs = [Fraction(1)] + [Fraction(0)] * free
-    if free:
-        matrix = [[gram(i, j) for j in range(1, dim)] for i in range(1, dim)]
-        rhs = [-gram(i, 0) for i in range(1, dim)]
-        solution = solve_exact(matrix, rhs)
-        coeffs = [Fraction(1)] + solution
+    # The Gram entries vanish for odd i + j, so the normal equations split by
+    # parity. The odd block is positive definite and its right side (the
+    # negated entries (i, 0), i odd) is zero, so its unique solution is 0;
+    # only the even coefficients r_2, r_4, ..., r_{n-2} are solved for.
+    even = range(2, n - 1, 2)
+    coeffs = [Fraction(1)] + [Fraction(0)] * (n - 2)
+    if even:
+        matrix = [[gram(i, j) for j in even] for i in even]
+        coeffs[2::2] = solve_exact(matrix, [-gram(i, 0) for i in even])
     r = Poly(coeffs)
     m_value = ((-X2_MINUS_1) * r * r).integral(-1, 1)
     return BruteForceResult(m_value, (-X2_MINUS_1) * r)

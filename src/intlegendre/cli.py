@@ -2,9 +2,10 @@
 report, extremal solving, expansion and transformed-system generation.
 
 Exit codes: 0 on success (all identities confirmed or corrected), 1 when the
-verification registry records any FAILED entry, 2 on usage errors. Exact
-rationals serialize as 'p/q' strings, never floats, so reports stay diffable
-and lossless.
+verification registry records any FAILED entry, 2 on usage errors, 3 on a
+numerical limit (a quadrature that does not converge within its order cap,
+or a quadrature node that does not settle). Exact rationals serialize as
+'p/q' strings, never floats, so reports stay diffable and lossless.
 """
 
 from __future__ import annotations
@@ -337,6 +338,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (quad.NoConvergence, quad.ConvergenceFailure) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -14,18 +14,13 @@ from fractions import Fraction
 from typing import Optional
 
 from . import quad
-from .exactpoly import Poly, Scalar
+from .exactpoly import Poly, Scalar, X, _frac
+from .legendre import build_legendre
 from .verdict import Verdict
 
 
 class DegenerateMap(ValueError):
     """Map cannot carry a proper interval onto [-1, 1]."""
-
-
-def _frac(x: Scalar) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("map parameters must be exact rationals")
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -135,21 +130,25 @@ def reference_inner_product(p: Poly, q: Poly) -> Fraction:
 
 
 def build_r_family(max_degree: int) -> RFamily:
-    """Monic Gram-Schmidt over exact rationals against the weight 1 - t^2.
+    """Monic members 0..max_degree by the three-term recurrence
+    r_{k+1} = x r_k - k(k+2)/((2k+1)(2k+3)) r_{k-1} of the Jacobi(1,1) family.
 
-    Monic normalization is what makes the minimality statement well-posed:
-    the extremal property is over monic competitors.
+    Each member is cross-checked against the monic derivative P'_{k+1} of an
+    independently built Legendre table. Monic normalization is what makes
+    the minimality statement well-posed: the extremal property is over
+    monic competitors.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    polys: list[Poly] = []
-    for n in range(max_degree + 1):
-        p = Poly.monomial(n)
-        for prev in polys:
-            coef = reference_inner_product(p, prev) / reference_inner_product(prev, prev)
-            if coef:
-                p = p - prev.scale(coef)
-        polys.append(p)
+    polys = [Poly((1,)), X][: max_degree + 1]
+    for k in range(1, max_degree):
+        c = Fraction(k * (k + 2), (2 * k + 1) * (2 * k + 3))
+        polys.append(X * polys[k] - polys[k - 1].scale(c))
+    ltable = build_legendre(max_degree + 1)
+    for k, r in enumerate(polys):
+        d = ltable.poly(k + 1).deriv()
+        if r != d / d.coeff(k):
+            raise AssertionError(f"recurrence cross-check failed at degree {k}")
     return RFamily(max_degree, tuple(polys))
 
 
@@ -188,32 +187,6 @@ def _composed(system: TransformedSystem, n: int):
         return member.at_float(mob.at_float(x))
 
     return h
-
-
-@dataclass(frozen=True)
-class OrthogonalityCheck:
-    value: float
-    scale: float
-    passed: bool
-
-
-def transformed_orthogonality(
-    system: TransformedSystem, n: int, m: int, tol: float = 1e-12
-) -> OrthogonalityCheck:
-    """Numerically integrate the (n, m) product under the induced weight; the
-    off-diagonal value is compared against the geometric mean of the
-    diagonal entries."""
-    if n == m:
-        raise ValueError("off-diagonal check needs n != m")
-    a, b = float(system.a), float(system.b)
-    hn, hm = _composed(system, n), _composed(system, m)
-    w = system.weight.at_float
-    itol = min(tol * 1e-2, 1e-13)
-    value = quad.integrate(lambda x: hn(x) * hm(x) * w(x), a, b, itol).value
-    dn = quad.integrate(lambda x: hn(x) ** 2 * w(x), a, b, itol).value
-    dm = quad.integrate(lambda x: hm(x) ** 2 * w(x), a, b, itol).value
-    scale = math.sqrt(abs(dn * dm))
-    return OrthogonalityCheck(value, scale, abs(value) < tol * scale)
 
 
 def gram_matrix(
@@ -266,15 +239,3 @@ def minimality_check(system: TransformedSystem, n: int, tol: float = 1e-12) -> V
             if objective(base_poly + system.family.poly(j).scale(eps)) <= base:
                 return Verdict.FAILED
     return Verdict.CONFIRMED
-
-
-def change_of_variables_residual(system: TransformedSystem, n: int, m: int, tol: float = 1e-12) -> float:
-    """Difference between the transformed integral and the exact reference
-    inner product under 1 - t^2; an identity under the substitution."""
-    a, b = float(system.a), float(system.b)
-    hn, hm = _composed(system, n), _composed(system, m)
-    w = system.weight.at_float
-    itol = min(tol * 1e-2, 1e-13)
-    value = quad.integrate(lambda x: hn(x) * hm(x) * w(x), a, b, itol).value
-    exact = float(reference_inner_product(system.family.poly(n), system.family.poly(m)))
-    return abs(value - exact)

@@ -122,6 +122,11 @@ def _w(value) -> object:
     return value
 
 
+def _width(polys) -> int:
+    """Largest degree among table members, which sizes a Poly.pairing over them."""
+    return max(p.degree or 0 for p in polys)
+
+
 def _rand_fraction(rng: random.Random, span: int = 8, den: int = 8) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
 
@@ -157,8 +162,9 @@ def _check_expp(ctx: _Ctx) -> list[IdentityEntry]:
 def _check_orthln(ctx: _Ctx) -> list[IdentityEntry]:
     desc = "plain-weight orthogonality with norm 2/(2n+1)"
     top = ctx.max_degree
+    width = _width(ctx.ltable.poly(m) for m in range(top + 1))
     for n in range(top + 1):
-        pair = ctx.ltable.poly(n).pairing(top)
+        pair = ctx.ltable.poly(n).pairing(width)
         for m in range(n, top + 1):
             got = pair(ctx.ltable.poly(m))
             want = Fraction(2, 2 * n + 1) if n == m else Fraction(0)
@@ -377,9 +383,10 @@ def _check_pipcirs3(ctx: _Ctx) -> list[IdentityEntry]:
 def _check_orthqn(ctx: _Ctx) -> list[IdentityEntry]:
     desc = "weighted orthogonality of distinct members"
     top = ctx.max_degree
+    width = _width(ctx.qtable.q(m) for m in range(2, top + 1))
     for n in range(2, top + 1):
         # <Q_n, Q_m>_w = -integral of interior_n * Q_m, as in weighted_inner_product
-        pair = ctx.qtable.interior_factor(n).pairing(top)
+        pair = ctx.qtable.interior_factor(n).pairing(width)
         for m in range(n + 1, top + 1):
             got = -pair(ctx.qtable.q(m))
             if got != 0:
@@ -393,7 +400,8 @@ def _check_normqn(ctx: _Ctx) -> list[IdentityEntry]:
     desc = "weighted squared norm 2/(n(n-1)(2n-1))"
     top = ctx.max_degree
     for n in range(2, top + 1):
-        got = -ctx.qtable.interior_factor(n).pairing(n)(ctx.qtable.q(n))
+        qn = ctx.qtable.q(n)
+        got = -ctx.qtable.interior_factor(n).pairing(_width((qn,)))(qn)
         want = Fraction(2, n * (n - 1) * (2 * n - 1))
         if got != want:
             return [IdentityEntry("NormQn", desc, f"2..{top}", Verdict.FAILED,

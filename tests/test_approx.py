@@ -3,10 +3,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intlegendre.approx import (
     FUNCTIONS,
     SingularSystem,
+    _exact_div,
     brute_force_minimizer,
     expand,
     fourier_coeff_moments,
@@ -18,7 +21,7 @@ from intlegendre.approx import (
     solve_exact,
 )
 from intlegendre.exactpoly import Poly
-from intlegendre.qfamily import X2_MINUS_1, weighted_inner_product
+from intlegendre.qfamily import X2_MINUS_1, build_q_table, weighted_inner_product
 
 ONE_MINUS_X2 = Poly((1, 0, -1))
 
@@ -28,6 +31,87 @@ def test_solve_exact():
     assert solve_exact(a, [F(3), F(4)]) == [F(1), F(1)]
     with pytest.raises(SingularSystem):
         solve_exact([[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)])
+
+
+def _gauss_jordan(matrix, rhs):
+    """Naive Gauss-Jordan over Fractions: the reference for solve_exact."""
+    n = len(rhs)
+    a = [[F(v) for v in row] + [F(rhs[i])] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise SingularSystem(f"zero pivot in column {col}")
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [v / a[col][col] for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return [a[r][n] for r in range(n)]
+
+
+_entries = st.builds(F, st.integers(-4, 4), st.integers(1, 5))
+
+
+@st.composite
+def _systems(draw):
+    n = draw(st.integers(1, 6))
+    matrix = [draw(st.lists(_entries, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        matrix[0][0] = F(0)
+    return matrix, draw(st.lists(_entries, min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_systems())
+def test_solve_exact_matches_gauss_jordan(system):
+    matrix, rhs = system
+    try:
+        want = _gauss_jordan(matrix, rhs)
+    except SingularSystem:
+        with pytest.raises(SingularSystem):
+            solve_exact(matrix, rhs)
+    else:
+        assert solve_exact(matrix, rhs) == want
+
+
+def test_solve_exact_zero_leading_pivot_and_late_singularity():
+    assert solve_exact([[F(0), F(1)], [F(1, 2), F(0)]], [F(2), F(3)]) == [F(6), F(2)]
+    with pytest.raises(SingularSystem):
+        solve_exact([[F(1), F(2), F(3)], [F(0), F(1), F(1)], [F(1), F(3), F(4)]],
+                    [F(1), F(1), F(1)])
+
+
+def test_exact_division_refuses_a_remainder():
+    assert _exact_div(-12, 4) == -3
+    with pytest.raises(ArithmeticError):
+        _exact_div(7, 2)
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_brute_force_equals_unsplit_solve(n, qtable):
+    # the full normal equations over r_1..r_{n-2}, without the parity split
+    def gram(i, j):
+        s = i + j
+        return F(0) if s % 2 else 2 * (F(1, s + 1) - F(1, s + 3))
+
+    free = range(1, n - 1)
+    coeffs = [F(1)]
+    if free:
+        coeffs += _gauss_jordan([[gram(i, j) for j in free] for i in free],
+                                [-gram(i, 0) for i in free])
+    r = Poly(coeffs)
+    result = brute_force_minimizer(n, qtable)
+    assert result.poly == ONE_MINUS_X2 * r
+    assert result.m_value == (ONE_MINUS_X2 * r * r).integral(-1, 1)
+
+
+def test_minimize_at_the_depth_cap():
+    s = minimize_constrained(64, build_q_table(64))
+    assert s.min_value == s.oracle_value
+    assert s.minimizer == s.oracle_minimizer
+    assert s.minimizer.degree == 64
+    assert s.minimizer.at(0) == 1
 
 
 def test_brute_force_small(qtable):

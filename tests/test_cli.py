@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from intlegendre import quad
 from intlegendre.cli import main
 
 
@@ -124,6 +125,18 @@ def test_expand_usage_errors(capsys):
     assert run_cli(capsys, "expand", "--N", "4")[0] == 2
     assert run_cli(capsys, "expand", "--poly", "1,2", "--fn", "sin-pi", "--N", "4")[0] == 2
     assert run_cli(capsys, "expand", "--poly", "1,2", "--N", "1")[0] == 2
+
+
+def test_numerical_limit_exits_3(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "expand", "--fn", "sin-pi", "--N", "29")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+    def no_node(m):
+        raise quad.ConvergenceFailure(f"node did not settle at order {m}")
+
+    monkeypatch.setattr(quad, "gauss_legendre", no_node)
+    assert run_cli(capsys, "quad", "--m", "8") == (3, "", "error: node did not settle at order 8\n")
 
 
 def test_transform(capsys):

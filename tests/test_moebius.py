@@ -1,23 +1,26 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from intlegendre import moebius
 from intlegendre.exactpoly import Poly, X
+from intlegendre.legendre import build_legendre
 from intlegendre.moebius import (
     DegenerateMap,
     MoebiusMap,
     build_r_family,
     build_transformed_system,
-    change_of_variables_residual,
     gram_matrix,
     induced_endpoints,
     induced_weight,
     minimality_check,
     reference_inner_product,
-    transformed_orthogonality,
     weight_identity_gap,
 )
+from intlegendre.qfamily import build_q_table
 from intlegendre.verdict import Verdict
 
 IDENTITY = MoebiusMap(1, 0, 0, 1)
@@ -43,6 +46,55 @@ def test_reference_family_orthogonal_and_monic():
         assert fam.poly(n).degree == n
         for m in range(n):
             assert reference_inner_product(fam.poly(n), fam.poly(m)) == 0
+
+
+def _gram_schmidt_family(max_degree):
+    """Monic Gram-Schmidt against 1 - t^2: the reference for the recurrence."""
+    polys = []
+    for n in range(max_degree + 1):
+        p = Poly.monomial(n)
+        for prev in polys:
+            coef = reference_inner_product(p, prev) / reference_inner_product(prev, prev)
+            p = p - prev.scale(coef)
+        polys.append(p)
+    return polys
+
+
+def test_recurrence_family_matches_gram_schmidt():
+    assert list(build_r_family(24).polys) == _gram_schmidt_family(24)
+    assert build_r_family(0).polys == (Poly((1,)),)
+
+
+def test_recurrence_family_monic_and_orthogonal_to_64():
+    fam = build_r_family(64)
+    weight = Poly((1, 0, -1))
+    for k in range(65):
+        assert fam.poly(k).degree == k
+        assert fam.poly(k).coeff(k) == 1
+        pair = (fam.poly(k) * weight).pairing(64)
+        for m in range(k):
+            assert pair(fam.poly(m)) == 0
+        assert pair(fam.poly(k)) > 0
+
+
+def test_recurrence_family_is_monic_interior_factor_of_q():
+    fam = build_r_family(40)
+    qtable = build_q_table(42)
+    for k in range(41):
+        interior = qtable.interior_factor(k + 2)
+        assert fam.poly(k) == interior / interior.coeff(k)
+
+
+def test_recurrence_cross_check_catches_a_bad_legendre_table(monkeypatch):
+    def broken(depth):
+        table = build_legendre(depth)
+        polys = list(table.polys)
+        polys[4] = polys[4] + X
+        return dataclasses.replace(table, polys=tuple(polys))
+
+    monkeypatch.setattr(moebius, "build_legendre", broken)
+    with pytest.raises(AssertionError, match="degree 3"):
+        build_r_family(6)
 
 
 def test_determinant_enforced():
@@ -118,15 +170,10 @@ def test_system_rejects_bad_maps():
 
 
 def test_transformed_orthogonality_examples():
-    sys_id = build_transformed_system(IDENTITY, 4)
-    check = transformed_orthogonality(sys_id, 1, 2, tol=1e-13)
-    assert check.passed
-    sys_shift = build_transformed_system(SHIFT, 4)
-    assert transformed_orthogonality(sys_shift, 1, 2, tol=1e-12).passed
-    sys_scale = build_transformed_system(SCALE, 4)
-    assert transformed_orthogonality(sys_scale, 2, 3, tol=1e-12).passed
-    with pytest.raises(ValueError):
-        transformed_orthogonality(sys_id, 2, 2)
+    for m, (n, k), tol in ((IDENTITY, (1, 2), 1e-13), (SHIFT, (1, 2), 1e-12),
+                           (SCALE, (2, 3), 1e-12)):
+        matrix, _ = gram_matrix(build_transformed_system(m, 4), 4, tol)
+        assert abs(matrix[n][k]) < tol * math.sqrt(matrix[n][n] * matrix[k][k])
 
 
 def test_gram_matrices_nearly_diagonal():
@@ -139,11 +186,15 @@ def test_gram_matrices_nearly_diagonal():
 
 
 def test_change_of_variables_consistency():
+    # transformed integrals equal the exact inner products under 1 - t^2
     for m in ALL_MAPS:
         system = build_transformed_system(m, 5)
+        matrix, _ = gram_matrix(system, 6)
+        fam = system.family
         for n in range(6):
             for k in range(n, 6):
-                assert change_of_variables_residual(system, n, k) < 1e-11
+                exact = float(reference_inner_product(fam.poly(n), fam.poly(k)))
+                assert abs(matrix[n][k] - exact) < 1e-11
 
 
 def test_minimality():

@@ -115,7 +115,8 @@ def test_report_matches_golden(depth):
 def _perturbed_ctx(depth, k, j, c):
     """Context whose degree-k members get c*(x^2-1)*x^j (Q) and c*x^j (L) added.
 
-    j <= k - 2 keeps each member's degree, which the checks' pairings are sized for.
+    j <= k - 2 keeps each member's degree; j >= k - 1 raises the degree of Q_k
+    (and, for j > k, of P_k) above its index.
     """
     ltable = build_legendre(depth + 1)
     qtable = build_q_table(depth + 1, ltable)
@@ -157,7 +158,8 @@ def _first_pairwise_failure(ctx):
 
 
 @pytest.mark.parametrize("k, j, c", [(7, 3, Fraction(1, 5)), (10, 0, Fraction(-3, 7)),
-                                     (12, 10, Fraction(2, 9))])
+                                     (12, 10, Fraction(2, 9)), (12, 11, Fraction(1)),
+                                     (12, 13, Fraction(1, 3))])
 def test_contracted_checks_report_the_pairwise_witness(k, j, c):
     ctx = _perturbed_ctx(12, k, j, c)
     want = _first_pairwise_failure(ctx)
