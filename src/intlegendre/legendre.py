@@ -68,18 +68,18 @@ def legendre_rodrigues(n: int) -> Poly:
 
 
 def legendre_shifted_expansion(n: int) -> Poly:
-    """Sum over k of C(n,k)^2 (x-1)^(n-k) (x+1)^k, scaled by 2^-n."""
+    """Sum over k of C(n,k)^2 (x-1)^(n-k) (x+1)^k, scaled by 2^-n.
+
+    Evaluated by Horner's rule in x-1 with one running power of x+1, so every
+    product has a degree-1 factor.
+    """
     if n < 0:
         raise ValueError("degree must be >= 0")
     lo, hi = X - 1, X + 1
-    lo_pows = [Poly((1,))]
-    hi_pows = [Poly((1,))]
-    for _ in range(n):
-        lo_pows.append(lo_pows[-1] * lo)
-        hi_pows.append(hi_pows[-1] * hi)
-    total = Poly()
+    total, power = Poly(), Poly((1,))
     for k in range(n + 1):
-        total = total + lo_pows[n - k] * hi_pows[k] * (math.comb(n, k) ** 2)
+        total = total * lo + power.scale(math.comb(n, k) ** 2)
+        power = power * hi
     return total / 2**n
 
 
@@ -122,15 +122,6 @@ def legendre_even_at_zero(m: int) -> Fraction:
 def legendre_odd_deriv_at_zero(m: int) -> Fraction:
     """Derivative of the degree-(2m+1) polynomial at 0: 2 (-1)^m (1/2)_{m+1} / m!."""
     return 2 * Fraction((-1) ** m) * pochhammer_half(m + 1) / math.factorial(m)
-
-
-def legendre_derivative_recurrence_check(n: int, table: LegendreTable) -> bool:
-    """Exact check of (2n+1) P_n = P'_{n+1} - P'_{n-1}; needs table depth n+1."""
-    if n < 1:
-        raise ValueError("needs degree >= 1")
-    lhs = table.poly(n).scale(2 * n + 1)
-    rhs = table.poly(n + 1).deriv() - table.poly(n - 1).deriv()
-    return lhs == rhs
 
 
 def legendre_float(n: int, x: float) -> tuple[float, float]:

@@ -82,7 +82,7 @@ def build_q_table(max_degree: int, ltable: Optional[LegendreTable] = None) -> QT
             raise AssertionError(f"construction cross-check failed at degree {n}")
         polys.append(qn)
         interior.append(qn.divexact(X2_MINUS_1))
-        norms.append(Fraction(2, n * (n - 1) * (2 * n - 1)))
+        norms.append(q_norm_sq(n))
         leading.append(qn.coeffs[-1])
     return QTable(
         max_degree,
@@ -240,26 +240,3 @@ def q_roots(n: int, table: QTable, tol: float = 1e-12) -> list[float]:
         if abs(value(r)) >= tol:
             raise RootCountMismatch(f"root {r} has residual {value(r)!r} >= {tol}")
     return [-1.0] + roots + [1.0]
-
-
-def q_integral_relation_check(n: int, table: QTable) -> Verdict:
-    """Exact ladder between neighbours: the antiderivative of the degree-n
-    member pinned at -1 equals (Q_{n+1} - Q_{n-1})/(2n-1), and the member
-    itself equals (Q'_{n+1} - Q'_{n-1})/(2n-1). Needs table depth n+1."""
-    if n < 3:
-        raise ValueError("needs degree >= 3")
-    qn, hi, lo = table.q(n), table.q(n + 1), table.q(n - 1)
-    anti = qn.antideriv()
-    anti = anti - anti.at(-1)
-    integral_ok = anti == (hi - lo) / (2 * n - 1)
-    deriv_ok = qn == (hi.deriv() - lo.deriv()) / (2 * n - 1)
-    return Verdict.CONFIRMED if (integral_ok and deriv_ok) else Verdict.FAILED
-
-
-def q_leading_closed_form(n: int) -> Fraction:
-    """Leading coefficient: (2n-2)! / (2^(n-1) ((n-1)!)^2 n)."""
-    if n < 2:
-        raise ValueError("family starts at degree 2")
-    return Fraction(
-        math.factorial(2 * n - 2), 2 ** (n - 1) * math.factorial(n - 1) ** 2 * n
-    )

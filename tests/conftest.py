@@ -13,3 +13,10 @@ def ltable():
 @pytest.fixture(scope="session")
 def qtable(ltable):
     return build_q_table(41, ltable)
+
+
+@pytest.fixture(scope="session")
+def expected_non_confirmed():
+    """Entries whose stated form holds only after a recorded correction (README table)."""
+    return frozenset({"CDS11-prefactor", "Knn00", "Qnatzero", "Valuem-odd-terms", "akk",
+                      "anex-sign", "endpoints-§4"})

@@ -29,7 +29,6 @@ from intlegendre.qfamily import (
     weighted_inner_product,
 )
 from intlegendre.verdict import Verdict
-from intlegendre.verify import EXPECTED_NON_CONFIRMED
 
 TOP = 40
 
@@ -245,7 +244,7 @@ def test_criterion_09_quadrature_exactness():
           "order 3 matches classical values to 1e-14")
 
 
-def test_criterion_10_verify_cli_at_depth_40(tmp_path):
+def test_criterion_10_verify_cli_at_depth_40(tmp_path, expected_non_confirmed):
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = str(repo / "src") + os.pathsep + env.get("PYTHONPATH", "")
@@ -267,6 +266,6 @@ def test_criterion_10_verify_cli_at_depth_40(tmp_path):
     failed = sorted(i for i, v in verdicts.items() if v == "FAILED")
     assert failed == []
     non_confirmed = {i for i, v in verdicts.items() if v != "CONFIRMED"}
-    assert non_confirmed == set(EXPECTED_NON_CONFIRMED)
+    assert non_confirmed == expected_non_confirmed
     print("PASS criterion 10: verify CLI exits 0 at depth 40 with exactly the "
           "expected corrected-identity set")

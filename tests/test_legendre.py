@@ -6,7 +6,6 @@ from intlegendre.exactpoly import Poly, X
 from intlegendre.legendre import (
     build_legendre,
     double_factorial,
-    legendre_derivative_recurrence_check,
     legendre_even_at_zero,
     legendre_float,
     legendre_odd_deriv_at_zero,
@@ -85,8 +84,10 @@ def test_even_and_odd_zero_closed_forms(ltable):
 
 
 def test_derivative_recurrence(ltable):
+    # (2n+1) P_n = P'_{n+1} - P'_{n-1}
     for n in (1, 2, 10):
-        assert legendre_derivative_recurrence_check(n, ltable)
+        lhs = ltable.poly(n).scale(2 * n + 1)
+        assert lhs == ltable.poly(n + 1).deriv() - ltable.poly(n - 1).deriv()
 
 
 def test_orthogonality_small(ltable):

@@ -12,8 +12,6 @@ from intlegendre.qfamily import (
     q_at_zero,
     q_boundary_derivatives,
     q_float,
-    q_integral_relation_check,
-    q_leading_closed_form,
     q_norm_sq,
     q_rodrigues,
     q_roots,
@@ -156,13 +154,19 @@ def test_root_residual_tolerance(qtable):
 
 
 def test_integral_relation(qtable):
+    # the pinned antiderivative and the member itself as neighbour differences
     for n in (3, 4, 20):
-        assert q_integral_relation_check(n, qtable) is Verdict.CONFIRMED
+        qn, hi, lo = qtable.q(n), qtable.q(n + 1), qtable.q(n - 1)
+        anti = qn.antideriv()
+        assert anti - anti.at(-1) == (hi - lo) / (2 * n - 1)
+        assert qn == (hi.deriv() - lo.deriv()) / (2 * n - 1)
 
 
 def test_leading_coefficients(qtable):
     for n in range(2, 41):
-        assert q_leading_closed_form(n) == qtable.lead(n)
+        # (2n-2)! / (2^(n-1) ((n-1)!)^2 n)
+        closed = F(math.factorial(2 * n - 2), 2 ** (n - 1) * math.factorial(n - 1) ** 2 * n)
+        assert closed == qtable.lead(n)
 
 
 def test_q_float_matches_table(qtable):

@@ -5,18 +5,18 @@ from pathlib import Path
 
 import pytest
 
+from intlegendre import verify
 from intlegendre.exactpoly import X
 from intlegendre.legendre import build_legendre
 from intlegendre.qfamily import X2_MINUS_1, build_q_table, weighted_inner_product
 from intlegendre.verdict import Verdict
 from intlegendre.verify import (
-    EXPECTED_NON_CONFIRMED,
     IdentityEntry,
-    _check_normqn,
-    _check_orthln,
-    _check_orthqn,
     _Ctx,
+    _REGISTRY,
+    _run,
     _w,
+    identity,
     run_verification,
 )
 
@@ -43,8 +43,8 @@ def test_no_failures(report):
     assert report.failed_ids == []
 
 
-def test_non_confirmed_set_is_exact(report):
-    assert set(report.non_confirmed_ids) == set(EXPECTED_NON_CONFIRMED)
+def test_non_confirmed_set_is_exact(report, expected_non_confirmed):
+    assert set(report.non_confirmed_ids) == expected_non_confirmed
 
 
 def test_non_confirmed_entries_carry_witnesses(report):
@@ -97,6 +97,13 @@ def test_depth_bounds():
         run_verification(3)
     with pytest.raises(ValueError):
         run_verification(65)
+
+
+def test_registering_a_used_id_raises():
+    before = dict(_REGISTRY)
+    with pytest.raises(ValueError, match="orthLn"):
+        identity("orthLn", "another check under a used id", "0..{top}")(lambda ctx, top: None)
+    assert _REGISTRY == before
 
 
 def test_entry_serialization():
@@ -163,7 +170,43 @@ def _first_pairwise_failure(ctx):
 def test_contracted_checks_report_the_pairwise_witness(k, j, c):
     ctx = _perturbed_ctx(12, k, j, c)
     want = _first_pairwise_failure(ctx)
-    for check, expected in zip((_check_orthln, _check_orthqn, _check_normqn), want):
-        [entry] = check(ctx)
+    for identity_id, expected in zip(("orthLn", "OrthQn", "NormQn"), want):
+        entry = _run(identity_id, ctx)
         assert entry.verdict is Verdict.FAILED, entry.identity_id
         assert entry.witness == expected, entry.identity_id
+
+
+_L_IDS = {"DifLn", "Lnat1", "Qqn", "expp", "orthLn"}
+_Q_IDS = {"CDS11-prefactor", "Diff2", "Diff3", "FourierQ", "NormQn", "OrthQn", "Pipcirs2",
+          "Pipcirs3", "Qnderiv1", "Qqn", "Reprkernel", "Rodrigues", "anex-sign"}
+
+
+@pytest.mark.parametrize("family, k, j, c, failed", [
+    ("L", 6, 0, Fraction(1, 5), _L_IDS | {"L2nat0", "Lnat0"}),
+    ("L", 7, 1, Fraction(1, 5), _L_IDS | {"DeriLnat0", "Lnderivat0"}),
+    ("Q", 7, 0, Fraction(-3, 7), _Q_IDS | {"KernelSeqOrth", "Kernelf", "Kernelm", "Knn00",
+                                           "Qnatzero", "Valuem-odd-terms"}),
+    ("Q", 8, 2, Fraction(2, 9), _Q_IDS | {"Kernelf"}),
+], ids=["P6", "P7", "Q7", "Q8"])
+def test_registry_fault_injection(monkeypatch, family, k, j, c, failed):
+    """One wrong member of one family fails exactly the entries that read it.
+
+    The goldens pin only the passing path; this pins the failing one, so a
+    check that stopped looking at its table would show here.
+    """
+    clean = run_verification(12)
+    bad = _perturbed_ctx(12, k, j, c)
+    ltable = bad.ltable if family == "L" else build_legendre(13)
+    qtable = bad.qtable if family == "Q" else build_q_table(13)
+    monkeypatch.setattr(verify, "build_legendre", lambda n: ltable)
+    monkeypatch.setattr(verify, "build_q_table", lambda n, lt: qtable)
+    report = run_verification(12)
+    assert set(report.failed_ids) == failed
+    assert len(report.entries) == len(clean.entries)
+    for entry, ref in zip(report.entries, clean.entries):
+        assert (entry.identity_id, entry.description, entry.degrees_checked) == \
+            (ref.identity_id, ref.description, ref.degrees_checked)
+        if entry.verdict is Verdict.FAILED:
+            assert entry.witness, entry.identity_id
+        else:
+            assert entry == ref, entry.identity_id
