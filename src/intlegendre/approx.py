@@ -17,6 +17,7 @@ from typing import Callable, Mapping, Sequence, Union
 from . import quad
 from .exactpoly import Poly
 from .kernel import kernel_sum
+from .legendre import build_legendre, legendre_series, legendre_values
 from .qfamily import QTable, X2_MINUS_1, weighted_inner_product
 
 
@@ -147,12 +148,11 @@ def fourier_coeff_quadrature(f: Poly, n: int, qtable: QTable) -> Fraction:
 
     The weight singularity cancels against the endpoint factor of the
     member, so the value is the exact integral of -f times the interior
-    factor, scaled by n(n-1)(2n-1)/2. Defined for any polynomial f.
+    factor, over the member's squared norm. Defined for any polynomial f.
     """
     if n < 2:
         raise ValueError("family starts at degree 2")
-    scale = Fraction(n * (n - 1) * (2 * n - 1), 2)
-    return -scale * (f * qtable.interior_factor(n)).integral(-1, 1)
+    return -(f * qtable.interior_factor(n)).integral(-1, 1) / qtable.norm_sq(n)
 
 
 def moment_vector(f: Poly, n: int) -> list[Fraction]:
@@ -268,7 +268,7 @@ def expand(
             fn = FUNCTIONS[f]
         except KeyError:
             raise ValueError(f"unknown function name {f!r}") from None
-        return _expand_named(fn, top_degree, qtable, tol)
+        return _expand_named(fn, top_degree, tol)
     return _expand_poly(f, top_degree, qtable)
 
 
@@ -283,7 +283,14 @@ def _expand_poly(f: Poly, top_degree: int, qtable: QTable) -> ExpansionReport:
     diff = f - partial
     if diff.is_zero():
         return ExpansionReport(coeffs, 0.0, 0.0, "quadrature_exact")
-    sup = max(abs(diff.at_float(x)) for x in _GRID)
+    # the residual's Legendre coefficients (2k+1)/2 * integral of diff*P_k,
+    # exact, rounded once and summed on the grid by the recurrence
+    deg = diff.degree
+    ltable = qtable.legendre if deg <= qtable.legendre.max_degree else build_legendre(deg)
+    pair = diff.pairing(deg)
+    series = legendre_series(
+        [float(pair(ltable.poly(k)) * Fraction(2 * k + 1, 2)) for k in range(deg + 1)])
+    sup = max(abs(series(x)) for x in _GRID)
     if diff.at(1) == 0 and diff.at(-1) == 0:
         l2 = math.sqrt(float(weighted_inner_product(diff, diff)))
     else:
@@ -291,26 +298,23 @@ def _expand_poly(f: Poly, top_degree: int, qtable: QTable) -> ExpansionReport:
     return ExpansionReport(coeffs, sup, l2, "quadrature_exact")
 
 
-def _expand_named(
-    fn: Callable[[float], float], top_degree: int, qtable: QTable, tol: float
-) -> ExpansionReport:
-    coeffs: dict[int, float] = {}
-    for n in range(2, top_degree + 1):
-        interior = qtable.interior_factor(n)
-        scale = n * (n - 1) * (2 * n - 1) / 2.0
-        value = quad.integrate(lambda x: fn(x) * interior.at_float(x), -1.0, 1.0, tol)
-        coeffs[n] = -scale * value.value
+def _expand_named(fn: Callable[[float], float], top_degree: int, tol: float) -> ExpansionReport:
+    # a_n = <f, Q_n>_w / |Q_n|^2 = -(2n-1)/2 * integral of f P'_{n-1}, because
+    # the interior factor Q_n/(x^2-1) is P'_{n-1}/(n(n-1))
+    def weighted(x: float) -> list[float]:
+        d, fx = legendre_values(top_degree - 1, x).d, fn(x)
+        return [-(2 * n - 1) / 2 * fx * d[n - 1] for n in range(2, top_degree + 1)]
 
-    members = {n: qtable.q(n) for n in coeffs}
-
-    def partial(x: float) -> float:
-        return math.fsum(a * members[n].at_float(x) for n, a in coeffs.items())
+    coeffs = dict(enumerate(quad.integrate(weighted, -1.0, 1.0, tol).value, 2))
+    # Q_n = (P_n - P_{n-2})/(2n-1) turns the partial sum into a Legendre series
+    g = {n: a / (2 * n - 1) for n, a in coeffs.items()}
+    partial = legendre_series([g.get(k, 0.0) - g.get(k + 2, 0.0) for k in range(top_degree + 1)])
 
     sup = max(abs(fn(x) - partial(x)) for x in _GRID)
     res = quad.integrate(
-        lambda x: (fn(x) - partial(x)) ** 2 / (1.0 - x * x), -1.0, 1.0, max(tol, 1e-14)
+        lambda x: ((fn(x) - partial(x)) ** 2 / (1.0 - x * x),), -1.0, 1.0, max(tol, 1e-14)
     )
-    return ExpansionReport(coeffs, sup, math.sqrt(max(res.value, 0.0)), "quadrature_float")
+    return ExpansionReport(coeffs, sup, math.sqrt(max(res.value[0], 0.0)), "quadrature_float")
 
 
 def parseval_gap(f: Poly, top_degree: int, qtable: QTable) -> Fraction:

@@ -4,8 +4,9 @@ report, extremal solving, expansion and transformed-system generation.
 Exit codes: 0 on success (all identities confirmed or corrected), 1 when the
 verification registry records any FAILED entry, 2 on usage errors, 3 on a
 numerical limit (a quadrature that does not converge within its order cap,
-or a quadrature node that does not settle). Exact rationals serialize as
-'p/q' strings, never floats, so reports stay diffable and lossless.
+as in `expand --fn sin-pi --N 29 --tol 1e-300`, or a quadrature node that
+does not settle). Exact rationals serialize as 'p/q' strings, never floats,
+so reports stay diffable and lossless.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 
 from . import approx, moebius, quad, verify
 from .exactpoly import Poly
-from .legendre import build_legendre
+from .legendre import LegendreValues, build_legendre, legendre_values
 from .qfamily import build_q_table
 from .verdict import Verdict
 
@@ -84,15 +85,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if lo < floor or hi > _TABLE_CAP:
         raise CliError(f"family {family} supports degrees {floor}..{_TABLE_CAP}")
     if family == "L":
-        table = build_legendre(max(hi, 1))
-        polys = {n: table.poly(n) for n in range(lo, hi + 1)}
+        poly, member = build_legendre(max(hi, 1)).poly, lambda v, n: v.p[n]
     elif family == "Q":
-        table = build_q_table(hi)
-        polys = {n: table.q(n) for n in range(lo, hi + 1)}
+        poly, member = build_q_table(hi).q, LegendreValues.q
     else:
-        fam = moebius.build_r_family(hi)
-        polys = {n: fam.poly(n) for n in range(lo, hi + 1)}
+        poly, member = moebius.build_r_family(hi).poly, LegendreValues.r
+    polys = {n: poly(n) for n in range(lo, hi + 1)}
     points = [float(p) for p in args.points.split(",")] if args.points else []
+    passes = {x: legendre_values(hi + 1, x) for x in points}
 
     def coeff_cell(c: Fraction) -> object:
         return float(c) if args.backend == "float" else str(c)
@@ -102,7 +102,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         for n, p in polys.items():
             entry: dict = {"n": n, "coeffs": [coeff_cell(c) for c in p.coeffs]}
             if points:
-                entry["values"] = {repr(x): p.at_float(x) for x in points}
+                entry["values"] = {repr(x): member(passes[x], n) for x in points}
             entries.append(entry)
         _emit(_json_text({"family": family, "entries": entries}), args.out)
     else:
@@ -111,7 +111,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         buffer.append(",".join(header))
         for n, p in polys.items():
             cells = [family, str(n), " ".join(str(coeff_cell(c)) for c in p.coeffs)]
-            cells += [repr(p.at_float(x)) for x in points]
+            cells += [repr(member(passes[x], n)) for x in points]
             buffer.append(",".join(_csv_quote(c) for c in cells))
         _emit("\n".join(buffer) + "\n", args.out)
     return 0
@@ -176,30 +176,25 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         raise CliError(f"--N must be <= {_TABLE_CAP}")
     if (args.poly is None) == (args.fn is None):
         raise CliError("exactly one of --poly or --fn is required")
-    table = build_q_table(args.top)
-    if args.fn is not None:
-        if args.fn not in approx.FUNCTIONS:
-            raise CliError(
-                f"unknown function {args.fn!r}; known: {', '.join(sorted(approx.FUNCTIONS))}"
-            )
-        target: Poly | str = args.fn
-        label = args.fn
+    if args.fn is not None and args.fn not in approx.FUNCTIONS:
+        raise CliError(
+            f"unknown function {args.fn!r}; known: {', '.join(sorted(approx.FUNCTIONS))}"
+        )
+    spec = args.fn if args.fn is not None else _parse_poly_spec(args.poly)
+    target: Poly | str
+    if isinstance(spec, tuple):
+        family, degree = spec
+        low, high = (2, args.top) if family == "Q" else (0, _TABLE_CAP)
+        if not low <= degree <= high:
+            raise CliError(f"{family}{degree} outside {low}..{high}")
+        # one Legendre table, deep enough for an L input, serves the expansion too
+        table = build_q_table(args.top, build_legendre(max(args.top, degree)))
+        target = table.q(degree) if family == "Q" else table.legendre.poly(degree)
+        label = f"{family}{degree}"
     else:
-        spec = _parse_poly_spec(args.poly)
-        if isinstance(spec, tuple):
-            family, degree = spec
-            if family == "Q":
-                if not 2 <= degree <= args.top:
-                    raise CliError(f"Q{degree} outside 2..{args.top}")
-                target = table.q(degree)
-            else:
-                if not 0 <= degree <= _TABLE_CAP:
-                    raise CliError(f"L{degree} outside 0..{_TABLE_CAP}")
-                target = build_legendre(max(degree, 1)).poly(degree)
-            label = f"{family}{degree}"
-        else:
-            target = spec
-            label = spec.pretty()
+        table = build_q_table(args.top)
+        target = spec
+        label = spec if isinstance(spec, str) else spec.pretty()
     report = approx.expand(target, args.top, table, args.tol)
     coeff_cell = (
         (lambda v: str(v)) if report.method == "quadrature_exact" else (lambda v: v)

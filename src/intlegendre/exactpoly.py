@@ -293,14 +293,10 @@ class Poly:
         return Fraction(acc, self.den * qk)
 
     def at_float(self, x: float) -> float:
-        """Horner evaluation in double precision, in the monomial basis.
-
-        Each coefficient is rounded once, correctly, but the sum is not
-        stable: cancellation between large monomial coefficients loses
-        accuracy fast with the degree (the error for the degree-64 family
-        member at x = 0.9 is about 3e4). Evaluate family members with
-        ``legendre_float`` or ``q_float`` instead.
-        """
+        """Horner evaluation in double precision, in the monomial basis, for
+        low-degree general polynomials: each coefficient is rounded once, but
+        cancellation between large coefficients loses accuracy fast with the
+        degree. Family members go through ``legendre.legendre_values``."""
         den = self.den
         acc = 0.0
         for c in reversed(self.nums):

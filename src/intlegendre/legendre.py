@@ -6,9 +6,11 @@ of (x^2-1)^n and the shifted binomial expansion act as independent verifiers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple, Sequence
 
 from .exactpoly import Poly, X
 
@@ -124,21 +126,54 @@ def legendre_odd_deriv_at_zero(m: int) -> Fraction:
     return 2 * Fraction((-1) ** m) * pochhammer_half(m + 1) / math.factorial(m)
 
 
-def legendre_float(n: int, x: float) -> tuple[float, float]:
-    """(value, derivative) of the degree-n polynomial at x, in float.
+@functools.cache
+def _steps(bits: int) -> tuple[tuple[float, float, int], ...]:
+    """Recurrence constants ((2k+1)/(k+1), k/(k+1), 2k+1) for k = 1..2^bits - 1;
+    _steps(n.bit_length()) covers every k <= n with one table per power of two."""
+    return tuple(((2 * k + 1) / (k + 1), k / (k + 1), 2 * k + 1) for k in range(1, 1 << bits))
 
-    Uses the value recurrence together with P'_{k+1} = P'_{k-1} + (2k+1) P_k,
-    which stays stable on the whole of [-1, 1] including the endpoints.
-    """
+
+class LegendreValues(NamedTuple):
+    """P_k(x) and P'_k(x), k = 0..n, at one point; every family member's float
+    value is read off them, never off monomial coefficients (unstable at high degree)."""
+
+    p: list[float]
+    d: list[float]
+
+    def q(self, n: int) -> float:  # (P_n - P_{n-2})/(2n-1); its derivative is P_{n-1}
+        return (self.p[n] - self.p[n - 2]) / (2 * n - 1)
+
+    def r(self, n: int) -> float:  # monic r_n = P'_{n+1}/lead(P'_{n+1}), needs a pass to n+1
+        return self.d[n + 1] * 2 ** (n + 1) / ((n + 1) * math.comb(2 * n + 2, n + 1))
+
+
+def legendre_values(n: int, x: float) -> LegendreValues:
+    """P_0..P_n and P'_0..P'_n at x from one pass of the value recurrence and of
+    P'_{k+1} = P'_{k-1} + (2k+1) P_k, which stays stable on all of [-1, 1]."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    if n == 0:
-        return 1.0, 0.0
-    p_prev, p = 1.0, x
-    d_prev, d = 0.0, 1.0
-    for k in range(1, n):
-        p_next = ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-        d_next = d_prev + (2 * k + 1) * p
-        p_prev, p = p, p_next
-        d_prev, d = d, d_next
-    return p, d
+    p, d = [1.0, x], [0.0, 1.0]
+    for k, (a, b, odd) in zip(range(1, n), _steps(n.bit_length())):
+        p.append(a * x * p[k] - b * p[k - 1])
+        d.append(d[k - 1] + odd * p[k])
+    return LegendreValues(p[: n + 1], d[: n + 1])
+
+
+def legendre_float(n: int, x: float) -> tuple[float, float]:
+    """(value, derivative) of the degree-n polynomial at x, from legendre_values."""
+    v = legendre_values(n, x)
+    return v.p[n], v.d[n]
+
+
+def legendre_series(c: Sequence[float]) -> Callable[[float], float]:
+    """x -> sum of c[k] P_k(x), by Clenshaw's backward form of the same recurrence."""
+    s = _steps(len(c).bit_length())
+    terms = [(c[k], s[k - 1][0], s[k][1]) for k in range(len(c) - 1, 0, -1)]
+
+    def at(x: float) -> float:
+        b1 = b2 = 0.0
+        for ck, a, b in terms:
+            b1, b2 = ck + a * x * b1 - b * b2, b1
+        return c[0] + x * b1 - 0.5 * b2
+
+    return at

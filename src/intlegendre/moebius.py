@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import quad
 from .exactpoly import Poly, Scalar, X, _frac
-from .legendre import build_legendre
+from .legendre import build_legendre, legendre_values
 from .verdict import Verdict
 
 
@@ -179,14 +179,18 @@ def build_transformed_system(m: MoebiusMap, max_degree: int) -> TransformedSyste
     return TransformedSystem(m, ends.a, ends.b, induced_weight(m), build_r_family(max_degree))
 
 
-def _composed(system: TransformedSystem, n: int):
-    member = system.family.poly(n)
-    mob = system.map
+def _pulled_back(
+    system: TransformedSystem, top: int, f: Callable[[list[float], float], list[float]], tol: float
+) -> tuple[float, ...]:
+    """Integrals over the induced interval of f(r, w), r holding r_0..r_top at
+    the mapped point and w the induced weight; one recurrence pass per node."""
+    mob, weight = system.map.at_float, system.weight.at_float
 
-    def h(x: float) -> float:
-        return member.at_float(mob.at_float(x))
+    def at(x: float) -> list[float]:
+        v = legendre_values(top + 1, mob(x))
+        return f([v.r(n) for n in range(top + 1)], weight(x))
 
-    return h
+    return quad.integrate(at, float(system.a), float(system.b), min(tol * 1e-2, 1e-13)).value
 
 
 def gram_matrix(
@@ -194,48 +198,25 @@ def gram_matrix(
 ) -> tuple[list[list[float]], float]:
     """Gram matrix of composed members 0..size-1 under the induced weight,
     plus the largest off-diagonal entry relative to the diagonal scale."""
-    a, b = float(system.a), float(system.b)
-    w = system.weight.at_float
-    composed = [_composed(system, n) for n in range(size)]
-    itol = min(tol * 1e-2, 1e-13)
+    pairs = [(i, j) for i in range(size) for j in range(i, size)]
+    values = _pulled_back(system, size - 1, lambda r, w: [r[i] * r[j] * w for i, j in pairs], tol)
     matrix = [[0.0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            v = quad.integrate(lambda x: composed[i](x) * composed[j](x) * w(x), a, b, itol).value
-            matrix[i][j] = matrix[j][i] = v
-    worst = 0.0
-    for i in range(size):
-        for j in range(size):
-            if i != j:
-                rel = abs(matrix[i][j]) / math.sqrt(matrix[i][i] * matrix[j][j])
-                worst = max(worst, rel)
+    for (i, j), v in zip(pairs, values):
+        matrix[i][j] = matrix[j][i] = v
+    worst = max((abs(v) / math.sqrt(matrix[i][i] * matrix[j][j])
+                 for (i, j), v in zip(pairs, values) if i != j), default=0.0)
     return matrix, worst
 
 
-_PERTURBATION_SIZES = (
-    Fraction(1, 4),
-    Fraction(-1, 4),
-    Fraction(1, 16),
-    Fraction(-1, 16),
-)
+_PERTURBATION_SIZES = (0.25, -0.25, 0.0625, -0.0625)
 
 
 def minimality_check(system: TransformedSystem, n: int, tol: float = 1e-12) -> Verdict:
     """Check that the monic member of degree n minimizes the induced-weight
     square integral: every perturbation by a lower-degree member must
     strictly increase it (by eps^2 times that member's norm)."""
-    a, b = float(system.a), float(system.b)
-    w = system.weight.at_float
-    mob = system.map
-    itol = min(tol * 1e-2, 1e-13)
-
-    def objective(p: Poly) -> float:
-        return quad.integrate(lambda x: p.at_float(mob.at_float(x)) ** 2 * w(x), a, b, itol).value
-
-    base_poly = system.family.poly(n)
-    base = objective(base_poly)
-    for j in range(n):
-        for eps in _PERTURBATION_SIZES:
-            if objective(base_poly + system.family.poly(j).scale(eps)) <= base:
-                return Verdict.FAILED
-    return Verdict.CONFIRMED
+    # the unperturbed member first (eps = 0), then every (j, eps)
+    steps = [(0, 0.0)] + [(j, eps) for j in range(n) for eps in _PERTURBATION_SIZES]
+    base, *perturbed = _pulled_back(
+        system, n, lambda r, w: [(r[n] + eps * r[j]) ** 2 * w for j, eps in steps], tol)
+    return Verdict.FAILED if any(v <= base for v in perturbed) else Verdict.CONFIRMED

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactpoly import NotDivisible, Poly, X
-from .legendre import LegendreTable, build_legendre, double_factorial, legendre_float
+from .legendre import LegendreTable, build_legendre, double_factorial, legendre_values
 from .verdict import Verdict
 
 X2_MINUS_1 = Poly((-1, 0, 1))
@@ -29,15 +29,14 @@ class QTable:
     """Exact data for family members 2..max_degree.
 
     Index n of each tuple holds the degree-n data; slots 0 and 1 are None.
-    ``interior`` holds the cofactor of x^2 - 1, ``norms_sq`` the weighted
-    squared norms 2/(n(n-1)(2n-1)), ``leading`` the leading coefficients.
+    ``interior`` holds the cofactor of x^2 - 1, ``leading`` the leading
+    coefficients; the weighted squared norms come from ``q_norm_sq``.
     """
 
     max_degree: int
     legendre: LegendreTable
     polys: tuple[Optional[Poly], ...]
     interior: tuple[Optional[Poly], ...]
-    norms_sq: tuple[Optional[Fraction], ...]
     leading: tuple[Optional[Fraction], ...]
 
     def _get(self, seq, n: int):
@@ -52,7 +51,8 @@ class QTable:
         return self._get(self.interior, n)
 
     def norm_sq(self, n: int) -> Fraction:
-        return self._get(self.norms_sq, n)
+        self._get(self.polys, n)  # the same IndexError outside 2..max_degree
+        return q_norm_sq(n)
 
     def lead(self, n: int) -> Fraction:
         return self._get(self.leading, n)
@@ -73,7 +73,6 @@ def build_q_table(max_degree: int, ltable: Optional[LegendreTable] = None) -> QT
         raise ValueError("Legendre table too shallow for requested depth")
     polys: list[Optional[Poly]] = [None, None]
     interior: list[Optional[Poly]] = [None, None]
-    norms: list[Optional[Fraction]] = [None, None]
     leading: list[Optional[Fraction]] = [None, None]
     for n in range(2, max_degree + 1):
         qn = (ltable.poly(n) - ltable.poly(n - 2)) / (2 * n - 1)
@@ -82,14 +81,12 @@ def build_q_table(max_degree: int, ltable: Optional[LegendreTable] = None) -> QT
             raise AssertionError(f"construction cross-check failed at degree {n}")
         polys.append(qn)
         interior.append(qn.divexact(X2_MINUS_1))
-        norms.append(q_norm_sq(n))
         leading.append(qn.coeffs[-1])
     return QTable(
         max_degree,
         ltable,
         tuple(polys),
         tuple(interior),
-        tuple(norms),
         tuple(leading),
     )
 
@@ -170,17 +167,11 @@ def q_boundary_derivatives(n: int, table: QTable) -> BoundaryDerivatives:
 
 
 def q_float(n: int, x: float) -> tuple[float, float]:
-    """(value, derivative) of the degree-n member at x via stable recurrences.
-
-    Avoids the monomial coefficients, whose float evaluation loses accuracy
-    for large n.
-    """
+    """(value, derivative) of the degree-n member at x, from one recurrence pass."""
     if n < 2:
         raise ValueError("family starts at degree 2")
-    pn, _ = legendre_float(n, x)
-    pm, _ = legendre_float(n - 2, x)
-    dv, _ = legendre_float(n - 1, x)
-    return (pn - pm) / (2 * n - 1), dv
+    v = legendre_values(n, x)
+    return v.q(n), v.p[n - 1]
 
 
 def q_roots(n: int, table: QTable, tol: float = 1e-12) -> list[float]:
@@ -200,11 +191,9 @@ def q_roots(n: int, table: QTable, tol: float = 1e-12) -> list[float]:
         math.cos(math.pi * (2 * j + 1) / (2 * grid_size)) for j in range(grid_size)
     )
 
-    def value(x: float) -> float:
-        return q_float(n, x)[0]
-
     def interior_value(x: float) -> float:
-        return value(x) / (x * x - 1.0)
+        # Q_n/(x^2-1) = P'_{n-1}/(n(n-1)); the positive scale moves no sign change
+        return legendre_values(n - 1, x).d[n - 1]
 
     vals = [interior_value(x) for x in pts]
     roots: list[float] = []
@@ -237,6 +226,6 @@ def q_roots(n: int, table: QTable, tol: float = 1e-12) -> list[float]:
     if len(roots) != n - 2:
         raise RootCountMismatch(f"found {len(roots)} interior roots, expected {n - 2}")
     for r in roots:
-        if abs(value(r)) >= tol:
-            raise RootCountMismatch(f"root {r} has residual {value(r)!r} >= {tol}")
+        if abs(q_float(n, r)[0]) >= tol:
+            raise RootCountMismatch(f"root {r} has residual {q_float(n, r)[0]!r} >= {tol}")
     return [-1.0] + roots + [1.0]

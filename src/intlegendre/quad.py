@@ -1,17 +1,19 @@
 """Gauss-Legendre quadrature with certified polynomial exactness.
 
-Used for every floating-point integral in the package: non-polynomial
-integrands and transformed-weight integrals. Weighted integrals against
-1/(1-x^2) are never computed here; admissible integrands cancel that
-singularity polynomially and stay in exact arithmetic.
+Used for every floating-point integral in the package: named-function
+expansions and transformed-weight integrals. Weighted integrals of
+polynomials against 1/(1-x^2) are never computed here; admissible integrands
+cancel that singularity polynomially and stay in exact arithmetic.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Callable
+from operator import mul
+from typing import Callable, Sequence
 
 from .legendre import legendre_float
 
@@ -27,7 +29,7 @@ class ConvergenceFailure(RuntimeError):
 class NoConvergence(RuntimeError):
     """Order doubling hit the cap before reaching the tolerance."""
 
-    def __init__(self, message: str, value: float, est_error: float) -> None:
+    def __init__(self, message: str, value: tuple[float, ...], est_error: float) -> None:
         super().__init__(message)
         self.value = value
         self.est_error = est_error
@@ -44,12 +46,6 @@ class QuadratureRule:
     @property
     def exact_degree(self) -> int:
         return 2 * self.order - 1
-
-    def apply(self, f: Callable[[float], float], a: float = -1.0, b: float = 1.0) -> float:
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        return half * math.fsum(
-            w * f(mid + half * x) for x, w in zip(self.nodes, self.weights)
-        )
 
 
 def _newton_node(m: int, x0: float) -> tuple[float, float]:
@@ -103,28 +99,32 @@ def gauss_legendre(m: int) -> QuadratureRule:
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    value: float
+    value: tuple[float, ...]
     est_error: float
 
 
 def integrate(
-    f: Callable[[float], float], a: float, b: float, tol: float = 1e-12
+    f: Callable[[float], Sequence[float]], a: float, b: float, tol: float = 1e-12
 ) -> IntegrationResult:
-    """Adaptive-order integral of f over [a, b].
+    """Adaptive-order integrals over [a, b] of each component of f, which maps
+    a point to a tuple of values (scalar integrands return a 1-tuple).
 
-    Doubles the order through 16, 32, ..., 512 until two successive values
-    differ by less than tol; the last difference is the error estimate. All
-    integrands in this package are analytic on the closed interval, so order
-    doubling beats adaptive bisection here.
-    """
-    prev: float | None = None
+    Doubles the order through 16, 32, ..., 512 until no component changes by
+    tol or more between successive orders; the largest change is the error
+    estimate. All integrands in this package are analytic on the closed
+    interval, so order doubling beats adaptive bisection here."""
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
+    prev: tuple[float, ...] | None = None
     err = math.inf
-    value = 0.0
+    value: tuple[float, ...] = ()
     order = 16
     while order <= MAX_ORDER:
-        value = gauss_legendre(order).apply(f, a, b)
+        rule = gauss_legendre(order)
+        # rows of doubles, not of float objects: a Gram matrix has hundreds of components
+        rows = [array("d", f(mid + half * x)) for x in rule.nodes]
+        value = tuple(half * math.fsum(map(mul, rule.weights, col)) for col in zip(*rows))
         if prev is not None:
-            err = abs(value - prev)
+            err = max((abs(v - u) for v, u in zip(value, prev)), default=0.0)
             if err < tol:
                 return IntegrationResult(value, err)
         prev = value

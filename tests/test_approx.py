@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intlegendre.approx import (
+    _GRID,
     FUNCTIONS,
     SingularSystem,
     _exact_div,
@@ -269,6 +270,18 @@ def test_expand_non_vanishing_input_has_divergent_weighted_residual(qtable):
     rep = expand(Poly.monomial(2), 4, qtable)
     assert math.isinf(rep.residual_weighted_l2)
     assert rep.residual_sup > 0
+
+
+@pytest.mark.parametrize("seed, top", [(0, 40), (1, 40), (2, 41)])
+def test_expand_residual_sup_matches_the_exact_residual(qtable, seed, top):
+    # a low-degree input that does not vanish at the endpoints: the residual
+    # has degree top, where a monomial-basis float sum loses digits
+    rng = random.Random(seed)
+    f = Poly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(7)])
+    rep = expand(f, top, qtable)
+    partial = sum((qtable.q(n).scale(a) for n, a in rep.coeffs.items()), Poly())
+    exact = float(max(abs((f - partial).at(F(x))) for x in _GRID))
+    assert rep.residual_sup == pytest.approx(exact, rel=1e-12)
 
 
 def test_expand_named_function(qtable):

@@ -128,7 +128,7 @@ def test_expand_usage_errors(capsys):
 
 
 def test_numerical_limit_exits_3(capsys, monkeypatch):
-    code, out, err = run_cli(capsys, "expand", "--fn", "sin-pi", "--N", "29")
+    code, out, err = run_cli(capsys, "expand", "--fn", "sin-pi", "--N", "29", "--tol", "1e-300")
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and "Traceback" not in err
 

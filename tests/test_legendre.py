@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,8 +11,10 @@ from intlegendre.legendre import (
     legendre_float,
     legendre_odd_deriv_at_zero,
     legendre_rodrigues,
+    legendre_series,
     legendre_shifted_expansion,
     legendre_special_values,
+    legendre_values,
     pochhammer_half,
 )
 
@@ -128,6 +131,32 @@ def test_float_recurrence_matches_table(ltable):
             v, dv = legendre_float(n, x)
             assert v == pytest.approx(float(p.at(F(x))), rel=1e-12, abs=1e-13)
             assert dv == pytest.approx(float(d.at(F(x))), rel=1e-12, abs=1e-13)
+
+
+def test_one_pass_gives_every_degree():
+    table = build_legendre(64)
+    for x in (-1.0, -0.999, 0.0, 0.3, 0.9, 1.0):
+        v = legendre_values(64, x)
+        assert len(v.p) == len(v.d) == 65
+        for n in range(65):
+            p = table.poly(n)
+            assert v.p[n] == pytest.approx(float(p.at(F(x))), rel=1e-12, abs=1e-14)
+            assert v.d[n] == pytest.approx(float(p.deriv().at(F(x))), rel=1e-12, abs=1e-12)
+    assert legendre_values(0, 0.5) == ([1.0], [0.0])
+    with pytest.raises(ValueError):
+        legendre_values(-1, 0.5)
+
+
+def test_series_sums_the_exact_combination():
+    table = build_legendre(64)
+    rng = random.Random(7)
+    for size in (1, 2, 3, 17, 65):
+        c = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(size)]
+        exact = sum((table.poly(k).scale(ck) for k, ck in enumerate(c)), Poly())
+        scale = float(sum(abs(ck) for ck in c))
+        series = legendre_series([float(ck) for ck in c])
+        for x in (-1.0, -0.999, -0.37, 0.0, 0.5, 0.9, 1.0):
+            assert abs(series(x) - float(exact.at(F(x)))) <= 1e-14 * scale
 
 
 def test_build_validates_input():

@@ -197,6 +197,37 @@ def test_change_of_variables_consistency():
                 assert abs(matrix[n][k] - exact) < 1e-11
 
 
+def test_gram_matrix_at_size_17_matches_the_exact_inner_products():
+    for m in ALL_MAPS:
+        system = build_transformed_system(m, 16)
+        matrix, worst = gram_matrix(system, 17)
+        fam = system.family
+        exact = [[float(reference_inner_product(fam.poly(i), fam.poly(j))) for j in range(17)]
+                 for i in range(17)]
+        for i in range(17):
+            for j in range(17):
+                scale = math.sqrt(exact[i][i] * exact[j][j])
+                assert abs(matrix[i][j] - exact[i][j]) <= 1e-13 * scale, (m, i, j)
+        assert worst < 1e-13
+
+
+def test_minimality_fails_for_a_member_that_is_not_minimal(monkeypatch):
+    # shift r_2 by 1/2 r_0: the perturbation by -1/4 r_0 then lowers the objective
+    true_values = moebius.legendre_values
+
+    class Shifted:
+        def __init__(self, n, x):
+            self.v = true_values(n, x)
+
+        def r(self, k):
+            return self.v.r(k) + (0.5 if k == 2 else 0.0)
+
+    monkeypatch.setattr(moebius, "legendre_values", Shifted)
+    assert minimality_check(build_transformed_system(SHIFT, 4), 2) is Verdict.FAILED
+    monkeypatch.undo()
+    assert minimality_check(build_transformed_system(SHIFT, 4), 2) is Verdict.CONFIRMED
+
+
 def test_minimality():
     assert minimality_check(build_transformed_system(IDENTITY, 4), 2) is Verdict.CONFIRMED
     assert minimality_check(build_transformed_system(SHIFT, 4), 2) is Verdict.CONFIRMED

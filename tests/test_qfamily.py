@@ -36,6 +36,8 @@ def test_table_bounds(qtable):
         qtable.q(1)
     with pytest.raises(IndexError):
         qtable.q(42)
+    with pytest.raises(IndexError):
+        qtable.norm_sq(42)
     with pytest.raises(ValueError):
         build_q_table(1)
 

@@ -64,32 +64,53 @@ def test_cross_module_oracle(qtable):
     for n in range(2, 8):
         p = qtable.q(n) * qtable.q(n)
         exact = float(p.integral(-1, 1))
-        assert rule.apply(p.at_float) == pytest.approx(exact, rel=1e-13)
+        approx = math.fsum(w * p.at_float(x) for x, w in zip(rule.nodes, rule.weights))
+        assert approx == pytest.approx(exact, rel=1e-13)
 
 
 def test_integrate_basic():
-    assert integrate(lambda x: x * x, -1, 1).value == pytest.approx(2 / 3, abs=1e-14)
-    assert integrate(lambda x: 1 - x * x, -1, 1).value == pytest.approx(4 / 3, abs=1e-14)
-    res = integrate(math.exp, 0, 1, tol=1e-13)
-    assert res.value == pytest.approx(math.e - 1, abs=1e-13)
+    assert integrate(lambda x: (x * x,), -1, 1).value == pytest.approx((2 / 3,), abs=1e-14)
+    assert integrate(lambda x: (1 - x * x,), -1, 1).value == pytest.approx((4 / 3,), abs=1e-14)
+    res = integrate(lambda x: (math.exp(x),), 0, 1, tol=1e-13)
+    assert res.value == pytest.approx((math.e - 1,), abs=1e-13)
     assert res.est_error < 1e-13
 
 
 def test_integrate_weighted_member(qtable):
     q2 = qtable.q(2)
-    res = integrate(lambda x: q2.at_float(x) ** 2 / (1 - x * x), -1, 1, tol=1e-12)
-    assert res.value == pytest.approx(1 / 3, abs=1e-12)
+    res = integrate(lambda x: (q2.at_float(x) ** 2 / (1 - x * x),), -1, 1, tol=1e-12)
+    assert res.value == pytest.approx((1 / 3,), abs=1e-12)
 
 
 def test_integrate_respects_interval():
-    res = integrate(lambda x: x, 0, 2)
-    assert res.value == pytest.approx(2.0, abs=1e-13)
+    res = integrate(lambda x: (x,), 0, 2)
+    assert res.value == pytest.approx((2.0,), abs=1e-13)
 
 
 def test_no_convergence_on_kink():
     with pytest.raises(NoConvergence) as info:
-        integrate(lambda x: abs(x - 1 / 3), -1, 1, tol=1e-13)
+        integrate(lambda x: (abs(x - 1 / 3),), -1, 1, tol=1e-13)
     assert info.value.est_error > 0
+
+
+def test_integrate_all_components_in_one_pass():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return (1.0, x * x, math.exp(x))
+
+    res = integrate(f, -1, 1, tol=1e-13)
+    assert res.value == pytest.approx((2.0, 2 / 3, math.e - 1 / math.e), abs=1e-13)
+    assert res.est_error < 1e-13
+    assert len(calls) == 16 + 32  # one call per node, shared by every component
+
+
+def test_one_unsettled_component_blocks_convergence():
+    with pytest.raises(NoConvergence) as info:
+        integrate(lambda x: (x * x, abs(x - 1 / 3)), -1, 1, tol=1e-13)
+    assert info.value.est_error > 1e-13
+    assert info.value.value[0] == pytest.approx(2 / 3, abs=1e-14)
 
 
 def test_order_bounds():
