@@ -1,10 +1,11 @@
 """Constrained extremal problem and Fourier expansion in the integrated
 Legendre family.
 
-The kernel solution of the minimization problem is always cross-checked
-against an independent brute-force quadratic program solved in exact
-rational arithmetic, and expansion coefficients computed from endpoint
-moments are cross-checked against the orthogonality-based integral.
+The kernel solution of the minimization problem is accepted only when the
+exact first-order (KKT) conditions certify it optimal; the registry keeps a
+brute-force quadratic program, solved by Bareiss elimination, as a witness.
+Expansion coefficients computed from endpoint moments are cross-checked
+against the orthogonality-based integral.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
 from . import quad
-from .exactpoly import Poly
+from .exactpoly import ONE, Poly, X
 from .kernel import kernel_sum
 from .legendre import build_legendre, legendre_series, legendre_values
 from .qfamily import QTable, X2_MINUS_1, weighted_inner_product
@@ -108,7 +109,7 @@ def brute_force_minimizer(n: int, qtable: QTable) -> BruteForceResult:
 @dataclass(frozen=True)
 class ExtremalSolution:
     """Kernel-form solution of the constrained minimization, with the
-    brute-force oracle carried alongside. The two agree exactly."""
+    certified polynomial and minimum alongside. The two agree exactly."""
 
     n: int
     q_coeffs: Mapping[int, Fraction]
@@ -118,11 +119,29 @@ class ExtremalSolution:
     oracle_minimizer: Poly
 
 
+def certify_minimizer(p: Poly, n: int) -> Fraction:
+    """The minimum, once the KKT conditions prove p the degree-n minimizer:
+    deg p <= n, p(1) = p(-1) = 0, p(0) = 1, and the integral of p x^j (its
+    product with the direction (1-x^2) x^j) is 0 for j = 1..n-2. Then the
+    minimum, the integral of p r for p = (1-x^2) r, is the integral of p."""
+    if len(p.nums) > n + 1:
+        raise AssertionError(f"degree {p.degree} above {n}")
+    if p.at(1) or p.at(-1) or p.at(0) != 1:
+        raise AssertionError(f"constraints fail at n={n}: p(1) = {p.at(1)}, "
+                             f"p(-1) = {p.at(-1)}, p(0) = {p.at(0)}")
+    pair, xj = p.pairing(n - 2), X
+    for j in range(1, n - 1):
+        if pair(xj):
+            raise AssertionError(f"optimality fails at j={j}: integral of p x^{j} is {pair(xj)}")
+        xj = xj * X
+    return pair(ONE)
+
+
 def minimize_constrained(n: int, qtable: QTable) -> ExtremalSolution:
     """Solve the degree-n problem through the kernel section at 0.
 
     The minimum is 1/K_n(0,0) and the minimizer is the section scaled to 1
-    at 0. Sums involve even members only; odd members vanish at 0.
+    at 0, both certified. Sums involve even members only; odd members vanish at 0.
     """
     if n < 2:
         raise ValueError("minimization needs degree >= 2")
@@ -134,10 +153,10 @@ def minimize_constrained(n: int, qtable: QTable) -> ExtremalSolution:
         k: qtable.q(k).at(0) / qtable.norm_sq(k) * m_value
         for k in range(2, n + 1, 2)
     }
-    oracle = brute_force_minimizer(n, qtable)
-    if oracle.m_value != m_value or oracle.poly != minimizer:
-        raise AssertionError(f"kernel and brute-force solutions disagree at n={n}")
-    return ExtremalSolution(n, q_coeffs, minimizer, m_value, oracle.m_value, oracle.poly)
+    certified = certify_minimizer(minimizer, n)
+    if certified != m_value:
+        raise AssertionError(f"certified minimum {certified} is not 1/K_n(0,0) at n={n}")
+    return ExtremalSolution(n, q_coeffs, minimizer, m_value, certified, minimizer)
 
 
 # -- Fourier coefficients -----------------------------------------------------
@@ -153,6 +172,13 @@ def fourier_coeff_quadrature(f: Poly, n: int, qtable: QTable) -> Fraction:
     if n < 2:
         raise ValueError("family starts at degree 2")
     return -(f * qtable.interior_factor(n)).integral(-1, 1) / qtable.norm_sq(n)
+
+
+def fourier_coeffs(f: Poly, top_degree: int, qtable: QTable) -> dict[int, Fraction]:
+    """fourier_coeff_quadrature for members 2..top_degree, from one pairing of f."""
+    pair = f.pairing(top_degree - 2)
+    return {n: -pair(qtable.interior_factor(n)) / qtable.norm_sq(n)
+            for n in range(2, top_degree + 1)}
 
 
 def moment_vector(f: Poly, n: int) -> list[Fraction]:
@@ -273,13 +299,10 @@ def expand(
 
 
 def _expand_poly(f: Poly, top_degree: int, qtable: QTable) -> ExpansionReport:
-    coeffs: dict[int, Fraction] = {}
+    coeffs = {n: a for n, a in fourier_coeffs(f, top_degree, qtable).items() if a}
     partial = Poly()
-    for n in range(2, top_degree + 1):
-        a = fourier_coeff_quadrature(f, n, qtable)
-        if a:
-            coeffs[n] = a
-            partial = partial + qtable.q(n).scale(a)
+    for n, a in coeffs.items():
+        partial = partial + qtable.q(n).scale(a)
     diff = f - partial
     if diff.is_zero():
         return ExpansionReport(coeffs, 0.0, 0.0, "quadrature_exact")
@@ -321,9 +344,5 @@ def parseval_gap(f: Poly, top_degree: int, qtable: QTable) -> Fraction:
     """Exact difference between the weighted square norm of f and the sum of
     squared coefficients times member norms; zero on the admissible span."""
     lhs = weighted_inner_product(f, f)
-    rhs = sum(
-        (fourier_coeff_quadrature(f, n, qtable) ** 2 * qtable.norm_sq(n)
-         for n in range(2, top_degree + 1)),
-        Fraction(0),
-    )
+    rhs = sum(a**2 * qtable.norm_sq(n) for n, a in fourier_coeffs(f, top_degree, qtable).items())
     return lhs - rhs

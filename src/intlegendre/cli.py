@@ -94,13 +94,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
     points = [float(p) for p in args.points.split(",")] if args.points else []
     passes = {x: legendre_values(hi + 1, x) for x in points}
 
-    def coeff_cell(c: Fraction) -> object:
-        return float(c) if args.backend == "float" else str(c)
+    def coeff_cells(p: Poly) -> list:  # as float(c) or str(c), off the numerators
+        if args.backend == "float":
+            return [c / p.den for c in p.nums]
+        return [str(c // g) if (g := math.gcd(c, p.den)) == p.den else f"{c // g}/{p.den // g}"
+                for c in p.nums]
 
     if args.format == "json":
         entries = []
         for n, p in polys.items():
-            entry: dict = {"n": n, "coeffs": [coeff_cell(c) for c in p.coeffs]}
+            entry: dict = {"n": n, "coeffs": coeff_cells(p)}
             if points:
                 entry["values"] = {repr(x): member(passes[x], n) for x in points}
             entries.append(entry)
@@ -110,7 +113,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         header = ["family", "n", "coeffs"] + [f"at_{x!r}" for x in points]
         buffer.append(",".join(header))
         for n, p in polys.items():
-            cells = [family, str(n), " ".join(str(coeff_cell(c)) for c in p.coeffs)]
+            cells = [family, str(n), " ".join(map(str, coeff_cells(p)))]
             cells += [repr(member(passes[x], n)) for x in points]
             buffer.append(",".join(_csv_quote(c) for c in cells))
         _emit("\n".join(buffer) + "\n", args.out)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .exactpoly import Poly, X
+from .exactpoly import Poly, X, _make
 
 
 def double_factorial(n: int) -> int:
@@ -47,19 +47,22 @@ class LegendreTable:
 
 
 def build_legendre(max_degree: int) -> LegendreTable:
-    """Build degrees 0..max_degree via (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1}."""
+    """Build degrees 0..max_degree via (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1},
+    run on the integer rows N_n = 2^n P_n with every division by n+1 exact."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    polys = [Poly((1,)), X]
+    rows = [[1], [0, 2]]
     for n in range(1, max_degree):
-        nxt = (X * polys[n]).scale(Fraction(2 * n + 1, n + 1)) - polys[n - 1].scale(
-            Fraction(n, n + 1)
-        )
-        polys.append(nxt)
+        a, b, k = 2 * (2 * n + 1), 4 * n, n + 1
+        row = [a * c - b * d for c, d in zip([0] + rows[n], rows[n - 1] + [0, 0])]
+        if any(c % k for c in row):
+            raise AssertionError(f"recurrence left a remainder at degree {n + 1}")
+        rows.append([c // k for c in row])
+    polys = tuple(_make(1 << n, row) for n, row in enumerate(rows))
     for n, p in enumerate(polys):
-        if p.at(1) != 1:
+        if sum(p.nums) != p.den:
             raise AssertionError(f"normalization P_n(1) = 1 broken at degree {n}")
-    return LegendreTable(max_degree, tuple(polys), tuple(p.coeffs[-1] for p in polys))
+    return LegendreTable(max_degree, polys, tuple(Fraction(p.nums[-1], p.den) for p in polys))
 
 
 def legendre_rodrigues(n: int) -> Poly:

@@ -8,6 +8,7 @@ pulled-back weight, which vanishes at both induced endpoints.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,13 +155,17 @@ def build_r_family(max_degree: int) -> RFamily:
 
 @dataclass(frozen=True)
 class TransformedSystem:
-    """A map together with its induced interval, weight and family."""
+    """A map with its induced interval, weight and (built on first use) family."""
 
     map: MoebiusMap
     a: Fraction
     b: Fraction
     weight: RationalWeight
-    family: RFamily
+    max_degree: int
+
+    @functools.cached_property
+    def family(self) -> RFamily:
+        return build_r_family(self.max_degree)
 
 
 def build_transformed_system(m: MoebiusMap, max_degree: int) -> TransformedSystem:
@@ -176,7 +181,7 @@ def build_transformed_system(m: MoebiusMap, max_degree: int) -> TransformedSyste
     pole = m.pole
     if pole is not None and ends.a <= pole <= ends.b:
         raise DegenerateMap(f"pole {pole} lies inside [{ends.a}, {ends.b}]")
-    return TransformedSystem(m, ends.a, ends.b, induced_weight(m), build_r_family(max_degree))
+    return TransformedSystem(m, ends.a, ends.b, induced_weight(m), max_degree)
 
 
 def _pulled_back(

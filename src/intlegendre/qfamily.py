@@ -61,9 +61,9 @@ class QTable:
 def build_q_table(max_degree: int, ltable: Optional[LegendreTable] = None) -> QTable:
     """Build family members 2..max_degree.
 
-    Constructor of record is the difference form (P_n - P_{n-2})/(2n-1); the
-    pinned antiderivative of P_{n-1} is recomputed independently and must
-    agree coefficient for coefficient.
+    Constructor of record is the difference form (P_n - P_{n-2})/(2n-1). It
+    must be the antiderivative of P_{n-1} that vanishes at 1: its derivative
+    must equal P_{n-1} and its value at 1 must be 0.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
@@ -76,12 +76,11 @@ def build_q_table(max_degree: int, ltable: Optional[LegendreTable] = None) -> QT
     leading: list[Optional[Fraction]] = [None, None]
     for n in range(2, max_degree + 1):
         qn = (ltable.poly(n) - ltable.poly(n - 2)) / (2 * n - 1)
-        anti = ltable.poly(n - 1).antideriv()
-        if qn != anti - anti.at(1):
+        if qn.deriv() != ltable.poly(n - 1) or sum(qn.nums):
             raise AssertionError(f"construction cross-check failed at degree {n}")
         polys.append(qn)
         interior.append(qn.divexact(X2_MINUS_1))
-        leading.append(qn.coeffs[-1])
+        leading.append(Fraction(qn.nums[-1], qn.den))
     return QTable(
         max_degree,
         ltable,

@@ -12,9 +12,11 @@ from intlegendre.approx import (
     SingularSystem,
     _exact_div,
     brute_force_minimizer,
+    certify_minimizer,
     expand,
     fourier_coeff_moments,
     fourier_coeff_quadrature,
+    fourier_coeffs,
     minimize_constrained,
     moment_vector,
     monomial_coeff_closed_form,
@@ -124,6 +126,44 @@ def test_brute_force_small(qtable):
     r5 = brute_force_minimizer(5, qtable)
     assert r5.m_value == F(32, 45)
     assert r5.poly == r4.poly  # odd directions vanish by symmetry
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_certified_solution_is_the_brute_force_optimum(n, qtable):
+    s = minimize_constrained(n, qtable)
+    oracle = brute_force_minimizer(n, qtable)
+    assert s.minimizer == oracle.poly
+    assert s.min_value == s.oracle_value == oracle.m_value
+
+
+@pytest.mark.parametrize("n", [4, 5, 12, 40])
+def test_certificate_rejects_a_perturbed_minimizer(n, qtable):
+    p = minimize_constrained(n, qtable).minimizer
+    assert certify_minimizer(p, n) == brute_force_minimizer(n, qtable).m_value
+    # feasible, but not stationary: the integral of (1-x^2) x^2 * x^2 is nonzero
+    bent = p + ONE_MINUS_X2 * Poly((0, 0, F(1, 1000)))
+    with pytest.raises(AssertionError, match="j=2:"):
+        certify_minimizer(bent, n)
+
+
+def test_certificate_rejects_infeasible_polynomials(qtable):
+    p = minimize_constrained(6, qtable).minimizer
+    # twice the minimizer passes every stationarity test; only p(0) = 2 is wrong
+    with pytest.raises(AssertionError, match=r"p\(0\) = 2"):
+        certify_minimizer(p * 2, 6)
+    # x(1 + x)/2 keeps p(-1) = 0 and p(0) = 1 but makes p(1) = 1
+    with pytest.raises(AssertionError, match=r"p\(1\) = 1,"):
+        certify_minimizer(p + Poly((0, F(1, 2), F(1, 2))), 6)
+    with pytest.raises(AssertionError, match="degree 7 above 6"):
+        certify_minimizer(p + ONE_MINUS_X2 * Poly.monomial(5), 6)
+
+
+def test_certificate_value_must_match_the_kernel(qtable, monkeypatch):
+    from intlegendre import approx
+
+    monkeypatch.setattr(approx, "certify_minimizer", lambda p, n: F(1))
+    with pytest.raises(AssertionError, match="1/K_n"):
+        minimize_constrained(4, qtable)
 
 
 def test_minimize_examples(qtable):
@@ -304,3 +344,13 @@ def test_expansion_coefficients_decay_spectrally(qtable):
     tail = [abs(rep.coeffs[n]) for n in (10, 11, 12)]
     head = [abs(rep.coeffs[n]) for n in (2, 3, 4)]
     assert max(tail) < 1e-5 * max(head)
+
+
+def test_one_pairing_coefficients_equal_the_per_member_integrals():
+    rng = random.Random("one-pairing")
+    qtable = build_q_table(64)
+    for _ in range(12):
+        top = rng.randint(2, 64)
+        f = Poly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 70))])
+        want = {n: fourier_coeff_quadrature(f, n, qtable) for n in range(2, top + 1)}
+        assert fourier_coeffs(f, top, qtable) == want

@@ -222,3 +222,24 @@ def test_out_files_written(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("family,n,coeffs")
+
+
+@pytest.mark.parametrize("family", ["L", "Q", "r"])
+def test_table_cells_are_the_fraction_forms(capsys, family):
+    from intlegendre.legendre import build_legendre
+    from intlegendre.moebius import build_r_family
+    from intlegendre.qfamily import build_q_table
+
+    poly = {"L": build_legendre(40).poly, "Q": build_q_table(40).q,
+            "r": build_r_family(40).poly}[family]
+    lo = 2 if family == "Q" else 0
+    for backend, cell in (("exact", str), ("float", float)):
+        _, out, _ = run_cli(capsys, "table", "--family", family, "--degrees", f"{lo}..40",
+                            "--backend", backend)
+        entries = json.loads(out)["entries"]
+        assert [e["coeffs"] for e in entries] == [
+            [cell(c) for c in poly(n).coeffs] for n in range(lo, 41)]
+        _, out, _ = run_cli(capsys, "table", "--family", family, "--degrees", f"{lo}..40",
+                            "--backend", backend, "--format", "csv")
+        rows = [line.split(",")[2] for line in out.splitlines()[1:]]
+        assert rows == [" ".join(str(cell(c)) for c in poly(n).coeffs) for n in range(lo, 41)]

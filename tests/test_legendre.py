@@ -162,3 +162,34 @@ def test_series_sums_the_exact_combination():
 def test_build_validates_input():
     with pytest.raises(ValueError):
         build_legendre(0)
+
+
+def _reference_legendre(depth):
+    """The recurrence on Poly arithmetic, rational step by rational step."""
+    polys = [Poly((1,)), X]
+    for n in range(1, depth):
+        polys.append((X * polys[n]).scale(F(2 * n + 1, n + 1)) - polys[n - 1].scale(F(n, n + 1)))
+    return polys
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 64, 128])
+def test_integer_rows_match_the_rational_recurrence(depth):
+    table = build_legendre(depth)
+    want = _reference_legendre(depth)
+    assert table.max_degree == depth
+    assert [(p.den, p.nums) for p in table.polys] == [(p.den, p.nums) for p in want]
+    assert table.leading == tuple(p.coeffs[-1] for p in want)
+    assert all(type(c) is F for c in table.leading)
+
+
+def test_normalisation_check_catches_a_bad_row(monkeypatch):
+    from intlegendre import legendre
+
+    true_make = legendre._make
+
+    def bad(den, row):  # the degree-5 row gains a constant term
+        return true_make(den, [row[0] + 1] + row[1:] if den == 32 else row)
+
+    monkeypatch.setattr(legendre, "_make", bad)
+    with pytest.raises(AssertionError, match="degree 5"):
+        build_legendre(8)

@@ -249,3 +249,20 @@ def test_map_pole():
     assert IDENTITY.pole is None
     assert GENERIC.pole == -1
     assert GENERIC.pole < induced_endpoints(GENERIC).a
+
+
+def test_family_is_built_on_first_use_only(monkeypatch):
+    calls = []
+
+    def counted(depth):
+        calls.append(depth)
+        return build_r_family(depth)
+
+    monkeypatch.setattr(moebius, "build_r_family", counted)
+    system = build_transformed_system(GENERIC, 6)
+    gram_matrix(system, 7)
+    minimality_check(system, 3)
+    assert calls == []
+    assert system.family.poly(2) == X * X - F(1, 5)
+    assert system.family is system.family
+    assert calls == [6]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -17,7 +18,7 @@ from intlegendre.qfamily import (
     q_roots,
     weighted_inner_product,
 )
-from intlegendre.legendre import double_factorial
+from intlegendre.legendre import build_legendre, double_factorial
 from intlegendre.verdict import Verdict
 
 Q2 = Poly((F(-1, 2), 0, F(1, 2)))
@@ -202,3 +203,45 @@ def test_weighted_ip_symmetric_bilinear(a, b):
 def test_weighted_norm_nonnegative(a):
     p = X2_MINUS_1 * a
     assert weighted_inner_product(p, p) >= 0
+
+
+def _reference_q_table(depth):
+    """Members, interior factors and leading coefficients from Poly arithmetic."""
+    ltable = build_legendre(depth)
+    polys = [(ltable.poly(n) - ltable.poly(n - 2)) / (2 * n - 1) for n in range(2, depth + 1)]
+    return polys, [q.divexact(X2_MINUS_1) for q in polys], [q.coeffs[-1] for q in polys]
+
+
+@pytest.mark.parametrize("depth", [2, 3, 64, 128])
+def test_table_matches_the_poly_reference(depth):
+    table = build_q_table(depth)
+    polys, interior, leading = _reference_q_table(depth)
+    fields = lambda ps: [(p.den, p.nums) for p in ps]  # noqa: E731
+    assert table.max_degree == depth
+    assert table.legendre == build_legendre(depth)
+    assert fields(table.polys[2:]) == fields(polys)
+    assert fields(table.interior[2:]) == fields(interior)
+    assert list(table.leading[2:]) == leading
+    assert table.polys[:2] == table.interior[:2] == table.leading[:2] == (None, None)
+
+
+def _with_row(ltable, n, poly):
+    polys = list(ltable.polys)
+    polys[n] = poly
+    return dataclasses.replace(ltable, polys=tuple(polys))
+
+
+def test_derivative_cross_check_catches_a_bad_row():
+    # P_6 + (x^2 - 1) keeps Q_6(1) = 0, but Q_6' is no longer P_5
+    ltable = build_legendre(8)
+    bad = _with_row(ltable, 6, ltable.poly(6) + X2_MINUS_1)
+    with pytest.raises(AssertionError, match="degree 6"):
+        build_q_table(8, bad)
+
+
+def test_endpoint_cross_check_catches_a_bad_row():
+    # P_6 + 1 keeps Q_6' = P_5, but moves Q_6(1) off 0
+    ltable = build_legendre(8)
+    bad = _with_row(ltable, 6, ltable.poly(6) + 1)
+    with pytest.raises(AssertionError, match="degree 6"):
+        build_q_table(8, bad)
