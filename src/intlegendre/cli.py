@@ -49,6 +49,16 @@ def _parse_fraction(text: str) -> Fraction:
         raise CliError(f"bad rational {text!r}") from None
 
 
+def _parse_point(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise CliError(f"bad point {text!r}; expected a finite float")
+    return x
+
+
 def _parse_poly_spec(text: str) -> Poly | tuple[str, int]:
     """Either a comma-separated ascending coefficient list, or a family
     shorthand like Q3 / L5 resolved against the exact tables."""
@@ -91,7 +101,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     else:
         poly, member = moebius.build_r_family(hi).poly, LegendreValues.r
     polys = {n: poly(n) for n in range(lo, hi + 1)}
-    points = [float(p) for p in args.points.split(",")] if args.points else []
+    points = [_parse_point(p) for p in args.points.split(",")] if args.points else []
     passes = {x: legendre_values(hi + 1, x) for x in points}
 
     def coeff_cells(p: Poly) -> list:  # as float(c) or str(c), off the numerators

@@ -86,10 +86,10 @@ class Poly:
         self.den, self.nums = p.den, p.nums
 
     @classmethod
-    def monomial(cls, degree: int, coefficient: Scalar = 1) -> "Poly":
+    def monomial(cls, degree: int) -> "Poly":
         if degree < 0:
             raise ValueError("monomial degree must be >= 0")
-        return cls([0] * degree + [coefficient])
+        return cls([0] * degree + [1])
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -303,7 +303,7 @@ class Poly:
             acc = acc * x + c / den
         return acc
 
-    def pretty(self, var: str = "x") -> str:
+    def pretty(self) -> str:
         """Human-readable form, ascending powers, e.g. '1 - x^2'."""
         if not self.nums:
             return "0"
@@ -315,7 +315,7 @@ class Poly:
             if k == 0:
                 term = str(mag)
             else:
-                base = var if k == 1 else f"{var}^{k}"
+                base = "x" if k == 1 else f"x^{k}"
                 term = base if mag == 1 else f"{mag}*{base}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")

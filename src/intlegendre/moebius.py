@@ -195,7 +195,7 @@ def _pulled_back(
         v = legendre_values(top + 1, mob(x))
         return f([v.r(n) for n in range(top + 1)], weight(x))
 
-    return quad.integrate(at, float(system.a), float(system.b), min(tol * 1e-2, 1e-13)).value
+    return quad.integrate(at, float(system.a), float(system.b), tol).value
 
 
 def gram_matrix(
@@ -204,7 +204,8 @@ def gram_matrix(
     """Gram matrix of composed members 0..size-1 under the induced weight,
     plus the largest off-diagonal entry relative to the diagonal scale."""
     pairs = [(i, j) for i in range(size) for j in range(i, size)]
-    values = _pulled_back(system, size - 1, lambda r, w: [r[i] * r[j] * w for i, j in pairs], tol)
+    values = _pulled_back(system, size - 1, lambda r, w: [r[i] * r[j] * w for i, j in pairs],
+                          min(tol * 1e-2, 1e-13))
     matrix = [[0.0] * size for _ in range(size)]
     for (i, j), v in zip(pairs, values):
         matrix[i][j] = matrix[j][i] = v
@@ -216,12 +217,12 @@ def gram_matrix(
 _PERTURBATION_SIZES = (0.25, -0.25, 0.0625, -0.0625)
 
 
-def minimality_check(system: TransformedSystem, n: int, tol: float = 1e-12) -> Verdict:
+def minimality_check(system: TransformedSystem, n: int) -> Verdict:
     """Check that the monic member of degree n minimizes the induced-weight
     square integral: every perturbation by a lower-degree member must
     strictly increase it (by eps^2 times that member's norm)."""
     # the unperturbed member first (eps = 0), then every (j, eps)
     steps = [(0, 0.0)] + [(j, eps) for j in range(n) for eps in _PERTURBATION_SIZES]
     base, *perturbed = _pulled_back(
-        system, n, lambda r, w: [(r[n] + eps * r[j]) ** 2 * w for j, eps in steps], tol)
+        system, n, lambda r, w: [(r[n] + eps * r[j]) ** 2 * w for j, eps in steps], 1e-14)
     return Verdict.FAILED if any(v <= base for v in perturbed) else Verdict.CONFIRMED

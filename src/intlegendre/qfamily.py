@@ -8,6 +8,7 @@ in this package begins at index 2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,13 +16,14 @@ from typing import Optional
 
 from .exactpoly import NotDivisible, Poly, X
 from .legendre import LegendreTable, build_legendre, double_factorial, legendre_values
+from .quad import gauss_legendre, newton
 from .verdict import Verdict
 
 X2_MINUS_1 = Poly((-1, 0, 1))
 
 
 class RootCountMismatch(RuntimeError):
-    """Interior root search located the wrong number of sign changes."""
+    """An interior root did not settle inside its Gauss-node gap to the tolerance."""
 
 
 @dataclass(frozen=True)
@@ -177,54 +179,22 @@ def q_roots(n: int, table: QTable, tol: float = 1e-12) -> list[float]:
     """All n roots, sorted ascending: -1 and 1 exactly, plus n-2 interior
     roots located to |value| < tol.
 
-    Sign-change bisection over a Chebyshev grid of 8n interior points
-    brackets every root of the interior factor (spacing is ~8x finer than
-    the root spacing); a short Newton polish then tightens each bracket.
+    The derivative P_{n-1} vanishes at the nodes of the order-(n-1) Gauss
+    rule, so the member is strictly monotone between consecutive nodes and,
+    by Rolle's theorem, has exactly one root in each of those n-2 gaps (the
+    two sets of zeros interlace). Each root is found by quad.newton from the
+    midpoint of its gap and is accepted only inside the gap with |value| < tol;
+    otherwise RootCountMismatch is raised. Degrees run up to
+    quad.MAX_ORDER + 1 = 513; above that gauss_legendre raises ValueError.
     """
     if n < 2:
         raise ValueError("family starts at degree 2")
-    if n == 2:
-        return [-1.0, 1.0]
-    grid_size = 8 * n
-    pts = sorted(
-        math.cos(math.pi * (2 * j + 1) / (2 * grid_size)) for j in range(grid_size)
-    )
-
-    def interior_value(x: float) -> float:
-        # Q_n/(x^2-1) = P'_{n-1}/(n(n-1)); the positive scale moves no sign change
-        return legendre_values(n - 1, x).d[n - 1]
-
-    vals = [interior_value(x) for x in pts]
-    roots: list[float] = []
-    for i in range(grid_size - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            roots.append(pts[i])
-            continue
-        if v0 * v1 >= 0.0:
-            continue
-        lo, hi, flo = pts[i], pts[i + 1], v0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fmid = interior_value(mid)
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if flo * fmid < 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        root = 0.5 * (lo + hi)
-        for _ in range(4):
-            v, dv = q_float(n, root)
-            if dv != 0.0:
-                root -= v / dv
-        roots.append(root)
-    if vals[-1] == 0.0:
-        roots.append(pts[-1])
-    if len(roots) != n - 2:
-        raise RootCountMismatch(f"found {len(roots)} interior roots, expected {n - 2}")
-    for r in roots:
-        if abs(q_float(n, r)[0]) >= tol:
-            raise RootCountMismatch(f"root {r} has residual {q_float(n, r)[0]!r} >= {tol}")
-    return [-1.0] + roots + [1.0]
+    nodes = gauss_legendre(n - 1).nodes
+    roots = [-1.0]
+    for lo, hi in zip(nodes, nodes[1:]):
+        x, value, _ = newton(functools.partial(q_float, n), (lo + hi) / 2)
+        if not (lo < x < hi and abs(value) < tol):
+            raise RootCountMismatch(
+                f"root {x!r} with residual {value!r} is not in ({lo!r}, {hi!r}) to {tol}")
+        roots.append(x)
+    return roots + [1.0]

@@ -23,7 +23,7 @@ _NEWTON_STEPS = 100
 
 
 class ConvergenceFailure(RuntimeError):
-    """Newton iteration for a quadrature node failed to settle."""
+    """Newton iteration failed to settle within its step cap."""
 
 
 class NoConvergence(RuntimeError):
@@ -48,22 +48,22 @@ class QuadratureRule:
         return 2 * self.order - 1
 
 
-def _newton_node(m: int, x0: float) -> tuple[float, float]:
-    """Polish one node from the asymptotic initial guess; returns (node, deriv).
+def newton(f: Callable[[float], tuple[float, float]], x0: float) -> tuple[float, float, float]:
+    """The package's one Newton loop on f(x) = (value, derivative), from x0;
+    returns the final (x, value, derivative).
 
     Converges on the Newton step, not the raw residual: once the step falls
-    under a few ulp the node is as close to the true root as a double can
+    under a few ulp the iterate is as close to the true root as a double can
     get, even where the slope at the root is large.
     """
     x = x0
     for _ in range(_NEWTON_STEPS):
-        p, dp = legendre_float(m, x)
-        dx = p / dp
+        v, dv = f(x)
+        dx = v / dv
         x -= dx
         if abs(dx) < _NEWTON_STEP_TOL:
-            _, dp = legendre_float(m, x)
-            return x, dp
-    raise ConvergenceFailure(f"node near {x0} did not settle in {_NEWTON_STEPS} steps")
+            return (x, *f(x))
+    raise ConvergenceFailure(f"Newton iteration from {x0} did not settle in {_NEWTON_STEPS} steps")
 
 
 @functools.cache
@@ -81,7 +81,7 @@ def gauss_legendre(m: int) -> QuadratureRule:
     positive: list[tuple[float, float]] = []
     for i in range(1, m // 2 + 1):
         x0 = math.cos(math.pi * (4 * i - 1) / (4 * m + 2))
-        x, dp = _newton_node(m, x0)
+        x, _, dp = newton(functools.partial(legendre_float, m), x0)
         positive.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
     positive.sort()
 

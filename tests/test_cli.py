@@ -56,6 +56,13 @@ def test_table_invalid_range(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "table", "--family", "Q", "--degrees", "nope")
     assert code == 2
+    # a bad or non-finite point is a usage error; nan/inf would print invalid JSON
+    for points in ("abc", "0.5,", "nan", "inf", "0.5,-inf"):
+        code, out, err = run_cli(
+            capsys, "table", "--family", "Q", "--degrees", "2..4", "--points", points
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_minimize(capsys):

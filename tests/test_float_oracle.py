@@ -111,13 +111,14 @@ def test_poly_expansion_residual_at_degree_64(capsys):
     assert abs(payload["residual_sup"] - 1.0) <= 1e-12
 
 
-def test_q_roots_at_degree_64():
-    roots = q_roots(64, build_q_table(64))
-    assert roots[0] == -1.0 and roots[-1] == 1.0 and len(roots) == 64
+@pytest.mark.parametrize("n", [64, 128])
+def test_q_roots_at_high_degree(n):
+    roots = q_roots(n, build_q_table(n))
+    assert roots[0] == -1.0 and roots[-1] == 1.0 and len(roots) == n
     for r in roots[1:-1]:
-        assert abs(q_mp(64, r)) < 1e-16
+        assert abs(q_mp(n, r)) < 1e-16
         # one Newton step on the 40-digit member lands on the true root
-        true = mpmath.mpf(r) - q_mp(64, r) / legendre_mp(63, r)
+        true = mpmath.mpf(r) - q_mp(n, r) / legendre_mp(n - 1, r)
         assert abs(r - true) < 2e-16
 
 

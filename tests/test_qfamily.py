@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intlegendre import qfamily
 from intlegendre.exactpoly import NotDivisible, Poly, X
 from intlegendre.qfamily import (
     X2_MINUS_1,
+    RootCountMismatch,
     build_q_table,
     q_at_zero,
     q_boundary_derivatives,
@@ -19,6 +21,7 @@ from intlegendre.qfamily import (
     weighted_inner_product,
 )
 from intlegendre.legendre import build_legendre, double_factorial
+from intlegendre.quad import gauss_legendre
 from intlegendre.verdict import Verdict
 
 Q2 = Poly((F(-1, 2), 0, F(1, 2)))
@@ -140,7 +143,10 @@ def test_roots_interlace_and_inflect(qtable):
         assert len(roots) == n
         assert all(a < b for a, b in zip(roots, roots[1:]))
         interior = roots[1:-1]
-        assert all(-1.0 < r < 1.0 for r in interior)
+        # exactly one root strictly inside each gap between consecutive zeros of P_{n-1}
+        nodes = gauss_legendre(n - 1).nodes
+        assert all(lo < r < hi for lo, r, hi in zip(nodes, interior, nodes[1:]))
+        assert all(r == -s for r, s in zip(roots, reversed(roots)))
         # interior roots are inflection points: the second derivative is a
         # multiple of the interior factor, so it vanishes there after scaling
         scale = n * (n - 1) * max(
@@ -154,6 +160,30 @@ def test_root_residual_tolerance(qtable):
     for n in range(3, 13):
         for r in q_roots(n, qtable)[1:-1]:
             assert abs(q_float(n, r)[0]) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 12])
+def test_root_with_a_large_residual_is_rejected(qtable, monkeypatch, n):
+    # the value is off by 1e-6 and the slope reads infinite, so Newton settles
+    # where it starts: inside its gap (for n = 3 on the true root 0) but off the root
+    real = qfamily.q_float
+    monkeypatch.setattr(qfamily, "q_float", lambda n, x: (real(n, x)[0] + 1e-6, math.inf))
+    with pytest.raises(RootCountMismatch):
+        q_roots(n, qtable)
+
+
+@pytest.mark.parametrize("n", [3, 12, 40])
+def test_root_outside_its_gap_is_rejected(qtable, monkeypatch, n):
+    # a true root of the member, reported one unit away from its Gauss-node gap
+    real = qfamily.newton
+
+    def moved(f, x0):
+        x, value, slope = real(f, x0)
+        return x + 1.0, value, slope
+
+    monkeypatch.setattr(qfamily, "newton", moved)
+    with pytest.raises(RootCountMismatch):
+        q_roots(n, qtable)
 
 
 def test_integral_relation(qtable):
