@@ -2,11 +2,12 @@
 report, extremal solving, expansion and transformed-system generation.
 
 Exit codes: 0 on success (all identities confirmed or corrected), 1 when the
-verification registry records any FAILED entry, 2 on usage errors, 3 on a
-numerical limit (a quadrature that does not converge within its order cap,
-as in `expand --fn sin-pi --N 29 --tol 1e-300`, or a quadrature node that
-does not settle). Exact rationals serialize as 'p/q' strings, never floats,
-so reports stay diffable and lossless.
+verification registry records any FAILED entry, 2 on usage errors (including
+a --tol that is not a positive finite float and an --out path that cannot be
+written), 3 on a numerical limit (a quadrature that does not converge within
+its order cap, as in `expand --fn sin-pi --N 29 --tol 1e-300`, or a
+quadrature node that does not settle). Exact rationals serialize as 'p/q'
+strings, never floats, so reports stay diffable and lossless.
 """
 
 from __future__ import annotations
@@ -69,12 +70,20 @@ def _parse_poly_spec(text: str) -> Poly | tuple[str, int]:
     return Poly(coeffs)
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise CliError(f"bad --tol {tol!r}; expected a positive finite float")
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _json_text(payload: object) -> str:
@@ -151,7 +160,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise CliError(
             f"--max-degree must be in {verify.MIN_DEGREE}..{verify.MAX_DEGREE}"
         )
-    report = verify.run_verification(args.max_degree)
+    timings: dict = {}
+    report = verify.run_verification(args.max_degree, timings)
     for entry in report.entries:
         line = f"{entry.identity_id}: {entry.verdict.value} ({entry.degrees_checked})"
         if entry.verdict is not Verdict.CONFIRMED:
@@ -159,6 +169,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(line)
     if args.out:
         _emit(report.to_json(), args.out)
+    if args.stats:
+        _emit(_json_text({"max_degree": args.max_degree, "clock": "time.perf_counter",
+                          "unit": "s", **timings}), args.stats)
     return 1 if report.failed_ids else 0
 
 
@@ -189,6 +202,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         raise CliError(f"--N must be <= {_TABLE_CAP}")
     if (args.poly is None) == (args.fn is None):
         raise CliError("exactly one of --poly or --fn is required")
+    _check_tol(args.tol)
     if args.fn is not None and args.fn not in approx.FUNCTIONS:
         raise CliError(
             f"unknown function {args.fn!r}; known: {', '.join(sorted(approx.FUNCTIONS))}"
@@ -237,6 +251,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         raise CliError("--map needs four comma-separated rationals lam,alpha,mu,beta")
     if args.top < 0 or args.top > 16:
         raise CliError("--N must be in 0..16")
+    _check_tol(args.tol)
     values = [_parse_fraction(p) for p in parts]
     try:
         mob = moebius.MoebiusMap(*values)
@@ -301,6 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the identity registry and report")
     p_verify.add_argument("--max-degree", type=int, default=40, dest="max_degree")
     p_verify.add_argument("--out", default=None)
+    p_verify.add_argument("--stats", default=None, metavar="FILE",
+                          help="write the wall time of the table build and of each "
+                          "entry (time.perf_counter, seconds) to FILE as JSON; "
+                          "the report does not change")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_min = sub.add_parser("minimize", help="solve the constrained extremal problem")

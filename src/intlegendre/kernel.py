@@ -5,13 +5,19 @@ is checked against it with both the stated prefactor 1/norm_n and the
 corrected prefactor carrying the leading-coefficient ratio; at n = 2 the two
 coincide, which is why the correction factor is always reported rather than
 assumed away.
+
+The sums are running sums: K_n is K_{n-1} plus one term, so one pass to a
+top index gives every K_n below it: ``kernel_values`` lists the scalar
+values, indexed by n with slots 0 and 1 None as in the QTable tuples, and
+``kernel_sections`` yields the sections. Nothing is cached between calls.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Mapping, Optional
 
 from .exactpoly import Poly, Scalar, X
 from .legendre import double_factorial, legendre_special_values
@@ -33,28 +39,59 @@ class KernelSection:
     value_at_y: Fraction
 
 
-def kernel_sum(n: int, y: Scalar, qtable: QTable) -> KernelSection:
-    """Exact section sum_{k=2..n} Q_k(y)/norm_k * Q_k."""
-    if n < 2:
-        raise ValueError("kernel index starts at 2")
-    y = Fraction(y)
+def _running_sections(top: int, y: Fraction, qtable: QTable) -> Iterator[tuple[int, Poly]]:
+    """(n, sum_{k=2..n} Q_k(y)/norm_k * Q_k) for n = 2..top, each the previous
+    plus one term."""
     acc = Poly()
-    for k in range(2, n + 1):
+    for k in range(2, top + 1):
         qy = qtable.q(k).at(y)
         if qy:
             acc = acc + qtable.q(k).scale(qy / qtable.norm_sq(k))
+        yield k, acc
+
+
+def kernel_sections(top: int, y: Scalar, qtable: QTable) -> Iterator[KernelSection]:
+    """Yield the sections sum_{k=2..n} Q_k(y)/norm_k * Q_k for n = 2..top
+    from one running pass."""
+    if top < 2:
+        raise ValueError("kernel index starts at 2")
+    y = Fraction(y)
+    for n, acc in _running_sections(top, y, qtable):
+        yield KernelSection(n, y, acc, acc.at(y))
+
+
+def kernel_sum(n: int, y: Scalar, qtable: QTable) -> KernelSection:
+    """Exact section sum_{k=2..n} Q_k(y)/norm_k * Q_k, from the same pass
+    with no per-index work beyond the running sum (minimize calls it)."""
+    if n < 2:
+        raise ValueError("kernel index starts at 2")
+    y = Fraction(y)
+    _, acc = deque(_running_sections(n, y, qtable), maxlen=1)[0]
     return KernelSection(n, y, acc, acc.at(y))
+
+
+def kernel_values(top: int, x: Scalar, y: Scalar, qtable: QTable) -> list[Optional[Fraction]]:
+    """K_n(x, y) = sum_{k=2..n} Q_k(x) Q_k(y)/norm_k for n = 2..top in one
+    pass, each the previous plus one term; index n holds K_n(x, y).
+
+    Every member is evaluated once at x and once at y (once in all when
+    x == y)."""
+    if top < 2:
+        raise ValueError("kernel index starts at 2")
+    x, y = Fraction(x), Fraction(y)
+    total = Fraction(0)
+    values: list[Optional[Fraction]] = [None, None]
+    for k in range(2, top + 1):
+        q = qtable.q(k)
+        qy = q.at(y)
+        total += (qy if x == y else q.at(x)) * qy / qtable.norm_sq(k)
+        values.append(total)
+    return values
 
 
 def kernel_value(n: int, x: Scalar, y: Scalar, qtable: QTable) -> Fraction:
     """Scalar kernel value sum_{k=2..n} Q_k(x) Q_k(y)/norm_k, exact."""
-    if n < 2:
-        raise ValueError("kernel index starts at 2")
-    x, y = Fraction(x), Fraction(y)
-    total = Fraction(0)
-    for k in range(2, n + 1):
-        total += qtable.q(k).at(x) * qtable.q(k).at(y) / qtable.norm_sq(k)
-    return total
+    return kernel_values(n, x, y, qtable)[n]
 
 
 def cd_correction_factor(n: int, qtable: QTable) -> Fraction:
@@ -86,9 +123,13 @@ def _compare(oracle: Fraction, stated: Fraction, corrected: Fraction) -> Verdict
     return Verdict.FAILED
 
 
-def kernel_cd(n: int, x: Scalar, y: Scalar, qtable: QTable) -> KernelComparison:
+def kernel_cd(n: int, x: Scalar, y: Scalar, qtable: QTable,
+              oracle: Optional[Fraction] = None) -> KernelComparison:
     """Two-term form (Q_{n+1}(x)Q_n(y) - Q_{n+1}(y)Q_n(x))/(x-y) with both
-    prefactors, compared exactly against the summed kernel. Needs x != y."""
+    prefactors, compared exactly against the summed kernel. Needs x != y.
+
+    ``oracle`` is K_n(x, y) when the caller already holds it, as read off
+    kernel_values; otherwise it is summed here."""
     x, y = Fraction(x), Fraction(y)
     if x == y:
         raise ValueError("confluent point: use kernel_confluent")
@@ -96,19 +137,23 @@ def kernel_cd(n: int, x: Scalar, y: Scalar, qtable: QTable) -> KernelComparison:
     core = (qp.at(x) * qn.at(y) - qp.at(y) * qn.at(x)) / (x - y)
     stated = core / qtable.norm_sq(n)
     corrected = stated * cd_correction_factor(n, qtable)
-    oracle = kernel_value(n, x, y, qtable)
+    if oracle is None:
+        oracle = kernel_value(n, x, y, qtable)
     return KernelComparison(stated, corrected, oracle, _compare(oracle, stated, corrected))
 
 
-def kernel_confluent(n: int, x: Scalar, qtable: QTable) -> KernelComparison:
+def kernel_confluent(n: int, x: Scalar, qtable: QTable,
+                     oracle: Optional[Fraction] = None) -> KernelComparison:
     """Diagonal form Q'_{n+1}(x)Q_n(x) - Q_{n+1}(x)Q'_n(x), same prefactor
-    treatment as the off-diagonal comparison."""
+    treatment (and the same optional ``oracle``, K_n(x, x)) as the
+    off-diagonal comparison."""
     x = Fraction(x)
     qn, qp = qtable.q(n), qtable.q(n + 1)
     core = qp.deriv().at(x) * qn.at(x) - qp.at(x) * qn.deriv().at(x)
     stated = core / qtable.norm_sq(n)
     corrected = stated * cd_correction_factor(n, qtable)
-    oracle = kernel_value(n, x, x, qtable)
+    if oracle is None:
+        oracle = kernel_value(n, x, x, qtable)
     return KernelComparison(stated, corrected, oracle, _compare(oracle, stated, corrected))
 
 
@@ -146,10 +191,13 @@ def kernel_zero_stated(n: int) -> Fraction:
     return -pref * second * mid
 
 
-def kernel_at_zero_closed_form(n: int, qtable: QTable) -> KernelZeroValue:
+def kernel_at_zero_closed_form(n: int, qtable: QTable,
+                               oracle: Optional[Fraction] = None) -> KernelZeroValue:
     """Oracle diagonal value at 0 next to the stated closed form; the factor
-    field records oracle/stated exactly."""
-    oracle = kernel_value(n, 0, 0, qtable)
+    field records oracle/stated exactly. ``oracle`` is K_n(0, 0) when the
+    caller already holds it."""
+    if oracle is None:
+        oracle = kernel_value(n, 0, 0, qtable)
     stated = kernel_zero_stated(n)
     if stated == 0:
         return KernelZeroValue(oracle, stated, None, Verdict.FAILED)
@@ -184,14 +232,20 @@ def reproducing_check(n: int, g: Poly, qtable: QTable) -> Verdict:
     return Verdict.CONFIRMED if recon == g else Verdict.FAILED
 
 
-def kernel_sequence_orthogonality(n: int, m: int, qtable: QTable) -> Fraction:
+def kernel_sequence_orthogonality(n: int, m: int, qtable: QTable,
+                                  sections: Optional[Mapping[int, KernelSection]] = None,
+                                  ) -> Fraction:
     """Exact integral of K_n(x,0) K_m(x,0) x/(1-x^2) over [-1, 1].
 
     Zero for n != m; both sections vanish at the endpoints so the integrand
     is polynomial after exact division. Consecutive sections can coincide
     (the added member vanishes at 0), and the value is still zero because
-    sections at 0 are even polynomials against an odd weight.
+    sections at 0 are even polynomials against an odd weight. ``sections``
+    maps each index up to at least max(n, m) to its section at 0 when the
+    caller already holds them; otherwise both come from one pass here.
     """
-    sn = kernel_sum(n, 0, qtable).poly
-    sm = kernel_sum(m, 0, qtable).poly
-    return weighted_inner_product(sn * X, sm)
+    if min(n, m) < 2:
+        raise ValueError("kernel index starts at 2")
+    if sections is None:
+        sections = {s.n: s for s in kernel_sections(max(n, m), 0, qtable)}
+    return weighted_inner_product(sections[n].poly * X, sections[m].poly)

@@ -75,17 +75,21 @@ def legendre_rodrigues(n: int) -> Poly:
 def legendre_shifted_expansion(n: int) -> Poly:
     """Sum over k of C(n,k)^2 (x-1)^(n-k) (x+1)^k, scaled by 2^-n.
 
-    Evaluated by Horner's rule in x-1 with one running power of x+1, so every
-    product has a degree-1 factor.
+    Evaluated by Horner's rule in x-1 with one running power of x+1, on
+    integer coefficient lists: multiplying by x-1 or x+1 is one pass of
+    neighbour differences or sums, and the scaling by 2^-n is the one
+    division, in the final _make.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    lo, hi = X - 1, X + 1
-    total, power = Poly(), Poly((1,))
+    total: list[int] = []
+    power = [1]  # coefficients of (x+1)^k
     for k in range(n + 1):
-        total = total * lo + power.scale(math.comb(n, k) ** 2)
-        power = power * hi
-    return total / 2**n
+        w = math.comb(n, k) ** 2
+        # total * (x - 1) + w * power; total has degree k - 1 and power degree k
+        total = [a - b + w * c for a, b, c in zip([0] + total, total + [0], power)]
+        power = [a + b for a, b in zip([0] + power, power + [0])]
+    return _make(1 << n, total)
 
 
 @dataclass(frozen=True)
@@ -163,9 +167,17 @@ def legendre_values(n: int, x: float) -> LegendreValues:
 
 
 def legendre_float(n: int, x: float) -> tuple[float, float]:
-    """(value, derivative) of the degree-n polynomial at x, from legendre_values."""
-    v = legendre_values(n, x)
-    return v.p[n], v.d[n]
+    """(value, derivative) of the degree-n polynomial at x: the two recurrences
+    of legendre_values, the same operations in the same order, keeping only
+    the last two terms of each, so the result equals its entries bit for bit."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    if n == 0:
+        return 1.0, 0.0
+    p0, p1, d0, d1 = 1.0, x, 0.0, 1.0
+    for a, b, odd in _steps(n.bit_length())[: n - 1]:
+        p0, p1, d0, d1 = p1, a * x * p1 - b * p0, d1, d0 + odd * p1
+    return p1, d1
 
 
 def legendre_series(c: Sequence[float]) -> Callable[[float], float]:

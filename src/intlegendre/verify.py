@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
@@ -422,13 +423,17 @@ def _cd_prefactor(ctx: _Ctx, top: int) -> tuple[Verdict, dict]:
         y = _rand_fraction(ctx.rng)
         if x != y and abs(x) <= 1 and abs(y) <= 1:
             points.append((x, y))
+    confluent = (Fraction(0), Fraction(1, 3), Fraction(-2, 5))
+    # the summed kernel at every n, one running pass per point
+    oracles = [kernel.kernel_values(top, x, y, ctx.qtable) for x, y in points]
+    diagonals = [kernel.kernel_values(top, x, x, ctx.qtable) for x in confluent]
     witness = None
     for n in range(2, top + 1):
         factor = kernel.cd_correction_factor(n, ctx.qtable)
         if factor != Fraction(n + 1, 2 * n - 1):
             raise Failed(n=n, oracle_value=_w(factor))
-        for x, y in points:
-            cmp = kernel.kernel_cd(n, x, y, ctx.qtable)
+        for (x, y), oracle in zip(points, oracles):
+            cmp = kernel.kernel_cd(n, x, y, ctx.qtable, oracle[n])
             if cmp.corrected_value != cmp.oracle_value:
                 raise Failed(n=n, inputs={"x": _w(x), "y": _w(y)},
                              oracle_value=_w(cmp.oracle_value),
@@ -438,8 +443,8 @@ def _cd_prefactor(ctx: _Ctx, top: int) -> tuple[Verdict, dict]:
                            "oracle_value": _w(cmp.oracle_value),
                            "stated_value": _w(cmp.stated_value),
                            "factor": f"(n+1)/(2n-1) = {_w(factor)}"}
-        for x in (Fraction(0), Fraction(1, 3), Fraction(-2, 5)):
-            conf = kernel.kernel_confluent(n, x, ctx.qtable)
+        for x, oracle in zip(confluent, diagonals):
+            conf = kernel.kernel_confluent(n, x, ctx.qtable, oracle[n])
             if conf.corrected_value != conf.oracle_value:
                 raise Failed(n=n, inputs={"x": _w(x), "confluent": True},
                              oracle_value=_w(conf.oracle_value),
@@ -468,8 +473,9 @@ def _reprkernel(ctx: _Ctx, top: int) -> None:
           "times -(n+1)/(2n-1) on both parity branches", "2..{top}")
 def _knn00(ctx: _Ctx, top: int) -> tuple[Verdict, dict]:
     witness = {}
+    oracle = kernel.kernel_values(top, 0, 0, ctx.qtable)
     for n in range(2, top + 1):
-        z = kernel.kernel_at_zero_closed_form(n, ctx.qtable)
+        z = kernel.kernel_at_zero_closed_form(n, ctx.qtable, oracle[n])
         if z.factor != Fraction(-(n + 1), 2 * n - 1):
             raise Failed(n=n, oracle_value=_w(z.oracle), stated_value=_w(z.stated))
         parity = "even" if n % 2 == 0 else "odd"
@@ -482,10 +488,11 @@ def _knn00(ctx: _Ctx, top: int) -> tuple[Verdict, dict]:
 @identity("KernelSeqOrth", "kernel sections at 0 are orthogonal under the odd weight x/(1-x^2)",
           "2..{top}", cap=_SEQ_ORTH_TOP)
 def _kernel_seq(ctx: _Ctx, top: int) -> None:
+    sections = {s.n: s for s in kernel.kernel_sections(top, 0, ctx.qtable)}
     for n in range(2, top + 1):
         for m in range(n + 1, top + 1):
-            _agree(kernel.kernel_sequence_orthogonality(n, m, ctx.qtable), Fraction(0),
-                   n=n, inputs={"m": m})
+            _agree(kernel.kernel_sequence_orthogonality(n, m, ctx.qtable, sections),
+                   Fraction(0), n=n, inputs={"m": m})
 
 
 # -- extremal and Fourier checks -------------------------------------------------
@@ -494,16 +501,18 @@ def _kernel_seq(ctx: _Ctx, top: int) -> None:
 @identity("Kernelm", "minimum value equals 1/K_n(0,0) and the brute-force optimum",
           "2..{top}", cap=_EXTREMAL_TOP)
 def _kernelm(ctx: _Ctx, top: int) -> None:
+    sections = {s.n: s for s in kernel.kernel_sections(top, 0, ctx.qtable)}
     for n in range(2, top + 1):
-        m_kernel = 1 / kernel.kernel_sum(n, 0, ctx.qtable).value_at_y
+        m_kernel = 1 / sections[n].value_at_y
         _agree(approx.brute_force_minimizer(n, ctx.qtable).m_value, m_kernel, n=n)
 
 
 @identity("Kernelf", "minimizer equals the kernel section scaled to 1 at 0",
           "2..{top}", cap=_EXTREMAL_TOP)
 def _kernelf(ctx: _Ctx, top: int) -> None:
+    sections = {s.n: s for s in kernel.kernel_sections(top, 0, ctx.qtable)}
     for n in range(2, top + 1):
-        section = kernel.kernel_sum(n, 0, ctx.qtable)
+        section = sections[n]
         minimizer = section.poly * (1 / section.value_at_y)
         _agree(approx.brute_force_minimizer(n, ctx.qtable).poly, minimizer, n=n)
 
@@ -519,11 +528,12 @@ def _literal_extremal_summand(j: int) -> Fraction:
           "indices; odd summands are spurious (odd members vanish at 0)",
           "2..{top}", cap=_EXTREMAL_TOP)
 def _valuem(ctx: _Ctx, top: int) -> tuple[Verdict, dict]:
+    oracle = kernel.kernel_values(top, 0, 0, ctx.qtable)
+    even_sum = Fraction(0)
     for n in range(2, top + 1):
-        even_sum = sum(
-            (_literal_extremal_summand(j) for j in range(2, n + 1, 2)), Fraction(0)
-        )
-        _agree(kernel.kernel_value(n, 0, 0, ctx.qtable), even_sum, n=n)
+        if n % 2 == 0:
+            even_sum += _literal_extremal_summand(n)
+        _agree(oracle[n], even_sum, n=n)
     spurious = _literal_extremal_summand(3)
     if spurious == 0:
         raise Failed(j=3, stated_value="0")
@@ -670,16 +680,28 @@ def _transformed(ctx: _Ctx, top: int) -> None:
                 raise Failed(inputs={"map": label, "n": n})
 
 
-def run_verification(max_degree: int = 40) -> VerificationReport:
+def run_verification(max_degree: int = 40,
+                     timings: Optional[dict] = None) -> VerificationReport:
     """Run the whole registry at the given depth and assemble the report.
 
     Checks run one after another (each is pure Python over immutable tables,
     so threads would only take turns at the interpreter lock); entries are
-    sorted by id.
+    sorted by id. A ``timings`` dict, when given, receives the wall time in
+    seconds (time.perf_counter) of the table build, as "table_build_s", and
+    of each entry, under "entries_s" by id; the report does not change.
     """
     if not MIN_DEGREE <= max_degree <= MAX_DEGREE:
         raise ValueError(f"max_degree must be in {MIN_DEGREE}..{MAX_DEGREE}")
+    start = time.perf_counter()
     ltable = build_legendre(max_degree + 1)
     qtable = build_q_table(max_degree + 1, ltable)
     ctx = _Ctx(max_degree, ltable, qtable)
-    return VerificationReport(max_degree, tuple(_run(i, ctx) for i in sorted(_REGISTRY)))
+    table_build_s = time.perf_counter() - start
+    entries, entries_s = [], {}
+    for identity_id in sorted(_REGISTRY):
+        start = time.perf_counter()
+        entries.append(_run(identity_id, ctx))
+        entries_s[identity_id] = time.perf_counter() - start
+    if timings is not None:
+        timings.update(table_build_s=table_build_s, entries_s=entries_s)
+    return VerificationReport(max_degree, tuple(entries))

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from intlegendre import quad
 from intlegendre.cli import main
+from intlegendre.verify import _REGISTRY
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +148,22 @@ def test_numerical_limit_exits_3(capsys, monkeypatch):
     assert run_cli(capsys, "quad", "--m", "8") == (3, "", "error: node did not settle at order 8\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("expand", "--fn", "sin-pi", "--N", "8", "--tol", "nan"),
+    ("expand", "--fn", "sin-pi", "--N", "8", "--tol", "inf"),
+    ("expand", "--poly", "Q3", "--N", "3", "--tol", "0"),
+    ("transform", "--map", "1,0,0,1", "--N", "3", "--tol", "-1"),
+])
+def test_bad_tol_is_a_usage_error_before_any_quadrature(capsys, monkeypatch, argv):
+    def no_rule(m):
+        raise AssertionError("a quadrature rule was requested")
+
+    monkeypatch.setattr(quad, "gauss_legendre", no_rule)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad --tol ") and "positive finite" in err
+
+
 def test_transform(capsys):
     code, out, _ = run_cli(capsys, "transform", "--map", "1,1,0,1", "--N", "4")
     assert code == 0
@@ -250,3 +268,26 @@ def test_table_cells_are_the_fraction_forms(capsys, family):
                             "--backend", backend, "--format", "csv")
         rows = [line.split(",")[2] for line in out.splitlines()[1:]]
         assert rows == [" ".join(str(cell(c)) for c in poly(n).coeffs) for n in range(lo, 41)]
+
+
+@pytest.mark.parametrize("argv", [("quad", "--m", "4"), ("verify", "--max-degree", "4")])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "f.json"
+    code, _, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {target}") and "Traceback" not in err
+    assert not target.exists()
+
+
+def test_verify_stats_sidecar(capsys, tmp_path):
+    report, stats = tmp_path / "report.json", tmp_path / "stats.json"
+    code, _, _ = run_cli(capsys, "verify", "--max-degree", "4", "--out", str(report),
+                         "--stats", str(stats))
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / "verify_4.json"
+    assert report.read_text() == golden.read_text()
+    sidecar = json.loads(stats.read_text())
+    assert sidecar["max_degree"] == 4 and sidecar["clock"] == "time.perf_counter"
+    assert set(sidecar["entries_s"]) == set(_REGISTRY) and len(sidecar["entries_s"]) == 34
+    assert sidecar["table_build_s"] >= 0
+    assert all(t >= 0 for t in sidecar["entries_s"].values())

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,9 +12,11 @@ from intlegendre.kernel import (
     kernel_at_zero_closed_form,
     kernel_cd,
     kernel_confluent,
+    kernel_sections,
     kernel_sequence_orthogonality,
     kernel_sum,
     kernel_value,
+    kernel_values,
     reproducing_check,
 )
 from intlegendre.qfamily import build_q_table
@@ -125,3 +128,45 @@ _QT12 = build_q_table(12)
 @given(points, points, st.integers(min_value=2, max_value=12))
 def test_kernel_symmetry(x, y, n):
     assert kernel_value(n, x, y, _QT12) == kernel_value(n, y, x, _QT12)
+
+
+def _rational(rng):
+    return F(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def test_running_sums_equal_the_direct_sums(qtable):
+    """Every running K_n and section equals sum_{k=2..n} Q_k(x) Q_k(y)/norm_k
+    summed from scratch, for n = 2..20."""
+    rng = random.Random(20)
+    q, norm = qtable.q, qtable.norm_sq
+    for _ in range(6):
+        x, y = _rational(rng), _rational(rng)
+        values = kernel_values(20, x, y, qtable)
+        diagonal = kernel_values(20, y, y, qtable)
+        sections = {s.n: s for s in kernel_sections(20, y, qtable)}
+        assert values[:2] == [None, None] and list(sections) == list(range(2, 21))
+        for n in range(2, 21):
+            direct = sum((q(k).at(x) * q(k).at(y) / norm(k) for k in range(2, n + 1)), F(0))
+            assert values[n] == direct == kernel_value(n, x, y, qtable)
+            poly = Poly()
+            for k in range(2, n + 1):
+                poly = poly + q(k) * (q(k).at(y) / norm(k))
+            s = sections[n]
+            assert (s.n, s.y, s.poly) == (n, y, poly)
+            assert s.value_at_y == poly.at(y) == diagonal[n]
+            assert s.poly.at(x) == values[n]
+            assert kernel_sum(n, y, qtable) == s
+
+
+def test_oracles_handed_in_are_used(qtable):
+    # the comparison reads a supplied oracle instead of summing its own
+    x, y = F(1, 2), F(0)
+    assert kernel_cd(3, x, y, qtable, F(7)).oracle_value == F(7)
+    assert kernel_confluent(3, x, qtable, F(7)).oracle_value == F(7)
+    assert kernel_at_zero_closed_form(3, qtable, F(7)).oracle == F(7)
+    sections = {s.n: s for s in kernel_sections(6, 0, qtable)}
+    assert kernel_sequence_orthogonality(2, 6, qtable, sections) == 0
+    with pytest.raises(ValueError):
+        kernel_sequence_orthogonality(1, 4, qtable)
+    with pytest.raises(ValueError):
+        kernel_values(1, x, y, qtable)

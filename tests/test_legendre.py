@@ -133,6 +133,22 @@ def test_float_recurrence_matches_table(ltable):
             assert dv == pytest.approx(float(d.at(F(x))), rel=1e-12, abs=1e-13)
 
 
+def test_rolling_pass_equals_the_full_pass_bit_for_bit():
+    # legendre_float keeps two terms of the recurrences legendre_values lists
+    for x in (-1.0, -0.999, 0.0, 0.3, 0.9999999, 1.0):
+        for n in range(513):
+            v = legendre_values(n, x)
+            assert legendre_float(n, x) == (v.p[n], v.d[n]), (n, x)
+    with pytest.raises(ValueError):
+        legendre_float(-1, 0.5)
+
+
+def test_shifted_expansion_up_to_128():
+    table = build_legendre(128)
+    for n in range(129):
+        assert legendre_shifted_expansion(n) == table.poly(n), n
+
+
 def test_one_pass_gives_every_degree():
     table = build_legendre(64)
     for x in (-1.0, -0.999, 0.0, 0.3, 0.9, 1.0):

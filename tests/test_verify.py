@@ -181,14 +181,33 @@ _Q_IDS = {"CDS11-prefactor", "Diff2", "Diff3", "FourierQ", "NormQn", "OrthQn", "
           "Pipcirs3", "Qnderiv1", "Qqn", "Reprkernel", "Rodrigues", "anex-sign"}
 
 
-@pytest.mark.parametrize("family, k, j, c, failed", [
-    ("L", 6, 0, Fraction(1, 5), _L_IDS | {"L2nat0", "Lnat0"}),
-    ("L", 7, 1, Fraction(1, 5), _L_IDS | {"DeriLnat0", "Lnderivat0"}),
+# Witnesses of the kernel entries under the Q7 fault, as the from-scratch
+# kernel sums (one full sum per n and point) reported them: the running sums
+# must fail at the same first n and point with the same values.
+_Q7_KERNEL_WITNESSES = {
+    "CDS11-prefactor": {"n": 6, "inputs": {"x": "-5/7", "y": "-1/4"},
+                        "oracle_value": "33116175/275365888",
+                        "stated_value": "7807513725/1927561216"},
+    "KernelSeqOrth": {"n": 6, "inputs": {"m": 7}, "oracle_value": "-45/16",
+                      "stated_value": "0"},
+    "Kernelf": {"n": 7, "oracle_value": "1 - 7*x^2 + 63/5*x^4 - 33/5*x^6",
+                "stated_value": "1 - 21840/31177*x - 38527/31177*x^2 + 152880/31177*x^3"
+                                " + 15435/31177*x^4 - 275184/31177*x^5 - 8085/31177*x^6"
+                                " + 144144/31177*x^7"},
+    "Knn00": {"n": 7, "oracle_value": "93531/1792", "stated_value": "-6825/2048"},
+    "Valuem-odd-terms": {"n": 7, "oracle_value": "93531/1792", "stated_value": "525/256"},
+}
+
+
+@pytest.mark.parametrize("family, k, j, c, failed, witnesses", [
+    ("L", 6, 0, Fraction(1, 5), _L_IDS | {"L2nat0", "Lnat0"}, {}),
+    ("L", 7, 1, Fraction(1, 5), _L_IDS | {"DeriLnat0", "Lnderivat0"}, {}),
     ("Q", 7, 0, Fraction(-3, 7), _Q_IDS | {"KernelSeqOrth", "Kernelf", "Kernelm", "Knn00",
-                                           "Qnatzero", "Valuem-odd-terms"}),
-    ("Q", 8, 2, Fraction(2, 9), _Q_IDS | {"Kernelf"}),
+                                           "Qnatzero", "Valuem-odd-terms"},
+     _Q7_KERNEL_WITNESSES),
+    ("Q", 8, 2, Fraction(2, 9), _Q_IDS | {"Kernelf"}, {}),
 ], ids=["P6", "P7", "Q7", "Q8"])
-def test_registry_fault_injection(monkeypatch, family, k, j, c, failed):
+def test_registry_fault_injection(monkeypatch, family, k, j, c, failed, witnesses):
     """One wrong member of one family fails exactly the entries that read it.
 
     The goldens pin only the passing path; this pins the failing one, so a
@@ -210,3 +229,7 @@ def test_registry_fault_injection(monkeypatch, family, k, j, c, failed):
             assert entry.witness, entry.identity_id
         else:
             assert entry == ref, entry.identity_id
+    by_id = {e.identity_id: e for e in report.entries}
+    for identity_id, witness in witnesses.items():
+        assert by_id[identity_id].witness == witness, identity_id
+
