@@ -306,15 +306,20 @@ def _expand_poly(f: Poly, top_degree: int, qtable: QTable) -> ExpansionReport:
     diff = f - partial
     if diff.is_zero():
         return ExpansionReport(coeffs, 0.0, 0.0, "quadrature_exact")
-    # the residual's Legendre coefficients (2k+1)/2 * integral of diff*P_k,
-    # exact, rounded once and summed on the grid by the recurrence
+    # the residual's Legendre coefficients (2k+1)/2 * integral of diff*P_k, exact
     deg = diff.degree
     ltable = qtable.legendre if deg <= qtable.legendre.max_degree else build_legendre(deg)
     pair = diff.pairing(deg)
-    series = legendre_series(
-        [float(pair(ltable.poly(k)) * Fraction(2 * k + 1, 2)) for k in range(deg + 1)])
-    sup = max(abs(series(x)) for x in _GRID)
-    if diff.at(1) == 0 and diff.at(-1) == 0:
+    r = [pair(ltable.poly(k)) * Fraction(2 * k + 1, 2) for k in range(deg + 1)]
+    # |P_k| <= 1 on [-1, 1], so |diff| <= sum |r_k| there; an endpoint (a grid
+    # point) that reaches the bound certifies it as the sup, exact
+    bound, ends = sum(map(abs, r)), (diff.at(1), diff.at(-1))
+    if max(map(abs, ends)) == bound:
+        sup = float(bound)
+    else:  # rounded once and summed on the grid by the recurrence
+        series = legendre_series([float(c) for c in r])
+        sup = max(abs(series(x)) for x in _GRID)
+    if ends == (0, 0):
         l2 = math.sqrt(float(weighted_inner_product(diff, diff)))
     else:
         l2 = math.inf

@@ -160,6 +160,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise CliError(
             f"--max-degree must be in {verify.MIN_DEGREE}..{verify.MAX_DEGREE}"
         )
+    for path in filter(None, (args.out, args.stats)):
+        _emit("", path)  # an unwritable path fails here, before the run
     timings: dict = {}
     report = verify.run_verification(args.max_degree, timings)
     for entry in report.entries:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactpoly import NotDivisible, Poly, X
+from .exactpoly import NotDivisible, Poly, X, _make
 from .legendre import LegendreTable, build_legendre, double_factorial, legendre_values
 from .quad import gauss_legendre, newton
 from .verdict import Verdict
@@ -65,7 +65,9 @@ def build_q_table(max_degree: int, ltable: Optional[LegendreTable] = None) -> QT
 
     Constructor of record is the difference form (P_n - P_{n-2})/(2n-1). It
     must be the antiderivative of P_{n-1} that vanishes at 1: its derivative
-    must equal P_{n-1} and its value at 1 must be 0.
+    must equal P_{n-1} and its value at 1 must be 0. The interior factor
+    is the closed form P'_{n-1}/(n(n-1)), and x^2 - 1 times it must give
+    the member.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
@@ -80,8 +82,14 @@ def build_q_table(max_degree: int, ltable: Optional[LegendreTable] = None) -> QT
         qn = (ltable.poly(n) - ltable.poly(n - 2)) / (2 * n - 1)
         if qn.deriv() != ltable.poly(n - 1) or sum(qn.nums):
             raise AssertionError(f"construction cross-check failed at degree {n}")
+        # Legendre's equation gives Q_n = (x^2 - 1) P'_{n-1} / (n(n-1)); the
+        # product is one shift and one subtraction of the cofactor's numerators
+        inner = ltable.poly(n - 1).deriv() / (n * (n - 1))
+        nums = inner.nums
+        if _make(inner.den, [a - b for a, b in zip((0, 0, *nums), (*nums, 0, 0))]) != qn:
+            raise AssertionError(f"interior factor check failed at degree {n}")
         polys.append(qn)
-        interior.append(qn.divexact(X2_MINUS_1))
+        interior.append(inner)
         leading.append(Fraction(qn.nums[-1], qn.den))
     return QTable(
         max_degree,

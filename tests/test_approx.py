@@ -24,6 +24,7 @@ from intlegendre.approx import (
     solve_exact,
 )
 from intlegendre.exactpoly import Poly
+from intlegendre.legendre import legendre_rodrigues
 from intlegendre.qfamily import X2_MINUS_1, build_q_table, weighted_inner_product
 
 ONE_MINUS_X2 = Poly((1, 0, -1))
@@ -312,6 +313,10 @@ def test_expand_non_vanishing_input_has_divergent_weighted_residual(qtable):
     assert rep.residual_sup > 0
 
 
+def _partial_sum(rep, qtable):
+    return sum((qtable.q(n).scale(a) for n, a in rep.coeffs.items()), Poly())
+
+
 @pytest.mark.parametrize("seed, top", [(0, 40), (1, 40), (2, 41)])
 def test_expand_residual_sup_matches_the_exact_residual(qtable, seed, top):
     # a low-degree input that does not vanish at the endpoints: the residual
@@ -319,9 +324,45 @@ def test_expand_residual_sup_matches_the_exact_residual(qtable, seed, top):
     rng = random.Random(seed)
     f = Poly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(7)])
     rep = expand(f, top, qtable)
-    partial = sum((qtable.q(n).scale(a) for n, a in rep.coeffs.items()), Poly())
-    exact = float(max(abs((f - partial).at(F(x))) for x in _GRID))
-    assert rep.residual_sup == pytest.approx(exact, rel=1e-12)
+    residual = f - _partial_sum(rep, qtable)
+    exact = float(max(abs(residual.at(F(x))) for x in _GRID))
+    assert rep.residual_sup == exact  # the certified endpoint sup, correctly rounded
+
+
+def _legendre_coeffs(f):
+    # (2k+1)/2 * integral of f P_k, with P_k from its Rodrigues form
+    return [F(2 * k + 1, 2) * (f * legendre_rodrigues(k)).integral(-1, 1)
+            for k in range((f.degree or 0) + 1)]
+
+
+def test_certified_residual_sup_is_the_exact_bound(qtable):
+    # For N >= deg f the telescoping Q_n = (P_n - P_{n-2})/(2n-1) leaves the
+    # residual S_{N+1} P_{N-1} + S_{N+2} P_N, where S_m sums the input's
+    # Legendre coefficients c_j over j <= m-2 with j = m mod 2; the sup of
+    # |r| <= sum |r_k| is then reached at an endpoint
+    rng = random.Random("endpoint-certificate")
+    for _ in range(40):
+        deg = rng.randint(0, 10)
+        f = Poly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(deg + 1)])
+        top = rng.randint(max(deg, 2), 41)
+        c = _legendre_coeffs(f) + [F(0)] * (top + 3)
+        s1, s2 = (sum(c[m - 2::-2]) for m in (top + 1, top + 2))
+        rep = expand(f, top, qtable)
+        r = _legendre_coeffs(f - _partial_sum(rep, qtable))
+        assert r + [0] * (top + 1 - len(r)) == [0] * (top - 1) + [s1, s2], (f, top)
+        assert rep.residual_sup == float(abs(s1) + abs(s2)), (f, top)
+
+
+def test_uncertified_residual_sup_is_the_grid_maximum(qtable):
+    # degree 8 at N = 4: the residual's sum |r_k| = 4.73... exceeds both
+    # |r(1)| and |r(-1)| = 4.6869..., so the sup comes from the 1001-point grid
+    rng = random.Random(0)
+    f = Poly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(9)])
+    rep = expand(f, 4, qtable)
+    r = _legendre_coeffs(f - _partial_sum(rep, qtable))
+    ends = sum(r), sum((-1) ** k * v for k, v in enumerate(r))  # P_k(±1) = (±1)^k
+    assert max(map(abs, ends)) < sum(map(abs, r))
+    assert rep.residual_sup == 4.6869047619047635  # as before the certificate
 
 
 def test_expand_named_function(qtable):

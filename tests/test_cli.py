@@ -270,11 +270,15 @@ def test_table_cells_are_the_fraction_forms(capsys, family):
         assert rows == [" ".join(str(cell(c)) for c in poly(n).coeffs) for n in range(lo, 41)]
 
 
-@pytest.mark.parametrize("argv", [("quad", "--m", "4"), ("verify", "--max-degree", "4")])
+@pytest.mark.parametrize("argv", [("quad", "--m", "4", "--out"),
+                                  ("verify", "--max-degree", "4", "--out"),
+                                  ("verify", "--max-degree", "4", "--stats")])
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+    # verify checks its output paths before the run, so no verdict line is printed
     target = tmp_path / "missing" / "f.json"
-    code, _, err = run_cli(capsys, *argv, "--out", str(target))
+    code, out, err = run_cli(capsys, *argv, str(target))
     assert code == 2
+    assert out == ""
     assert err.startswith(f"error: cannot write {target}") and "Traceback" not in err
     assert not target.exists()
 

@@ -108,7 +108,16 @@ def test_poly_expansion_residual_at_degree_64(capsys):
     # L64 minus its projection onto Q_2..Q_62 keeps its endpoint value 1
     payload = run_json(capsys, "expand", "--poly", "L64", "--N", "62")
     assert payload["coefficients"] == {}
-    assert abs(payload["residual_sup"] - 1.0) <= 1e-12
+    assert payload["residual_sup"] == 1.0
+
+
+@pytest.mark.parametrize("top", [2, 21, 40, 64])
+@pytest.mark.parametrize("m", [2, 21, 40, 64])
+def test_legendre_expansion_residual_sup_is_exactly_one(capsys, m, top):
+    # the residual is P_m for m > N, else P_{N-1} (N - m odd) or P_N (N - m
+    # even): one P_k, whose sup 1 is reached and certified at the endpoints
+    payload = run_json(capsys, "expand", f"--poly=L{m}", "--N", str(top))
+    assert payload["residual_sup"] == 1.0
 
 
 @pytest.mark.parametrize("n", [64, 128])

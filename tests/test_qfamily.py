@@ -275,3 +275,22 @@ def test_endpoint_cross_check_catches_a_bad_row():
     bad = _with_row(ltable, 6, ltable.poly(6) + 1)
     with pytest.raises(AssertionError, match="degree 6"):
         build_q_table(8, bad)
+
+
+def test_interior_factors_equal_the_exact_quotients():
+    table = build_q_table(128)
+    for n in range(2, 129):
+        assert table.interior_factor(n) == table.q(n).divexact(X2_MINUS_1), n
+
+
+def test_interior_factor_check_catches_rows_off_legendres_equation():
+    # P_1 + 1/3 with P_2 rebuilt as P_0 + 3 * (antiderivative of that row
+    # vanishing at 1) passes both cross-checks at degree 2, but the row no
+    # longer solves Legendre's equation, so x^2 - 1 times P'_1/2 is not Q_2
+    ltable = build_legendre(4)
+    row1 = ltable.poly(1) + F(1, 3)
+    anti = row1.antideriv()
+    row2 = ltable.poly(0) + (anti - anti.at(1)).scale(3)
+    bad = _with_row(_with_row(ltable, 1, row1), 2, row2)
+    with pytest.raises(AssertionError, match="interior factor check failed at degree 2"):
+        build_q_table(4, bad)
