@@ -162,8 +162,8 @@ class KernelZeroValue:
     """Kernel diagonal at 0 against its stated double-factorial closed form."""
 
     oracle: Fraction
-    stated: Optional[Fraction]
-    factor: Optional[Fraction]
+    stated: Fraction
+    factor: Fraction
     verdict: Verdict
 
 
@@ -173,7 +173,8 @@ def kernel_zero_stated(n: int) -> Fraction:
 
     For even n only the first product is well-formed and the second
     multiplies a vanishing odd-degree midpoint value; for odd n the roles
-    swap. The surviving branch is evaluated literally.
+    swap. The surviving branch is evaluated literally; each of its factors
+    is nonzero, so the stated value is too.
     """
     if n < 2:
         raise ValueError("kernel index starts at 2")
@@ -199,8 +200,6 @@ def kernel_at_zero_closed_form(n: int, qtable: QTable,
     if oracle is None:
         oracle = kernel_value(n, 0, 0, qtable)
     stated = kernel_zero_stated(n)
-    if stated == 0:
-        return KernelZeroValue(oracle, stated, None, Verdict.FAILED)
     factor = oracle / stated
     if factor == 1:
         verdict = Verdict.CONFIRMED

@@ -40,7 +40,6 @@ class LegendreTable:
 
     max_degree: int
     polys: tuple[Poly, ...]
-    leading: tuple[Fraction, ...]
 
     def poly(self, n: int) -> Poly:
         return self.polys[n]
@@ -62,7 +61,7 @@ def build_legendre(max_degree: int) -> LegendreTable:
     for n, p in enumerate(polys):
         if sum(p.nums) != p.den:
             raise AssertionError(f"normalization P_n(1) = 1 broken at degree {n}")
-    return LegendreTable(max_degree, polys, tuple(Fraction(p.nums[-1], p.den) for p in polys))
+    return LegendreTable(max_degree, polys)
 
 
 def legendre_rodrigues(n: int) -> Poly:

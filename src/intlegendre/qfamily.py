@@ -1,6 +1,9 @@
 """The integrated Legendre family: antiderivatives of Legendre polynomials
 pinned to vanish at both endpoints, orthogonal under the weight 1/(1-x^2).
 
+Members come from the closed form (x^2-1) P'_{n-1}/(n(n-1)) that Legendre's
+equation gives; build_q_table builds and checks each one once.
+
 Family indices start at 2. There is no degree-0 member, and the degree-1
 candidate x - 1 has a divergent weighted norm, so every sum over the family
 in this package begins at index 2.
@@ -31,15 +34,15 @@ class QTable:
     """Exact data for family members 2..max_degree.
 
     Index n of each tuple holds the degree-n data; slots 0 and 1 are None.
-    ``interior`` holds the cofactor of x^2 - 1, ``leading`` the leading
-    coefficients; the weighted squared norms come from ``q_norm_sq``.
+    ``interior`` holds the cofactor of x^2 - 1; ``lead`` reads the leading
+    coefficient off the member, and ``norm_sq`` gives the closed-form
+    weighted squared norm.
     """
 
     max_degree: int
     legendre: LegendreTable
     polys: tuple[Optional[Poly], ...]
     interior: tuple[Optional[Poly], ...]
-    leading: tuple[Optional[Fraction], ...]
 
     def _get(self, seq, n: int):
         if n < 2 or n > self.max_degree:
@@ -57,17 +60,20 @@ class QTable:
         return q_norm_sq(n)
 
     def lead(self, n: int) -> Fraction:
-        return self._get(self.leading, n)
+        qn = self.q(n)
+        return Fraction(qn.nums[-1], qn.den)
 
 
 def build_q_table(max_degree: int, ltable: Optional[LegendreTable] = None) -> QTable:
     """Build family members 2..max_degree.
 
-    Constructor of record is the difference form (P_n - P_{n-2})/(2n-1). It
-    must be the antiderivative of P_{n-1} that vanishes at 1: its derivative
-    must equal P_{n-1} and its value at 1 must be 0. The interior factor
-    is the closed form P'_{n-1}/(n(n-1)), and x^2 - 1 times it must give
-    the member.
+    Legendre's equation gives each member in closed form, Q_n = (x^2 - 1) i_n
+    with interior factor i_n = P'_{n-1}/(n(n-1)), so it vanishes at both
+    endpoints by construction. The member is checked once, against its
+    definition as the antiderivative of P_{n-1}: its derivative must equal
+    P_{n-1}. That pins each Legendre row only up to a constant factor, which
+    build_legendre's P_n(1) = 1 check fixes. The verify registry's Qqn entry
+    checks the member against the difference form (P_n - P_{n-2})/(2n-1).
     """
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
@@ -77,27 +83,17 @@ def build_q_table(max_degree: int, ltable: Optional[LegendreTable] = None) -> QT
         raise ValueError("Legendre table too shallow for requested depth")
     polys: list[Optional[Poly]] = [None, None]
     interior: list[Optional[Poly]] = [None, None]
-    leading: list[Optional[Fraction]] = [None, None]
     for n in range(2, max_degree + 1):
-        qn = (ltable.poly(n) - ltable.poly(n - 2)) / (2 * n - 1)
-        if qn.deriv() != ltable.poly(n - 1) or sum(qn.nums):
-            raise AssertionError(f"construction cross-check failed at degree {n}")
-        # Legendre's equation gives Q_n = (x^2 - 1) P'_{n-1} / (n(n-1)); the
-        # product is one shift and one subtraction of the cofactor's numerators
-        inner = ltable.poly(n - 1).deriv() / (n * (n - 1))
+        row = ltable.poly(n - 1)
+        inner = row.deriv() / (n * (n - 1))
+        # the product with x^2 - 1 is one shift and one subtraction of numerators
         nums = inner.nums
-        if _make(inner.den, [a - b for a, b in zip((0, 0, *nums), (*nums, 0, 0))]) != qn:
-            raise AssertionError(f"interior factor check failed at degree {n}")
+        qn = _make(inner.den, [a - b for a, b in zip((0, 0, *nums), (*nums, 0, 0))])
+        if qn.deriv() != row:
+            raise AssertionError(f"construction cross-check failed at degree {n}")
         polys.append(qn)
         interior.append(inner)
-        leading.append(Fraction(qn.nums[-1], qn.den))
-    return QTable(
-        max_degree,
-        ltable,
-        tuple(polys),
-        tuple(interior),
-        tuple(leading),
-    )
+    return QTable(max_degree, ltable, tuple(polys), tuple(interior))
 
 
 def q_rodrigues(n: int) -> Poly:

@@ -294,10 +294,12 @@ def _parts(ctx: _Ctx, top: int) -> None:
 @identity("Qqn", "pinned antiderivative construction agrees with the difference form",
           "2..{top}")
 def _qqn(ctx: _Ctx, top: int) -> None:
+    p = ctx.ltable.poly
+
     def holds(n: int) -> bool:
-        anti = ctx.ltable.poly(n - 1).antideriv()
+        anti = p(n - 1).antideriv()
         qn = ctx.qtable.q(n)
-        return anti - anti.at(1) == qn and qn.deriv() == ctx.ltable.poly(n - 1)
+        return qn == (p(n) - p(n - 2)) / (2 * n - 1) and anti - anti.at(1) == qn
 
     _every(range(2, top + 1), holds)
 
@@ -449,12 +451,6 @@ def _cd_prefactor(ctx: _Ctx, top: int) -> tuple[Verdict, dict]:
                 raise Failed(n=n, inputs={"x": _w(x), "confluent": True},
                              oracle_value=_w(conf.oracle_value),
                              stated_value=_w(conf.stated_value))
-    if witness is None:
-        cmp = kernel.kernel_cd(3, Fraction(1, 2), Fraction(0), ctx.qtable)
-        witness = {"n": 3, "inputs": {"x": "1/2", "y": "0"},
-                   "oracle_value": _w(cmp.oracle_value),
-                   "stated_value": _w(cmp.stated_value),
-                   "factor": "(n+1)/(2n-1) = 4/5"}
     return Verdict.CORRECTED_FACTOR, witness
 
 
@@ -575,11 +571,6 @@ def _anex_sign(ctx: _Ctx, top: int) -> tuple[Verdict, dict]:
         if witness is None and n % 2 and quadrature != 0:
             witness = {"n": n, "inputs": {"f": _w(f)},
                        "oracle_value": _w(quadrature), "stated_value": _w(mc.stated_value)}
-    if witness is None:
-        f = Poly((0, -1, 0, 1))
-        witness = {"n": 3, "inputs": {"f": "-x + x^3"},
-                   "oracle_value": _w(approx.fourier_coeff_quadrature(f, 3, ctx.qtable)),
-                   "stated_value": _w(approx.fourier_coeff_moments(f, 3).stated_value)}
     return Verdict.CONFIRMED_UP_TO_SIGN, witness
 
 

@@ -251,8 +251,8 @@ def test_table_matches_the_poly_reference(depth):
     assert table.legendre == build_legendre(depth)
     assert fields(table.polys[2:]) == fields(polys)
     assert fields(table.interior[2:]) == fields(interior)
-    assert list(table.leading[2:]) == leading
-    assert table.polys[:2] == table.interior[:2] == table.leading[:2] == (None, None)
+    assert [table.lead(n) for n in range(2, depth + 1)] == leading
+    assert table.polys[:2] == table.interior[:2] == (None, None)
 
 
 def _with_row(ltable, n, poly):
@@ -261,36 +261,28 @@ def _with_row(ltable, n, poly):
     return dataclasses.replace(ltable, polys=tuple(polys))
 
 
-def test_derivative_cross_check_catches_a_bad_row():
-    # P_6 + (x^2 - 1) keeps Q_6(1) = 0, but Q_6' is no longer P_5
-    ltable = build_legendre(8)
-    bad = _with_row(ltable, 6, ltable.poly(6) + X2_MINUS_1)
-    with pytest.raises(AssertionError, match="degree 6"):
-        build_q_table(8, bad)
-
-
-def test_endpoint_cross_check_catches_a_bad_row():
-    # P_6 + 1 keeps Q_6' = P_5, but moves Q_6(1) off 0
-    ltable = build_legendre(8)
-    bad = _with_row(ltable, 6, ltable.poly(6) + 1)
-    with pytest.raises(AssertionError, match="degree 6"):
-        build_q_table(8, bad)
-
-
 def test_interior_factors_equal_the_exact_quotients():
     table = build_q_table(128)
     for n in range(2, 129):
         assert table.interior_factor(n) == table.q(n).divexact(X2_MINUS_1), n
 
 
-def test_interior_factor_check_catches_rows_off_legendres_equation():
+def _rows_off_legendres_equation(ltable):
     # P_1 + 1/3 with P_2 rebuilt as P_0 + 3 * (antiderivative of that row
-    # vanishing at 1) passes both cross-checks at degree 2, but the row no
-    # longer solves Legendre's equation, so x^2 - 1 times P'_1/2 is not Q_2
-    ltable = build_legendre(4)
+    # vanishing at 1): x^2 - 1 times P'_1/2 no longer has P_1 as its derivative
     row1 = ltable.poly(1) + F(1, 3)
     anti = row1.antideriv()
     row2 = ltable.poly(0) + (anti - anti.at(1)).scale(3)
-    bad = _with_row(_with_row(ltable, 1, row1), 2, row2)
-    with pytest.raises(AssertionError, match="interior factor check failed at degree 2"):
-        build_q_table(4, bad)
+    return _with_row(_with_row(ltable, 1, row1), 2, row2)
+
+
+@pytest.mark.parametrize("bad, degree", [
+    (lambda lt: _with_row(lt, 6, lt.poly(6) + X2_MINUS_1), 7),
+    (lambda lt: _with_row(lt, 6, lt.poly(6) + 1), 7),
+    (_rows_off_legendres_equation, 2),
+], ids=["P6-plus-x2-minus-1", "P6-plus-1", "rows-1-2"])
+def test_construction_cross_check_catches_a_bad_row(bad, degree):
+    # Q_n is built from P_{n-1}, so a bad row k first trips the check at k + 1
+    with pytest.raises(AssertionError,
+                       match=f"construction cross-check failed at degree {degree}$"):
+        build_q_table(8, bad(build_legendre(8)))

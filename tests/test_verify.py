@@ -200,7 +200,8 @@ _Q7_KERNEL_WITNESSES = {
 
 
 @pytest.mark.parametrize("family, k, j, c, failed, witnesses", [
-    ("L", 6, 0, Fraction(1, 5), _L_IDS | {"L2nat0", "Lnat0"}, {}),
+    # the difference form (P_6 - P_4)/11 misses Q_6 before P_6's antiderivative misses Q_7
+    ("L", 6, 0, Fraction(1, 5), _L_IDS | {"L2nat0", "Lnat0"}, {"Qqn": {"n": 6}}),
     ("L", 7, 1, Fraction(1, 5), _L_IDS | {"DeriLnat0", "Lnderivat0"}, {}),
     ("Q", 7, 0, Fraction(-3, 7), _Q_IDS | {"KernelSeqOrth", "Kernelf", "Kernelm", "Knn00",
                                            "Qnatzero", "Valuem-odd-terms"},
@@ -233,3 +234,22 @@ def test_registry_fault_injection(monkeypatch, family, k, j, c, failed, witnesse
     for identity_id, witness in witnesses.items():
         assert by_id[identity_id].witness == witness, identity_id
 
+
+_CORRECTIONS = {"CDS11-prefactor": Verdict.CORRECTED_FACTOR,
+                "anex-sign": Verdict.CONFIRMED_UP_TO_SIGN}
+
+
+@pytest.fixture(scope="module")
+def ctx_21():
+    ltable = build_legendre(21)
+    return _Ctx(21, ltable, build_q_table(21, ltable))
+
+
+@pytest.mark.parametrize("identity_id, top", [("CDS11-prefactor", top) for top in range(4, 21)]
+                         + [("anex-sign", top) for top in range(4, 13)])
+def test_recorded_correction_witness_comes_from_the_seeded_draw(ctx_21, identity_id, top):
+    """At every top the entry can see, its id-seeded draw holds an odd-n instance
+    of the correction; a change to the draws that loses it fails here."""
+    entry = _run(identity_id, dataclasses.replace(ctx_21, max_degree=top))
+    assert entry.verdict is _CORRECTIONS[identity_id]
+    assert entry.witness["n"] % 2 == 1 and entry.witness["inputs"]
