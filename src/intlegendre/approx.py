@@ -4,8 +4,8 @@ Legendre family.
 The kernel solution of the minimization problem is accepted only when the
 exact first-order (KKT) conditions certify it optimal; the registry keeps a
 brute-force quadratic program, solved by Bareiss elimination, as a witness.
-Expansion coefficients computed from endpoint moments are cross-checked
-against the orthogonality-based integral.
+The coefficient from endpoint moments is returned as a value; the registry
+compares it with the orthogonality-based integral.
 """
 
 from __future__ import annotations
@@ -188,26 +188,15 @@ def moment_vector(f: Poly, n: int) -> list[Fraction]:
     return [(Poly.monomial(2 * k) * fn).integral(-1, 1) for k in range(n)]
 
 
-@dataclass(frozen=True)
-class MomentCoefficient:
-    """Moment-formula coefficient with both signs.
+def fourier_coeff_moments(f: Poly, n: int) -> Fraction:
+    """Coefficient from endpoint moments of the n-th derivative,
+    (2n-1)/(2^n (n-1)!) sum_k (-1)^k C(n-1, k) m_k.
 
-    stated_value carries the alternating sign (-1)^n as stated;
-    corrected_value fixes the sign so that the value matches the
-    quadrature coefficient whenever f vanishes at both endpoints (the
-    regime where the underlying integration by parts has no boundary
-    terms)."""
-
-    stated_value: Fraction
-    corrected_value: Fraction
-    moments: tuple[Fraction, ...]
-
-
-def fourier_coeff_moments(f: Poly, n: int) -> MomentCoefficient:
-    """Coefficient from endpoint moments of the n-th derivative.
-
-    The binomial sum runs over k = 0..n-1; the k = n term carries a
-    vanishing binomial and is dropped.
+    This carries the sign that matches the quadrature coefficient whenever f
+    vanishes at both endpoints (where the underlying integration by parts has
+    no boundary terms); the stated form has an extra (-1)^n. The binomial sum
+    runs over k = 0..n-1; the k = n term carries a vanishing binomial and is
+    dropped.
     """
     if n < 2:
         raise ValueError("family starts at degree 2")
@@ -215,38 +204,7 @@ def fourier_coeff_moments(f: Poly, n: int) -> MomentCoefficient:
     acc = sum(
         ((-1) ** k * math.comb(n - 1, k)) * moments[k] for k in range(n)
     )
-    corrected = Fraction(2 * n - 1, 2**n * math.factorial(n - 1)) * acc
-    stated = Fraction((-1) ** n) * corrected
-    return MomentCoefficient(stated, corrected, tuple(moments))
-
-
-@dataclass(frozen=True)
-class MonomialCoefficient:
-    """Three values attached to the k-th monomial: the stated closed form,
-    the moment-functional value, and the true expansion coefficient. They
-    are not expected to coincide; x^k does not vanish at the endpoints, and
-    the discrepancy is itself part of the verification record."""
-
-    stated_value: Fraction
-    moment_functional_value: Fraction
-    quadrature_value: Fraction
-
-
-def monomial_coeff_closed_form(k: int, qtable: QTable) -> MonomialCoefficient:
-    """Evaluate the stated closed form (-1)^k k 2^(k-1) ((k-1)!)^2/(2k-2)!
-    next to both computed values for f = x^k."""
-    if k < 2:
-        raise ValueError("needs k >= 2")
-    stated = Fraction(
-        (-1) ** k * k * 2 ** (k - 1) * math.factorial(k - 1) ** 2,
-        math.factorial(2 * k - 2),
-    )
-    xk = Poly.monomial(k)
-    return MonomialCoefficient(
-        stated,
-        fourier_coeff_moments(xk, k).corrected_value,
-        fourier_coeff_quadrature(xk, k, qtable),
-    )
+    return Fraction(2 * n - 1, 2**n * math.factorial(n - 1)) * acc
 
 
 # -- expansion ----------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import approx, moebius, quad, verify
 from .exactpoly import Poly
-from .legendre import LegendreValues, build_legendre, legendre_values
+from .legendre import build_legendre
 from .qfamily import build_q_table
 from .verdict import Verdict
 
@@ -90,6 +90,15 @@ def _json_text(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _rounded(value: Fraction) -> float:
+    """The float nearest to value; past the float range that is +-inf, as
+    IEEE rounding gives."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _float_or_none(value: float) -> Optional[float]:
     return None if math.isinf(value) else value
 
@@ -104,14 +113,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if lo < floor or hi > _TABLE_CAP:
         raise CliError(f"family {family} supports degrees {floor}..{_TABLE_CAP}")
     if family == "L":
-        poly, member = build_legendre(max(hi, 1)).poly, lambda v, n: v.p[n]
+        poly = build_legendre(max(hi, 1)).poly
     elif family == "Q":
-        poly, member = build_q_table(hi).q, LegendreValues.q
+        poly = build_q_table(hi).q
     else:
-        poly, member = moebius.build_r_family(hi).poly, LegendreValues.r
+        poly = moebius.build_r_family(hi).poly
     polys = {n: poly(n) for n in range(lo, hi + 1)}
     points = [_parse_point(p) for p in args.points.split(",")] if args.points else []
-    passes = {x: legendre_values(hi + 1, x) for x in points}
+
+    def values(p: Poly) -> list[float]:  # the exact member value at each point, rounded once
+        return [_rounded(p.at(Fraction(x))) for x in points]
 
     def coeff_cells(p: Poly) -> list:  # as float(c) or str(c), off the numerators
         if args.backend == "float":
@@ -124,7 +135,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         for n, p in polys.items():
             entry: dict = {"n": n, "coeffs": coeff_cells(p)}
             if points:
-                entry["values"] = {repr(x): member(passes[x], n) for x in points}
+                entry["values"] = dict(zip(map(repr, points), values(p)))
             entries.append(entry)
         _emit(_json_text({"family": family, "entries": entries}), args.out)
     else:
@@ -133,7 +144,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         buffer.append(",".join(header))
         for n, p in polys.items():
             cells = [family, str(n), " ".join(map(str, coeff_cells(p)))]
-            cells += [repr(member(passes[x], n)) for x in points]
+            cells += map(repr, values(p))
             buffer.append(",".join(_csv_quote(c) for c in cells))
         _emit("\n".join(buffer) + "\n", args.out)
     return 0

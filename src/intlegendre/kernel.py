@@ -1,10 +1,8 @@
 """Reproducing kernels for the integrated Legendre family.
 
 The summed kernel over members 2..n is the oracle. The two-term closed form
-is checked against it with both the stated prefactor 1/norm_n and the
-corrected prefactor carrying the leading-coefficient ratio; at n = 2 the two
-coincide, which is why the correction factor is always reported rather than
-assumed away.
+and the midpoint diagonal value are returned as stated; the verify registry
+compares them with the sums and records the correction factor.
 
 The sums are running sums: K_n is K_{n-1} plus one term, so one pass to a
 top index gives every K_n below it: ``kernel_values`` lists the scalar
@@ -17,12 +15,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
-from .exactpoly import Poly, Scalar, X
+from .exactpoly import Poly, Scalar
 from .legendre import double_factorial, legendre_special_values
 from .qfamily import QTable, weighted_inner_product
-from .verdict import Verdict
 
 
 class InadmissibleFunction(ValueError):
@@ -94,77 +91,22 @@ def kernel_value(n: int, x: Scalar, y: Scalar, qtable: QTable) -> Fraction:
     return kernel_values(n, x, y, qtable)[n]
 
 
-def cd_correction_factor(n: int, qtable: QTable) -> Fraction:
-    """Leading-coefficient ratio lead_n/lead_{n+1}; equals (n+1)/(2n-1)."""
-    return qtable.lead(n) / qtable.lead(n + 1)
-
-
-@dataclass(frozen=True)
-class KernelComparison:
-    """Two-term closed form against the exact sum.
-
-    stated_value uses the bare prefactor 1/norm_n; corrected_value carries
-    the extra leading-coefficient ratio.
-    """
-
-    stated_value: Fraction
-    corrected_value: Fraction
-    oracle_value: Fraction
-    verdict: Verdict
-
-
-def _compare(oracle: Fraction, stated: Fraction, corrected: Fraction) -> Verdict:
-    if stated == oracle:
-        return Verdict.CONFIRMED
-    if corrected == oracle:
-        return Verdict.CORRECTED_FACTOR
-    if stated == -oracle:
-        return Verdict.CONFIRMED_UP_TO_SIGN
-    return Verdict.FAILED
-
-
-def kernel_cd(n: int, x: Scalar, y: Scalar, qtable: QTable,
-              oracle: Optional[Fraction] = None) -> KernelComparison:
-    """Two-term form (Q_{n+1}(x)Q_n(y) - Q_{n+1}(y)Q_n(x))/(x-y) with both
-    prefactors, compared exactly against the summed kernel. Needs x != y.
-
-    ``oracle`` is K_n(x, y) when the caller already holds it, as read off
-    kernel_values; otherwise it is summed here."""
+def kernel_cd(n: int, x: Scalar, y: Scalar, qtable: QTable) -> Fraction:
+    """Two-term form (Q_{n+1}(x)Q_n(y) - Q_{n+1}(y)Q_n(x))/(x-y) with the
+    stated prefactor 1/norm_n. Needs x != y."""
     x, y = Fraction(x), Fraction(y)
     if x == y:
         raise ValueError("confluent point: use kernel_confluent")
     qn, qp = qtable.q(n), qtable.q(n + 1)
-    core = (qp.at(x) * qn.at(y) - qp.at(y) * qn.at(x)) / (x - y)
-    stated = core / qtable.norm_sq(n)
-    corrected = stated * cd_correction_factor(n, qtable)
-    if oracle is None:
-        oracle = kernel_value(n, x, y, qtable)
-    return KernelComparison(stated, corrected, oracle, _compare(oracle, stated, corrected))
+    return (qp.at(x) * qn.at(y) - qp.at(y) * qn.at(x)) / (x - y) / qtable.norm_sq(n)
 
 
-def kernel_confluent(n: int, x: Scalar, qtable: QTable,
-                     oracle: Optional[Fraction] = None) -> KernelComparison:
-    """Diagonal form Q'_{n+1}(x)Q_n(x) - Q_{n+1}(x)Q'_n(x), same prefactor
-    treatment (and the same optional ``oracle``, K_n(x, x)) as the
-    off-diagonal comparison."""
+def kernel_confluent(n: int, x: Scalar, qtable: QTable) -> Fraction:
+    """Diagonal form Q'_{n+1}(x)Q_n(x) - Q_{n+1}(x)Q'_n(x) with the stated
+    prefactor 1/norm_n."""
     x = Fraction(x)
     qn, qp = qtable.q(n), qtable.q(n + 1)
-    core = qp.deriv().at(x) * qn.at(x) - qp.at(x) * qn.deriv().at(x)
-    stated = core / qtable.norm_sq(n)
-    corrected = stated * cd_correction_factor(n, qtable)
-    if oracle is None:
-        oracle = kernel_value(n, x, x, qtable)
-    return KernelComparison(stated, corrected, oracle, _compare(oracle, stated, corrected))
-
-
-@dataclass(frozen=True)
-class KernelZeroValue:
-    """Kernel diagonal at 0 against its stated double-factorial closed form."""
-
-    oracle: Fraction
-    stated: Fraction
-    factor: Fraction
-    verdict: Verdict
+    return (qp.deriv().at(x) * qn.at(x) - qp.at(x) * qn.deriv().at(x)) / qtable.norm_sq(n)
 
 
 def kernel_zero_stated(n: int) -> Fraction:
@@ -192,25 +134,7 @@ def kernel_zero_stated(n: int) -> Fraction:
     return -pref * second * mid
 
 
-def kernel_at_zero_closed_form(n: int, qtable: QTable,
-                               oracle: Optional[Fraction] = None) -> KernelZeroValue:
-    """Oracle diagonal value at 0 next to the stated closed form; the factor
-    field records oracle/stated exactly. ``oracle`` is K_n(0, 0) when the
-    caller already holds it."""
-    if oracle is None:
-        oracle = kernel_value(n, 0, 0, qtable)
-    stated = kernel_zero_stated(n)
-    factor = oracle / stated
-    if factor == 1:
-        verdict = Verdict.CONFIRMED
-    elif factor == -1:
-        verdict = Verdict.CONFIRMED_UP_TO_SIGN
-    else:
-        verdict = Verdict.CORRECTED_FACTOR
-    return KernelZeroValue(oracle, stated, factor, verdict)
-
-
-def reproducing_check(n: int, g: Poly, qtable: QTable) -> Verdict:
+def reproducing_check(n: int, g: Poly, qtable: QTable) -> bool:
     """Exact test that integrating the kernel section against g under the
     weight returns g itself.
 
@@ -228,23 +152,5 @@ def reproducing_check(n: int, g: Poly, qtable: QTable) -> Verdict:
         coef = weighted_inner_product(qtable.q(k), g) / qtable.norm_sq(k)
         if coef:
             recon = recon + qtable.q(k).scale(coef)
-    return Verdict.CONFIRMED if recon == g else Verdict.FAILED
+    return recon == g
 
-
-def kernel_sequence_orthogonality(n: int, m: int, qtable: QTable,
-                                  sections: Optional[Mapping[int, KernelSection]] = None,
-                                  ) -> Fraction:
-    """Exact integral of K_n(x,0) K_m(x,0) x/(1-x^2) over [-1, 1].
-
-    Zero for n != m; both sections vanish at the endpoints so the integrand
-    is polynomial after exact division. Consecutive sections can coincide
-    (the added member vanishes at 0), and the value is still zero because
-    sections at 0 are even polynomials against an odd weight. ``sections``
-    maps each index up to at least max(n, m) to its section at 0 when the
-    caller already holds them; otherwise both come from one pass here.
-    """
-    if min(n, m) < 2:
-        raise ValueError("kernel index starts at 2")
-    if sections is None:
-        sections = {s.n: s for s in kernel_sections(max(n, m), 0, qtable)}
-    return weighted_inner_product(sections[n].poly * X, sections[m].poly)

@@ -17,7 +17,6 @@ from typing import Callable, Optional
 from . import quad
 from .exactpoly import Poly, Scalar, X, _frac
 from .legendre import build_legendre, legendre_values
-from .verdict import Verdict
 
 
 class DegenerateMap(ValueError):
@@ -217,7 +216,7 @@ def gram_matrix(
 _PERTURBATION_SIZES = (0.25, -0.25, 0.0625, -0.0625)
 
 
-def minimality_check(system: TransformedSystem, n: int) -> Verdict:
+def minimality_check(system: TransformedSystem, n: int) -> bool:
     """Check that the monic member of degree n minimizes the induced-weight
     square integral: every perturbation by a lower-degree member must
     strictly increase it (by eps^2 times that member's norm)."""
@@ -225,4 +224,4 @@ def minimality_check(system: TransformedSystem, n: int) -> Verdict:
     steps = [(0, 0.0)] + [(j, eps) for j in range(n) for eps in _PERTURBATION_SIZES]
     base, *perturbed = _pulled_back(
         system, n, lambda r, w: [(r[n] + eps * r[j]) ** 2 * w for j, eps in steps], 1e-14)
-    return Verdict.FAILED if any(v <= base for v in perturbed) else Verdict.CONFIRMED
+    return not any(v <= base for v in perturbed)

@@ -18,9 +18,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactpoly import NotDivisible, Poly, X, _make
-from .legendre import LegendreTable, build_legendre, double_factorial, legendre_values
+from .legendre import LegendreTable, build_legendre, legendre_values
 from .quad import gauss_legendre, newton
-from .verdict import Verdict
 
 X2_MINUS_1 = Poly((-1, 0, 1))
 
@@ -127,48 +126,6 @@ def weighted_inner_product(p: Poly, q: Poly) -> Fraction:
         return -(reduced * second).integral(-1, 1)
     reduced = (p * q).divexact(X2_MINUS_1)
     return -reduced.integral(-1, 1)
-
-
-@dataclass(frozen=True)
-class ZeroValueComparison:
-    """Exact value at 0 next to the stated closed form for it."""
-
-    oracle: Fraction
-    stated: Optional[Fraction]
-    verdict: Verdict
-
-
-def q_at_zero(n: int, table: QTable) -> ZeroValueComparison:
-    """Value at 0: oracle from the coefficient table, stated form
-    (-1)^((n-2)/2) (n-3)!!/n!! for even n. Odd degrees are NOT_APPLICABLE
-    because the stated exponent is non-integral there (the oracle gives 0)."""
-    oracle = table.q(n).at(0)
-    if n % 2:
-        return ZeroValueComparison(oracle, None, Verdict.NOT_APPLICABLE)
-    stated = Fraction(
-        (-1) ** ((n - 2) // 2) * double_factorial(n - 3), double_factorial(n)
-    )
-    if oracle == stated:
-        verdict = Verdict.CONFIRMED
-    elif oracle == -stated:
-        verdict = Verdict.CONFIRMED_UP_TO_SIGN
-    else:
-        verdict = Verdict.FAILED
-    return ZeroValueComparison(oracle, stated, verdict)
-
-
-@dataclass(frozen=True)
-class BoundaryDerivatives:
-    d1_at_plus1: Fraction
-    d1_at_minus1: Fraction
-    d2_at_plus1: Fraction
-
-
-def q_boundary_derivatives(n: int, table: QTable) -> BoundaryDerivatives:
-    """Exact first and second derivatives at the endpoints."""
-    d1 = table.q(n).deriv()
-    d2 = d1.deriv()
-    return BoundaryDerivatives(d1.at(1), d1.at(-1), d2.at(1))
 
 
 def q_float(n: int, x: float) -> tuple[float, float]:

@@ -13,5 +13,4 @@ class Verdict(str, Enum):
     CONFIRMED = "CONFIRMED"
     CONFIRMED_UP_TO_SIGN = "CONFIRMED_UP_TO_SIGN"
     CORRECTED_FACTOR = "CORRECTED_FACTOR"
-    NOT_APPLICABLE = "NOT_APPLICABLE"
     FAILED = "FAILED"

@@ -19,7 +19,6 @@ from intlegendre.approx import (
     fourier_coeffs,
     minimize_constrained,
     moment_vector,
-    monomial_coeff_closed_form,
     parseval_gap,
     solve_exact,
 )
@@ -235,14 +234,14 @@ def test_moment_vector(qtable):
 
 
 def test_moment_formula_signs(qtable):
+    # the stated form is (-1)^n times the returned value
     c2 = fourier_coeff_moments(ONE_MINUS_X2, 2)
-    assert c2.corrected_value == -2
-    assert c2.stated_value == -2  # signs coincide at even order
+    assert c2 == -2
+    assert (-1) ** 2 * c2 == -2  # signs coincide at even order
     c3 = fourier_coeff_moments(Poly((0, 1, 0, -1)), 3)
-    assert c3.corrected_value == -2
-    assert c3.stated_value == 2  # stated sign flips at odd order
-    c4 = fourier_coeff_moments(qtable.q(4), 4)
-    assert c4.corrected_value == 1  # self-coefficient of a basis member
+    assert c3 == -2
+    assert (-1) ** 3 * c3 == 2  # stated sign flips at odd order
+    assert fourier_coeff_moments(qtable.q(4), 4) == 1  # self-coefficient of a basis member
 
 
 def test_moment_formula_matches_quadrature_on_vanishing_inputs(qtable):
@@ -251,26 +250,24 @@ def test_moment_formula_matches_quadrature_on_vanishing_inputs(qtable):
         n = rng.randint(2, 12)
         core = Poly([F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(rng.randint(1, 7))])
         f = X2_MINUS_1 * core
-        assert fourier_coeff_moments(f, n).corrected_value == fourier_coeff_quadrature(
-            f, n, qtable
-        )
+        assert fourier_coeff_moments(f, n) == fourier_coeff_quadrature(f, n, qtable)
+
+
+def _monomial_stated(k):
+    """The stated closed form (-1)^k k 2^(k-1) ((k-1)!)^2/(2k-2)! for f = x^k."""
+    return F((-1) ** k * k * 2 ** (k - 1) * math.factorial(k - 1) ** 2, math.factorial(2 * k - 2))
 
 
 def test_monomial_closed_form(qtable):
-    r2 = monomial_coeff_closed_form(2, qtable)
-    assert (r2.quadrature_value, r2.moment_functional_value, r2.stated_value) == (
-        F(-1),
-        F(2),
-        F(2),
-    )
-    r3 = monomial_coeff_closed_form(3, qtable)
-    assert (r3.moment_functional_value, r3.stated_value) == (F(2), F(-2))
-    r4 = monomial_coeff_closed_form(4, qtable)
-    assert r4.moment_functional_value == F(8, 5)
+    x2 = Poly.monomial(2)
+    assert (fourier_coeff_quadrature(x2, 2, qtable), fourier_coeff_moments(x2, 2),
+            _monomial_stated(2)) == (F(-1), F(2), F(2))
+    assert (fourier_coeff_moments(Poly.monomial(3), 3), _monomial_stated(3)) == (F(2), F(-2))
+    assert fourier_coeff_moments(Poly.monomial(4), 4) == F(8, 5)
     for k in range(2, 13):
-        r = monomial_coeff_closed_form(k, qtable)
-        assert abs(r.stated_value) == abs(r.moment_functional_value)
-        assert r.stated_value == F((-1) ** k) * r.moment_functional_value
+        moment = fourier_coeff_moments(Poly.monomial(k), k)
+        assert abs(_monomial_stated(k)) == abs(moment)
+        assert _monomial_stated(k) == (-1) ** k * moment
 
 
 def test_parseval_on_span(qtable):

@@ -1,10 +1,12 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from intlegendre import quad
 from intlegendre.cli import main
+from intlegendre.qfamily import build_q_table
 from intlegendre.verify import _REGISTRY
 
 
@@ -33,6 +35,27 @@ def test_table_json_with_points(capsys):
     assert payload["entries"][0]["coeffs"] == ["1"]
     assert payload["entries"][1]["coeffs"] == ["0", "1"]
     assert payload["entries"][1]["values"]["0.5"] == 0.5
+
+
+def test_table_points_round_the_exact_value_once(capsys):
+    # near -1 the float recurrence for Q64 drifts by hundreds of ulp; the
+    # printed value is the exact one rounded once, in JSON and CSV alike
+    exact = float(build_q_table(64).q(64).at(Fraction(-0.9999)))
+    code, out, _ = run_cli(capsys, "table", "--family", "Q", "--degrees", "64..64",
+                           "--points", "-0.9999")
+    assert code == 0
+    assert json.loads(out)["entries"][0]["values"]["-0.9999"] == exact
+    code, out, _ = run_cli(capsys, "table", "--family", "Q", "--degrees", "64..64",
+                           "--points", "-0.9999", "--format", "csv")
+    assert code == 0
+    assert out.strip().splitlines()[1].split(",")[-1] == repr(exact)
+
+
+def test_table_points_past_the_float_range_print_infinities(capsys):
+    code, out, _ = run_cli(capsys, "table", "--family", "L", "--degrees", "3..3",
+                           "--points", "1e300,-1e300", "--format", "csv")
+    assert code == 0
+    assert out.strip().splitlines()[1].split(",")[-2:] == ["inf", "-inf"]
 
 
 def test_table_r_family(capsys):

@@ -53,25 +53,16 @@ def r_mp(n, x):
     return legendre_deriv_mp(n + 1, x) / r_lead(n)  # monic r_n
 
 
-def sup_on_grid(member, n):
-    # a lower bound for the sup on [-1, 1], so the tolerance is if anything tighter
-    grid = [math.cos(math.pi * (j + 0.5) / (4 * n)) for j in range(4 * n)]
-    return max(abs(member(n, x)) for x in grid + [1.0])
-
-
-@pytest.mark.parametrize("family, member, sup", [
-    ("L", legendre_mp, lambda n: 1),
-    ("Q", q_mp, lambda n: sup_on_grid(q_mp, n)),
-    # |P'_{n+1}| peaks at the endpoints, where it is (n+1)(n+2)/2
-    ("r", r_mp, lambda n: mpmath.mpf((n + 1) * (n + 2)) / 2 / r_lead(n)),
+@pytest.mark.parametrize("family, member", [
+    ("L", legendre_mp), ("Q", q_mp), ("r", r_mp),
 ])
-def test_table_points_at_degree_64(capsys, family, member, sup):
+def test_table_points_at_degree_64(capsys, family, member):
+    # each printed value is the exact member value rounded once to a float
     payload = run_json(capsys, "table", "--family", family, "--degrees", "64..64",
                        "--points", ",".join(map(repr, POINTS)))
     values = payload["entries"][0]["values"]
-    scale = sup(64)
     for x in POINTS:
-        assert abs(values[repr(x)] - member(64, x)) <= 1e-12 * scale, x
+        assert values[repr(x)] == float(member(64, x)), x
 
 
 def named_coefficients_mp(name, top):

@@ -8,19 +8,16 @@ from hypothesis import strategies as st
 from intlegendre.exactpoly import Poly, X
 from intlegendre.kernel import (
     InadmissibleFunction,
-    cd_correction_factor,
-    kernel_at_zero_closed_form,
     kernel_cd,
     kernel_confluent,
     kernel_sections,
-    kernel_sequence_orthogonality,
     kernel_sum,
     kernel_value,
     kernel_values,
+    kernel_zero_stated,
     reproducing_check,
 )
-from intlegendre.qfamily import build_q_table
-from intlegendre.verdict import Verdict
+from intlegendre.qfamily import build_q_table, weighted_inner_product
 
 
 def test_section_small_cases(qtable):
@@ -33,59 +30,59 @@ def test_section_small_cases(qtable):
     assert kernel_sum(4, 0, qtable).value_at_y == F(45, 32)
 
 
+def _ratio(n, qtable):
+    """The leading-coefficient ratio lead_n/lead_{n+1} the stated prefactor misses."""
+    return qtable.lead(n) / qtable.lead(n + 1)
+
+
 def test_cd_examples(qtable):
-    r2 = kernel_cd(2, F(1, 2), 0, qtable)
-    assert r2.corrected_value == F(9, 16)
-    assert r2.oracle_value == F(9, 16)
-    assert r2.verdict is Verdict.CONFIRMED  # bare prefactor happens to work at n=2
+    # the bare prefactor happens to work at n=2, where the ratio is 1
+    assert kernel_cd(2, F(1, 2), 0, qtable) == F(9, 16) == kernel_value(2, F(1, 2), 0, qtable)
+    assert _ratio(2, qtable) == 1
     r3 = kernel_cd(3, F(1, 2), 0, qtable)
-    assert r3.stated_value == F(45, 64)
-    assert r3.corrected_value == F(9, 16)
-    assert r3.verdict is Verdict.CORRECTED_FACTOR
+    assert r3 == F(45, 64)
+    assert r3 * _ratio(3, qtable) == F(9, 16) == kernel_value(3, F(1, 2), 0, qtable)
+    assert r3 != kernel_value(3, F(1, 2), 0, qtable)
     with pytest.raises(ValueError):
         kernel_cd(2, F(1, 2), F(1, 2), qtable)
 
 
 def test_correction_factor(qtable):
     for n in range(2, 21):
-        assert cd_correction_factor(n, qtable) == F(n + 1, 2 * n - 1)
+        assert _ratio(n, qtable) == F(n + 1, 2 * n - 1)
 
 
 def test_confluent_examples(qtable):
-    assert kernel_confluent(2, 0, qtable).corrected_value == F(3, 4)
-    assert kernel_confluent(4, 0, qtable).corrected_value == F(45, 32)
+    assert kernel_confluent(2, 0, qtable) * _ratio(2, qtable) == F(3, 4)
+    assert kernel_confluent(4, 0, qtable) * _ratio(4, qtable) == F(45, 32)
     r3 = kernel_confluent(3, 0, qtable)
-    assert r3.corrected_value == r3.oracle_value == F(3, 4)
-    assert r3.stated_value == F(15, 16)
-    assert r3.verdict is Verdict.CORRECTED_FACTOR
+    assert r3 * _ratio(3, qtable) == kernel_value(3, 0, 0, qtable) == F(3, 4)
+    assert r3 == F(15, 16)
+    assert r3 != kernel_value(3, 0, 0, qtable)
 
 
 def test_confluent_is_limit_of_cd(qtable):
-    # corrected diagonal value matches the off-diagonal form at x +- 1e-6
+    # the diagonal value matches the off-diagonal form at x +- 1e-6
     for n in (2, 3, 5, 8):
         x = F(1, 3)
-        diag = float(kernel_confluent(n, x, qtable).corrected_value)
+        diag = float(kernel_confluent(n, x, qtable) * _ratio(n, qtable))
         for eps in (F(1, 10**6), -F(1, 10**6)):
-            off = float(kernel_cd(n, x + eps, x, qtable).corrected_value)
+            off = float(kernel_cd(n, x + eps, x, qtable) * _ratio(n, qtable))
             assert off == pytest.approx(diag, abs=1e-6)
 
 
 def test_kernel_zero_closed_form(qtable):
-    z2 = kernel_at_zero_closed_form(2, qtable)
-    assert (z2.oracle, z2.stated) == (F(3, 4), F(-3, 4))
-    z3 = kernel_at_zero_closed_form(3, qtable)
-    assert (z3.oracle, z3.stated) == (F(3, 4), F(-15, 16))
-    assert z3.verdict is Verdict.CORRECTED_FACTOR
-    assert kernel_at_zero_closed_form(4, qtable).oracle == F(45, 32)
+    assert (kernel_value(2, 0, 0, qtable), kernel_zero_stated(2)) == (F(3, 4), F(-3, 4))
+    assert (kernel_value(3, 0, 0, qtable), kernel_zero_stated(3)) == (F(3, 4), F(-15, 16))
+    assert kernel_value(4, 0, 0, qtable) == F(45, 32)
     for n in range(2, 17):
-        z = kernel_at_zero_closed_form(n, qtable)
-        assert z.factor == F(-(n + 1), 2 * n - 1)
+        assert kernel_value(n, 0, 0, qtable) / kernel_zero_stated(n) == F(-(n + 1), 2 * n - 1)
 
 
 def test_reproducing_property(qtable):
-    assert reproducing_check(4, qtable.q(2), qtable) is Verdict.CONFIRMED
+    assert reproducing_check(4, qtable.q(2), qtable) is True
     combo = qtable.q(3) * 5 - qtable.q(4) * 2
-    assert reproducing_check(4, combo, qtable) is Verdict.CONFIRMED
+    assert reproducing_check(4, combo, qtable) is True
     with pytest.raises(InadmissibleFunction):
         reproducing_check(4, Poly((1,)), qtable)
     with pytest.raises(InadmissibleFunction):
@@ -95,7 +92,7 @@ def test_reproducing_property(qtable):
 
 
 def test_reproducing_zero_function(qtable):
-    assert reproducing_check(4, Poly(), qtable) is Verdict.CONFIRMED
+    assert reproducing_check(4, Poly(), qtable) is True
 
 
 def test_section_times_x_is_admissible(qtable):
@@ -103,15 +100,17 @@ def test_section_times_x_is_admissible(qtable):
     # which is what makes the section-sequence orthogonality work
     for n in (2, 3, 4, 6):
         section = kernel_sum(n, 0, qtable).poly
-        assert reproducing_check(n + 1, X * section, qtable) is Verdict.CONFIRMED
+        assert reproducing_check(n + 1, X * section, qtable) is True
 
 
 def test_sequence_orthogonality(qtable):
-    assert kernel_sequence_orthogonality(2, 4, qtable) == 0
-    assert kernel_sequence_orthogonality(2, 3, qtable) == 0
-    assert kernel_sequence_orthogonality(4, 6, qtable) == 0
+    # integral of K_n(x,0) K_m(x,0) x/(1-x^2) over [-1, 1]
+    s = {k.n: k.poly for k in kernel_sections(6, 0, qtable)}
+    assert weighted_inner_product(s[2] * X, s[4]) == 0
+    assert weighted_inner_product(s[2] * X, s[3]) == 0
+    assert weighted_inner_product(s[4] * X, s[6]) == 0
     # the diagonal vanishes too: sections at 0 are even, the weight is odd
-    assert kernel_sequence_orthogonality(5, 5, qtable) == 0
+    assert weighted_inner_product(s[5] * X, s[5]) == 0
 
 
 def test_sections_vanish_at_endpoints(qtable):
@@ -159,14 +158,6 @@ def test_running_sums_equal_the_direct_sums(qtable):
 
 
 def test_oracles_handed_in_are_used(qtable):
-    # the comparison reads a supplied oracle instead of summing its own
-    x, y = F(1, 2), F(0)
-    assert kernel_cd(3, x, y, qtable, F(7)).oracle_value == F(7)
-    assert kernel_confluent(3, x, qtable, F(7)).oracle_value == F(7)
-    assert kernel_at_zero_closed_form(3, qtable, F(7)).oracle == F(7)
-    sections = {s.n: s for s in kernel_sections(6, 0, qtable)}
-    assert kernel_sequence_orthogonality(2, 6, qtable, sections) == 0
+    # the closed forms take no oracle; the running sums still start at index 2
     with pytest.raises(ValueError):
-        kernel_sequence_orthogonality(1, 4, qtable)
-    with pytest.raises(ValueError):
-        kernel_values(1, x, y, qtable)
+        kernel_values(1, F(1, 2), 0, qtable)

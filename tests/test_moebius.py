@@ -21,7 +21,6 @@ from intlegendre.moebius import (
     weight_identity_gap,
 )
 from intlegendre.qfamily import build_q_table
-from intlegendre.verdict import Verdict
 
 IDENTITY = MoebiusMap(1, 0, 0, 1)
 SHIFT = MoebiusMap(1, 1, 0, 1)  # x + 1
@@ -223,15 +222,15 @@ def test_minimality_fails_for_a_member_that_is_not_minimal(monkeypatch):
             return self.v.r(k) + (0.5 if k == 2 else 0.0)
 
     monkeypatch.setattr(moebius, "legendre_values", Shifted)
-    assert minimality_check(build_transformed_system(SHIFT, 4), 2) is Verdict.FAILED
+    assert minimality_check(build_transformed_system(SHIFT, 4), 2) is False
     monkeypatch.undo()
-    assert minimality_check(build_transformed_system(SHIFT, 4), 2) is Verdict.CONFIRMED
+    assert minimality_check(build_transformed_system(SHIFT, 4), 2) is True
 
 
 def test_minimality():
-    assert minimality_check(build_transformed_system(IDENTITY, 4), 2) is Verdict.CONFIRMED
-    assert minimality_check(build_transformed_system(SHIFT, 4), 2) is Verdict.CONFIRMED
-    assert minimality_check(build_transformed_system(SCALE, 4), 3) is Verdict.CONFIRMED
+    assert minimality_check(build_transformed_system(IDENTITY, 4), 2) is True
+    assert minimality_check(build_transformed_system(SHIFT, 4), 2) is True
+    assert minimality_check(build_transformed_system(SCALE, 4), 3) is True
 
 
 def test_minimality_perturbation_grows_quadratically():

@@ -12,8 +12,6 @@ from intlegendre.qfamily import (
     X2_MINUS_1,
     RootCountMismatch,
     build_q_table,
-    q_at_zero,
-    q_boundary_derivatives,
     q_float,
     q_norm_sq,
     q_rodrigues,
@@ -22,7 +20,6 @@ from intlegendre.qfamily import (
 )
 from intlegendre.legendre import build_legendre, double_factorial
 from intlegendre.quad import gauss_legendre
-from intlegendre.verdict import Verdict
 
 Q2 = Poly((F(-1, 2), 0, F(1, 2)))
 Q3 = Poly((0, F(-1, 2), 0, F(1, 2)))
@@ -84,16 +81,10 @@ def test_norms_match_exact_integrals(qtable):
 
 
 def test_value_at_zero(qtable):
-    r2 = q_at_zero(2, qtable)
-    assert (r2.oracle, r2.stated, r2.verdict) == (
-        F(-1, 2),
-        F(1, 2),
-        Verdict.CONFIRMED_UP_TO_SIGN,
-    )
-    r4 = q_at_zero(4, qtable)
-    assert (r4.oracle, r4.stated) == (F(1, 8), F(-1, 8))
-    r5 = q_at_zero(5, qtable)
-    assert (r5.oracle, r5.stated, r5.verdict) == (0, None, Verdict.NOT_APPLICABLE)
+    # the stated (-1)^((n-2)/2) (n-3)!!/n!! carries the opposite sign
+    assert qtable.q(2).at(0) == F(-1, 2)
+    assert qtable.q(4).at(0) == F(1, 8)
+    assert qtable.q(5).at(0) == 0
 
 
 def test_zero_magnitude_matches_double_factorials(qtable):
@@ -106,15 +97,15 @@ def test_zero_magnitude_matches_double_factorials(qtable):
 
 
 def test_boundary_derivatives(qtable):
-    assert q_boundary_derivatives(2, qtable).d1_at_plus1 == 1
-    assert q_boundary_derivatives(5, qtable).d1_at_minus1 == 1
-    assert q_boundary_derivatives(4, qtable).d2_at_plus1 == 6
+    assert qtable.q(2).deriv().at(1) == 1
+    assert qtable.q(5).deriv().at(-1) == 1
+    assert qtable.q(4).deriv(2).at(1) == 6
     for n in range(2, 21):
-        b = q_boundary_derivatives(n, qtable)
-        assert b.d1_at_plus1 == 1
-        assert b.d1_at_minus1 == (-1) ** (n - 1)
-        assert b.d2_at_plus1 == F(n * (n - 1), 2)
-        assert -2 * b.d2_at_plus1 + n * (n - 1) * b.d1_at_plus1 == 0
+        d1, d2 = qtable.q(n).deriv(), qtable.q(n).deriv(2)
+        assert d1.at(1) == 1
+        assert d1.at(-1) == (-1) ** (n - 1)
+        assert d2.at(1) == F(n * (n - 1), 2)
+        assert -2 * d2.at(1) + n * (n - 1) * d1.at(1) == 0
 
 
 def test_ode_residuals(qtable):

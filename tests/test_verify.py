@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 from fractions import Fraction
@@ -253,3 +254,17 @@ def test_recorded_correction_witness_comes_from_the_seeded_draw(ctx_21, identity
     entry = _run(identity_id, dataclasses.replace(ctx_21, max_degree=top))
     assert entry.verdict is _CORRECTIONS[identity_id]
     assert entry.witness["n"] % 2 == 1 and entry.witness["inputs"]
+
+
+@pytest.mark.parametrize("module", ["kernel", "qfamily", "approx", "moebius"])
+def test_library_modules_leave_verdicts_to_the_registry(module):
+    # closed forms return plain values; only the registry picks a verdict
+    source = Path(verify.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any(name.split(".")[-1] == "verdict" for name in names), module
