@@ -13,6 +13,7 @@ strings, never floats, so reports stay diffable and lossless.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -90,13 +91,20 @@ def _json_text(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _rounded(value: Fraction) -> float:
-    """The float nearest to value; past the float range that is +-inf, as
-    IEEE rounding gives."""
+def _value_at(p: Poly, x: float) -> float:
+    """The float nearest to p(x), +-inf past the float range as IEEE rounding
+    gives: x = m/q is dyadic, so integer Horner gives p(x) as one integer over
+    den * q^deg, and Python's int / int division rounds it once."""
+    m, q = x.as_integer_ratio()
+    rest = reversed(p.nums)
+    acc, qk = next(rest, 0), 1
+    for c in rest:
+        qk *= q
+        acc = acc * m + c * qk
     try:
-        return float(value)
+        return acc / (p.den * qk)
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        return math.inf if acc > 0 else -math.inf
 
 
 def _float_or_none(value: float) -> Optional[float]:
@@ -122,7 +130,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     points = [_parse_point(p) for p in args.points.split(",")] if args.points else []
 
     def values(p: Poly) -> list[float]:  # the exact member value at each point, rounded once
-        return [_rounded(p.at(Fraction(x))) for x in points]
+        return [_value_at(p, x) for x in points]
 
     def coeff_cells(p: Poly) -> list:  # as float(c) or str(c), off the numerators
         if args.backend == "float":
@@ -309,7 +317,9 @@ def _cmd_quad(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="intlegendre",
         description="Exact tables, verified identities, extremal solutions and "

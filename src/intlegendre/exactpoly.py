@@ -81,7 +81,7 @@ class Poly:
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
         cs = [_frac(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in cs))
+        den = math.lcm(*[c.denominator for c in cs])
         p = _make(den, [c.numerator * (den // c.denominator) for c in cs])
         self.den, self.nums = p.den, p.nums
 
@@ -95,7 +95,7 @@ class Poly:
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, ascending by degree (built per access)."""
         den = self.den
-        return tuple(Fraction(c, den) for c in self.nums)
+        return tuple([Fraction(c, den) for c in self.nums])
 
     @property
     def degree(self) -> int | None:
@@ -146,7 +146,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return _raw(self.den, tuple(-c for c in self.nums))
+        return _raw(self.den, tuple([-c for c in self.nums]))
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):

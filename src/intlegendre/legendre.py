@@ -57,7 +57,7 @@ def build_legendre(max_degree: int) -> LegendreTable:
         if any(c % k for c in row):
             raise AssertionError(f"recurrence left a remainder at degree {n + 1}")
         rows.append([c // k for c in row])
-    polys = tuple(_make(1 << n, row) for n, row in enumerate(rows))
+    polys = tuple([_make(1 << n, row) for n, row in enumerate(rows)])
     for n, p in enumerate(polys):
         if sum(p.nums) != p.den:
             raise AssertionError(f"normalization P_n(1) = 1 broken at degree {n}")

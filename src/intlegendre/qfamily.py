@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactpoly import NotDivisible, Poly, X, _make
+from .exactpoly import NotDivisible, Poly, X, _raw
 from .legendre import LegendreTable, build_legendre, legendre_values
 from .quad import gauss_legendre, newton
 
@@ -68,11 +68,13 @@ def build_q_table(max_degree: int, ltable: Optional[LegendreTable] = None) -> QT
 
     Legendre's equation gives each member in closed form, Q_n = (x^2 - 1) i_n
     with interior factor i_n = P'_{n-1}/(n(n-1)), so it vanishes at both
-    endpoints by construction. The member is checked once, against its
-    definition as the antiderivative of P_{n-1}: its derivative must equal
-    P_{n-1}. That pins each Legendre row only up to a constant factor, which
-    build_legendre's P_n(1) = 1 check fixes. The verify registry's Qqn entry
-    checks the member against the difference form (P_n - P_{n-2})/(2n-1).
+    endpoints by construction. Both run on the integer numerators of the
+    Legendre row and share one gcd normalisation. The member is checked once,
+    against its definition as the antiderivative of P_{n-1}: its derivative
+    must equal P_{n-1}. That pins each Legendre row only up to a constant
+    factor, which build_legendre's P_n(1) = 1 check fixes. The verify
+    registry's Qqn entry checks the member against the difference form
+    (P_n - P_{n-2})/(2n-1).
     """
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
@@ -83,15 +85,20 @@ def build_q_table(max_degree: int, ltable: Optional[LegendreTable] = None) -> QT
     polys: list[Optional[Poly]] = [None, None]
     interior: list[Optional[Poly]] = [None, None]
     for n in range(2, max_degree + 1):
+        # P_{n-1} = sum c_k x^k / D, so P'_{n-1} has numerators d_k = k c_k over D
         row = ltable.poly(n - 1)
-        inner = row.deriv() / (n * (n - 1))
+        c, nn = row.nums, n * (n - 1)
+        d = [k * c[k] for k in range(1, len(c))]
         # the product with x^2 - 1 is one shift and one subtraction of numerators
-        nums = inner.nums
-        qn = _make(inner.den, [a - b for a, b in zip((0, 0, *nums), (*nums, 0, 0))])
-        if qn.deriv() != row:
+        q = [a - b for a, b in zip([0, 0, *d], [*d, 0, 0])]
+        # Q_n' = P_{n-1}: over the common denominator D n(n-1), j q_j = n(n-1) c_{j-1}
+        if any(j * q[j] != nn * c[j - 1] for j in range(1, len(q))):
             raise AssertionError(f"construction cross-check failed at degree {n}")
-        polys.append(qn)
-        interior.append(inner)
+        # x^2 - 1 is primitive, so by Gauss's lemma q has the content of d
+        g = math.gcd(row.den * nn, *d)
+        den = row.den * nn // g
+        polys.append(_raw(den, tuple([a // g for a in q])))
+        interior.append(_raw(den, tuple([a // g for a in d])))
     return QTable(max_degree, ltable, tuple(polys), tuple(interior))
 
 

@@ -122,7 +122,7 @@ def integrate(
         rule = gauss_legendre(order)
         # rows of doubles, not of float objects: a Gram matrix has hundreds of components
         rows = [array("d", f(mid + half * x)) for x in rule.nodes]
-        value = tuple(half * math.fsum(map(mul, rule.weights, col)) for col in zip(*rows))
+        value = tuple([half * math.fsum(map(mul, rule.weights, col)) for col in zip(*rows)])
         if prev is not None:
             err = max((abs(v - u) for v, u in zip(value, prev)), default=0.0)
             if err < tol:

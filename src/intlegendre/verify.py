@@ -350,12 +350,10 @@ def _rodrigues(ctx: _Ctx, top: int) -> None:
 def _qnderiv1(ctx: _Ctx, top: int) -> None:
     def holds(n: int) -> bool:
         d1 = ctx.qtable.q(n).deriv()
-        d1_plus, d2_plus = d1.at(1), d1.deriv().at(1)
         return (
-            d1_plus == 1
+            d1.at(1) == 1
             and d1.at(-1) == (-1) ** (n - 1)
-            and d2_plus == Fraction(n * (n - 1), 2)
-            and -2 * d2_plus + n * (n - 1) * d1_plus == 0
+            and d1.deriv().at(1) == Fraction(n * (n - 1), 2)
         )
 
     _every(range(2, top + 1), holds)

@@ -1,13 +1,21 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from intlegendre import quad
-from intlegendre.cli import main
+from intlegendre.cli import build_parser, main
+from intlegendre.legendre import build_legendre
+from intlegendre.moebius import build_r_family
 from intlegendre.qfamily import build_q_table
 from intlegendre.verify import _REGISTRY
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +64,31 @@ def test_table_points_past_the_float_range_print_infinities(capsys):
                            "--points", "1e300,-1e300", "--format", "csv")
     assert code == 0
     assert out.strip().splitlines()[1].split(",")[-2:] == ["inf", "-inf"]
+
+
+def _rounded_once(value: Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+@pytest.mark.parametrize("family", ["L", "Q", "r"])
+def test_table_points_equal_the_fraction_value_rounded_once(capsys, family):
+    # integer Horner on the dyadic point gives float(p.at(Fraction(x))), also at
+    # the endpoints, at the smallest subnormal and past the float range
+    points = (0.9, -0.9999, 1.0, -1.0, 5e-324, 1e300)
+    poly = {"L": build_legendre(64).poly, "Q": build_q_table(64).q,
+            "r": build_r_family(64).poly}[family]
+    lo = 2 if family == "Q" else 0
+    code, out, _ = run_cli(capsys, "table", "--family", family, "--degrees", f"{lo}..64",
+                           "--points", ",".join(map(repr, points)))
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert [e["n"] for e in entries] == list(range(lo, 65))
+    for entry in entries:
+        p = poly(entry["n"])
+        assert entry["values"] == {repr(x): _rounded_once(p.at(Fraction(x))) for x in points}
 
 
 def test_table_r_family(capsys):
@@ -257,6 +290,36 @@ def test_verify_bad_degree(capsys):
     assert run_cli(capsys, "verify", "--max-degree", "65")[0] == 2
 
 
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def _fresh_process(argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "intlegendre", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("first, second", [
+    (["table", "--family", "Q", "--degrees", "2..4", "--points", "0.5,-0.25",
+      "--backend", "float", "--format", "csv"],
+     ["table", "--family", "Q", "--degrees", "2..4"]),
+    (["expand", "--fn", "sin-pi", "--N", "6", "--tol", "1e-10", "--format", "csv"],
+     ["expand", "--poly", "0,0,1,0,-1", "--N", "4"]),
+    (["minimize", "--n", "4", "--bogus"],
+     ["minimize", "--n", "4"]),
+], ids=["table-points-then-table", "expand-fn-then-expand-poly", "usage-error-then-good"])
+def test_consecutive_calls_match_fresh_processes(capsys, first, second):
+    # one parser serves every call in a process; no option or default of the
+    # first call may reach the second
+    results = [run_cli(capsys, *first), run_cli(capsys, *second)]
+    assert results == [_fresh_process(first), _fresh_process(second)]
+    assert results[0][0] == (2 if "--bogus" in first else 0)
+    assert results[1][0] == 0
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -274,10 +337,6 @@ def test_out_files_written(capsys, tmp_path):
 
 @pytest.mark.parametrize("family", ["L", "Q", "r"])
 def test_table_cells_are_the_fraction_forms(capsys, family):
-    from intlegendre.legendre import build_legendre
-    from intlegendre.moebius import build_r_family
-    from intlegendre.qfamily import build_q_table
-
     poly = {"L": build_legendre(40).poly, "Q": build_q_table(40).q,
             "r": build_r_family(40).poly}[family]
     lo = 2 if family == "Q" else 0

@@ -246,6 +246,20 @@ def test_table_matches_the_poly_reference(depth):
     assert table.polys[:2] == table.interior[:2] == (None, None)
 
 
+@pytest.mark.parametrize("depth", [16, 64, 128])
+def test_integer_build_matches_the_rational_construction(depth):
+    # the integer-numerator builder against the construction it replaced:
+    # i_n = P'_{n-1}/(n(n-1)) and Q_n = (x^2-1) i_n in Poly arithmetic
+    table = build_q_table(depth)
+    ltable = table.legendre
+    for n in range(2, depth + 1):
+        inner = ltable.poly(n - 1).deriv() / (n * (n - 1))
+        qn = X2_MINUS_1 * inner
+        assert (table.interior_factor(n).den, table.interior_factor(n).nums) == (
+            inner.den, inner.nums), n
+        assert (table.q(n).den, table.q(n).nums) == (qn.den, qn.nums), n
+
+
 def _with_row(ltable, n, poly):
     polys = list(ltable.polys)
     polys[n] = poly
