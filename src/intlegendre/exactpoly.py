@@ -43,6 +43,15 @@ def _moments(size: int) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(0 if k % 2 else 2 * scale // (k + 1) for k in range(size))
 
 
+def _moment_vector(nums: tuple[int, ...], js: Iterable[int], size: int) -> tuple[int, list[int]]:
+    """(L, v) with v listing L * integral of x^j * sum_k nums[k] x^k over [-1, 1]
+    for each j in js, where L is _moments(size)'s; size must be at least len(nums) + j.
+    The moments of odd powers vanish, so only the k of j's parity enter each sum."""
+    scale, moments = _moments(size)
+    halves = nums[::2], nums[1::2]
+    return scale, [sum(map(mul, halves[j % 2], moments[j + j % 2::2])) for j in js]
+
+
 def _raw(den: int, nums: tuple[int, ...]) -> "Poly":
     p = object.__new__(Poly)
     p.den = den
@@ -233,8 +242,7 @@ class Poly:
             raise ValueError("max_degree must be >= 0")
         nums = self.nums
         size = max_degree + 1
-        scale, moments = _moments(len(nums) + size)
-        vec = [sum(map(mul, nums, moments[j:])) for j in range(size)]
+        scale, vec = _moment_vector(nums, range(size), len(nums) + size)
         den = self.den * scale
 
         def pair(q: Poly) -> Fraction:

@@ -91,22 +91,33 @@ def kernel_value(n: int, x: Scalar, y: Scalar, qtable: QTable) -> Fraction:
     return kernel_values(n, x, y, qtable)[n]
 
 
+def kernel_cd_values(top: int, x: Scalar, y: Scalar, qtable: QTable,
+                     low: int = 2) -> list[Optional[Fraction]]:
+    """kernel_cd(n, x, y) for n = low..top, index n (slots below low None), or
+    kernel_confluent(n, x) when x == y; each member is evaluated once per point."""
+    x, y = Fraction(x), Fraction(y)
+    ns, qx = range(low, top + 1), {k: qtable.q(k).at(x) for k in range(low, top + 2)}
+    if x == y:
+        d = {k: qtable.q(k).deriv().at(x) for k in qx}
+        forms = [d[n + 1] * qx[n] - qx[n + 1] * d[n] for n in ns]
+    else:
+        qy = {k: qtable.q(k).at(y) for k in qx}
+        forms = [(qx[n + 1] * qy[n] - qy[n + 1] * qx[n]) / (x - y) for n in ns]
+    return [None] * low + [form / qtable.norm_sq(n) for n, form in zip(ns, forms)]
+
+
 def kernel_cd(n: int, x: Scalar, y: Scalar, qtable: QTable) -> Fraction:
     """Two-term form (Q_{n+1}(x)Q_n(y) - Q_{n+1}(y)Q_n(x))/(x-y) with the
     stated prefactor 1/norm_n. Needs x != y."""
-    x, y = Fraction(x), Fraction(y)
-    if x == y:
+    if Fraction(x) == Fraction(y):
         raise ValueError("confluent point: use kernel_confluent")
-    qn, qp = qtable.q(n), qtable.q(n + 1)
-    return (qp.at(x) * qn.at(y) - qp.at(y) * qn.at(x)) / (x - y) / qtable.norm_sq(n)
+    return kernel_cd_values(n, x, y, qtable, n)[n]
 
 
 def kernel_confluent(n: int, x: Scalar, qtable: QTable) -> Fraction:
     """Diagonal form Q'_{n+1}(x)Q_n(x) - Q_{n+1}(x)Q'_n(x) with the stated
     prefactor 1/norm_n."""
-    x = Fraction(x)
-    qn, qp = qtable.q(n), qtable.q(n + 1)
-    return (qp.deriv().at(x) * qn.at(x) - qp.at(x) * qn.deriv().at(x)) / qtable.norm_sq(n)
+    return kernel_cd_values(n, x, x, qtable, n)[n]
 
 
 def kernel_zero_stated(n: int) -> Fraction:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .exactpoly import Poly, X, _make
+from .exactpoly import Poly, _make
 
 
 def double_factorial(n: int) -> int:
@@ -64,11 +64,20 @@ def build_legendre(max_degree: int) -> LegendreTable:
     return LegendreTable(max_degree, polys)
 
 
+def _derived_power(p: int, n: int) -> list[int]:
+    """Integer coefficients, ascending, of the n-th derivative of (x^2-1)^p, n <= 2p:
+    the binomial term (-1)^(p-j) C(p,j) x^(2j) gives perm(2j,n) times it over x^n."""
+    nums = [0] * (2 * p - n + 1)
+    for j in range((n + 1) // 2, p + 1):
+        nums[2 * j - n] = (-1) ** (p - j) * math.comb(p, j) * math.perm(2 * j, n)
+    return nums
+
+
 def legendre_rodrigues(n: int) -> Poly:
     """Degree-n polynomial as the n-th derivative of (x^2-1)^n over 2^n n!."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    return ((X * X - 1) ** n).deriv(n) / (2**n * math.factorial(n))
+    return _make(2**n * math.factorial(n), _derived_power(n, n))
 
 
 def legendre_shifted_expansion(n: int) -> Poly:
@@ -150,7 +159,13 @@ class LegendreValues(NamedTuple):
         return (self.p[n] - self.p[n - 2]) / (2 * n - 1)
 
     def r(self, n: int) -> float:  # monic r_n = P'_{n+1}/lead(P'_{n+1}), needs a pass to n+1
-        return self.d[n + 1] * 2 ** (n + 1) / ((n + 1) * math.comb(2 * n + 2, n + 1))
+        scale, lead = _monic(n)
+        return self.d[n + 1] * scale / lead
+
+
+@functools.cache
+def _monic(n: int) -> tuple[int, int]:  # lead(P'_{n+1}) = (n+1) C(2n+2, n+1) / 2^(n+1)
+    return 2 ** (n + 1), (n + 1) * math.comb(2 * n + 2, n + 1)
 
 
 def legendre_values(n: int, x: float) -> LegendreValues:

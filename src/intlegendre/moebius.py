@@ -46,11 +46,6 @@ class MoebiusMap:
         x = Fraction(x)
         return (self.lam * x + self.alpha) / (self.mu * x + self.beta)
 
-    def at_float(self, x: float) -> float:
-        return (float(self.lam) * x + float(self.alpha)) / (
-            float(self.mu) * x + float(self.beta)
-        )
-
 
 @dataclass(frozen=True)
 class Endpoints:
@@ -187,12 +182,17 @@ def _pulled_back(
     system: TransformedSystem, top: int, f: Callable[[list[float], float], list[float]], tol: float
 ) -> tuple[float, ...]:
     """Integrals over the induced interval of f(r, w), r holding r_0..r_top at
-    the mapped point and w the induced weight; one recurrence pass per node."""
-    mob, weight = system.map.at_float, system.weight.at_float
+    the mapped point and w the induced weight; one recurrence pass per node. The
+    map's and the weight's coefficients become floats once, and the weight takes
+    Poly.at_float's Horner steps."""
+    m, w = system.map, system.weight
+    lam, alpha, mu, beta = float(m.lam), float(m.alpha), float(m.mu), float(m.beta)
+    num, den = ([c / p.den for c in reversed(p.nums)] for p in (w.numerator, w.denominator))
 
     def at(x: float) -> list[float]:
-        v = legendre_values(top + 1, mob(x))
-        return f([v.r(n) for n in range(top + 1)], weight(x))
+        v = legendre_values(top + 1, (lam * x + alpha) / (mu * x + beta))
+        wx = [functools.reduce(lambda acc, c: acc * x + c, cs, 0.0) for cs in (num, den)]
+        return f([v.r(n) for n in range(top + 1)], wx[0] / wx[1])
 
     return quad.integrate(at, float(system.a), float(system.b), tol).value
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactpoly import NotDivisible, Poly, X, _raw
-from .legendre import LegendreTable, build_legendre, legendre_values
+from .exactpoly import NotDivisible, Poly, _make, _raw
+from .legendre import LegendreTable, _derived_power, build_legendre, legendre_values
 from .quad import gauss_legendre, newton
 
 X2_MINUS_1 = Poly((-1, 0, 1))
@@ -107,8 +107,8 @@ def q_rodrigues(n: int) -> Poly:
     scaled by 1/(2^(n-1) n! (n-1))."""
     if n < 2:
         raise ValueError("family starts at degree 2")
-    core = ((X * X - 1) ** (n - 1)).deriv(n)
-    return (X2_MINUS_1 * core) / (2 ** (n - 1) * math.factorial(n) * (n - 1))
+    core = _make(2 ** (n - 1) * math.factorial(n) * (n - 1), _derived_power(n - 1, n))
+    return X2_MINUS_1 * core
 
 
 def q_norm_sq(n: int) -> Fraction:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
 from . import approx, kernel, moebius
-from .exactpoly import Poly, X
+from .exactpoly import Poly, X, _moment_vector
 from .legendre import (
     LegendreTable,
     build_legendre,
@@ -171,6 +171,26 @@ def _width(polys) -> int:
     return max(p.degree or 0 for p in polys)
 
 
+def _triangular(ns: range, member: Callable[[int], Poly], span: Callable[[int], Poly],
+                lag: int) -> Optional[list[Fraction]]:
+    """Each member(n)'s moment against x^(n - lag) when the all-pairs scan must pass;
+    None leaves the verdict to the scan. With every span(n) of exact degree n - lag,
+    member(n) is orthogonal to each lower span(k) exactly when its moments against
+    x^j, j < n - lag, vanish; with member(n) of exact degree n and n's parity, those
+    of the other parity vanish by symmetry, so only its own are computed."""
+    if any(span(n).degree != n - lag for n in ns):
+        return None
+    size, tops = 2 * ns[-1] + 1, []  # one _moments table for every member
+    for n, p in zip(ns, map(member, ns)):
+        if p.degree != n or any(p.nums[1 - n % 2::2]):
+            return None
+        scale, (*low, last) = _moment_vector(p.nums, range(n % 2, n - lag + 1, 2), size)
+        if any(low):
+            return None
+        tops.append(Fraction(last, p.den * scale))
+    return tops
+
+
 def _rand_fraction(rng: random.Random, span: int = 8, den: int = 8) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
 
@@ -220,6 +240,11 @@ def _expp(ctx: _Ctx, top: int) -> None:
 
 @identity("orthLn", "plain-weight orthogonality with norm 2/(2n+1)", "0..{top}")
 def _orthln(ctx: _Ctx, top: int) -> None:
+    p = ctx.ltable.poly
+    tops = _triangular(range(top + 1), p, p, 0)
+    # with P_n orthogonal to every lower power, its norm is lead(P_n) times its x^n moment
+    if tops and all(p(n).coeff(n) * t == Fraction(2, 2 * n + 1) for n, t in enumerate(tops)):
+        return
     width = _width(ctx.ltable.poly(m) for m in range(top + 1))
     for n in range(top + 1):
         pair = ctx.ltable.poly(n).pairing(width)
@@ -398,6 +423,9 @@ def _pipcirs3(ctx: _Ctx, top: int) -> None:
 
 @identity("OrthQn", "weighted orthogonality of distinct members", "2..{top}")
 def _orthqn(ctx: _Ctx, top: int) -> None:
+    # i_n = Q_n / (x^2 - 1) has degree n - 2, so Q_m needs vanishing moments below x^(m-2)
+    if _triangular(range(2, top + 1), ctx.qtable.q, ctx.qtable.interior_factor, 2) is not None:
+        return
     width = _width(ctx.qtable.q(m) for m in range(2, top + 1))
     for n in range(2, top + 1):
         # <Q_n, Q_m>_w = -integral of interior_n * Q_m, as in weighted_inner_product
@@ -427,29 +455,25 @@ def _cd_prefactor(ctx: _Ctx, top: int) -> tuple[Verdict, dict]:
         y = _rand_fraction(ctx.rng)
         if x != y and abs(x) <= 1 and abs(y) <= 1:
             points.append((x, y))
-    confluent = (Fraction(0), Fraction(1, 3), Fraction(-2, 5))
-    # the summed kernel at every n, one running pass per point
+    points += [(x, x) for x in (Fraction(0), Fraction(1, 3), Fraction(-2, 5))]  # confluent
+    # the summed kernel and the stated form at every n, one pass per point
     oracles = [kernel.kernel_values(top, x, y, ctx.qtable) for x, y in points]
-    diagonals = [kernel.kernel_values(top, x, x, ctx.qtable) for x in confluent]
+    forms = [kernel.kernel_cd_values(top, x, y, ctx.qtable) for x, y in points]
+    labels = [{"x": _w(x), "y": _w(y)} if x != y else {"x": _w(x), "confluent": True}
+              for x, y in points]
     witness = None
     for n in range(2, top + 1):
         factor = ctx.qtable.lead(n) / ctx.qtable.lead(n + 1)  # the leading-coefficient ratio
         if factor != Fraction(n + 1, 2 * n - 1):
             raise Failed(n=n, oracle_value=_w(factor))
-        for (x, y), oracle in zip(points, oracles):
-            stated = kernel.kernel_cd(n, x, y, ctx.qtable)
-            if stated * factor != oracle[n]:
-                raise Failed(n=n, inputs={"x": _w(x), "y": _w(y)},
-                             oracle_value=_w(oracle[n]), stated_value=_w(stated))
-            if witness is None and n == 3 and stated != oracle[n]:
-                witness = {"n": n, "inputs": {"x": _w(x), "y": _w(y)},
-                           "oracle_value": _w(oracle[n]), "stated_value": _w(stated),
+        for (x, y), oracle, stated, inputs in zip(points, oracles, forms, labels):
+            if stated[n] * factor != oracle[n]:
+                raise Failed(n=n, inputs=inputs,
+                             oracle_value=_w(oracle[n]), stated_value=_w(stated[n]))
+            if witness is None and n == 3 and x != y and stated[n] != oracle[n]:
+                witness = {"n": n, "inputs": inputs, "oracle_value": _w(oracle[n]),
+                           "stated_value": _w(stated[n]),
                            "factor": f"(n+1)/(2n-1) = {_w(factor)}"}
-        for x, oracle in zip(confluent, diagonals):
-            stated = kernel.kernel_confluent(n, x, ctx.qtable)
-            if stated * factor != oracle[n]:
-                raise Failed(n=n, inputs={"x": _w(x), "confluent": True},
-                             oracle_value=_w(oracle[n]), stated_value=_w(stated))
     return Verdict.CORRECTED_FACTOR, witness
 
 

@@ -9,6 +9,7 @@ from intlegendre.exactpoly import Poly, X
 from intlegendre.kernel import (
     InadmissibleFunction,
     kernel_cd,
+    kernel_cd_values,
     kernel_confluent,
     kernel_sections,
     kernel_sum,
@@ -17,7 +18,7 @@ from intlegendre.kernel import (
     kernel_zero_stated,
     reproducing_check,
 )
-from intlegendre.qfamily import build_q_table, weighted_inner_product
+from intlegendre.qfamily import build_q_table, q_norm_sq, weighted_inner_product
 
 
 def test_section_small_cases(qtable):
@@ -69,6 +70,22 @@ def test_confluent_is_limit_of_cd(qtable):
         for eps in (F(1, 10**6), -F(1, 10**6)):
             off = float(kernel_cd(n, x + eps, x, qtable) * _ratio(n, qtable))
             assert off == pytest.approx(diag, abs=1e-6)
+
+
+def test_cd_values_equal_the_per_index_forms(qtable):
+    # the two-term and confluent forms written out from member values, per n
+    q = qtable.q
+    for x, y in ((F(1, 3), F(-2, 5)), (F(-7, 8), F(1, 2)), (F(2, 7), F(2, 7)), (F(0), F(0))):
+        values = kernel_cd_values(20, x, y, qtable)
+        assert values[:2] == [None, None]
+        for n in range(2, 21):
+            if x != y:
+                want = (q(n + 1).at(x) * q(n).at(y) - q(n + 1).at(y) * q(n).at(x)) / (x - y)
+            else:
+                want = q(n + 1).deriv().at(x) * q(n).at(x) - q(n + 1).at(x) * q(n).deriv().at(x)
+            assert values[n] == want / q_norm_sq(n), (x, y, n)
+            assert values[n] == (kernel_cd(n, x, y, qtable) if x != y
+                                 else kernel_confluent(n, x, qtable))
 
 
 def test_kernel_zero_closed_form(qtable):

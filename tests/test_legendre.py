@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -51,6 +52,13 @@ def test_rodrigues_form(ltable):
     assert legendre_rodrigues(3) == Poly((0, F(-3, 2), 0, F(5, 2)))
     for n in range(13):
         assert legendre_rodrigues(n) == ltable.poly(n)
+
+
+def test_binomial_rodrigues_equals_the_power_then_derivative_reference():
+    # the reference expands (x^2-1)^n by repeated squaring, then differentiates
+    for n in range(129):
+        want = ((X * X - 1) ** n).deriv(n) / (2**n * math.factorial(n))
+        assert legendre_rodrigues(n) == want, n
 
 
 def test_shifted_expansion(ltable):

@@ -5,9 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from intlegendre import moebius
+from intlegendre import moebius, quad
 from intlegendre.exactpoly import Poly, X
-from intlegendre.legendre import build_legendre
+from intlegendre.legendre import build_legendre, legendre_values
 from intlegendre.moebius import (
     DegenerateMap,
     MoebiusMap,
@@ -225,6 +225,41 @@ def test_minimality_fails_for_a_member_that_is_not_minimal(monkeypatch):
     assert minimality_check(build_transformed_system(SHIFT, 4), 2) is False
     monkeypatch.undo()
     assert minimality_check(build_transformed_system(SHIFT, 4), 2) is True
+
+
+def _pulled_back_per_node(system, top, f, tol):
+    """The integrals of moebius._pulled_back with every constant recomputed at
+    each node: the map's and the weight's Fractions converted there, and the
+    monic scale of r_n computed there."""
+    m = system.map
+
+    def at(x):
+        t = (float(m.lam) * x + float(m.alpha)) / (float(m.mu) * x + float(m.beta))
+        d = legendre_values(top + 1, t).d
+        r = [d[n + 1] * 2 ** (n + 1) / ((n + 1) * math.comb(2 * n + 2, n + 1))
+             for n in range(top + 1)]
+        return f(r, system.weight.at_float(x))
+
+    return quad.integrate(at, float(system.a), float(system.b), tol).value
+
+
+def test_per_system_constants_leave_every_integral_bit_identical(monkeypatch):
+    # the In entry's Gram matrices and minimality checks on the five reference maps
+    fast, pairs = moebius._pulled_back, []
+
+    def both(system, top, f, tol):
+        got = fast(system, top, f, tol)
+        pairs.append((got, _pulled_back_per_node(system, top, f, tol)))
+        return got
+
+    monkeypatch.setattr(moebius, "_pulled_back", both)
+    for m in ALL_MAPS:
+        system = build_transformed_system(m, 8)
+        gram_matrix(system, 9, 1e-11)
+        assert all(minimality_check(system, n) for n in range(1, 4))
+    assert len(pairs) == 20
+    for got, want in pairs:
+        assert got == want
 
 
 def test_minimality():

@@ -62,6 +62,14 @@ def test_rodrigues_form(qtable):
         assert q_rodrigues(n) == qtable.q(n)
 
 
+def test_binomial_rodrigues_equals_the_power_then_derivative_reference():
+    # the reference expands (x^2-1)^(n-1) by repeated squaring, then differentiates
+    for n in range(2, 129):
+        core = ((X * X - 1) ** (n - 1)).deriv(n)
+        want = (X2_MINUS_1 * core) / (2 ** (n - 1) * math.factorial(n) * (n - 1))
+        assert q_rodrigues(n) == want, n
+
+
 def test_norm_closed_form():
     assert q_norm_sq(2) == F(1, 3)
     assert q_norm_sq(3) == F(1, 15)

@@ -124,57 +124,74 @@ def _perturbed_ctx(depth, k, j, c):
     """Context whose degree-k members get c*(x^2-1)*x^j (Q) and c*x^j (L) added.
 
     j <= k - 2 keeps each member's degree; j >= k - 1 raises the degree of Q_k
-    (and, for j > k, of P_k) above its index.
+    (and, for j > k, of P_k) above its index. With j None each degree-k member
+    gets c times itself added, which scales it by 1 + c.
     """
     ltable = build_legendre(depth + 1)
     qtable = build_q_table(depth + 1, ltable)
-    bump = X**j * c
     lpolys = list(ltable.polys)
-    lpolys[k] = lpolys[k] + bump
     polys, interior = list(qtable.polys), list(qtable.interior)
-    polys[k] = polys[k] + X2_MINUS_1 * bump
-    interior[k] = interior[k] + bump
+    if j is None:
+        lpolys[k], polys[k], interior[k] = (p * (1 + c) for p in (lpolys[k], polys[k],
+                                                                   interior[k]))
+    else:
+        bump = X**j * c
+        lpolys[k] = lpolys[k] + bump
+        polys[k] = polys[k] + X2_MINUS_1 * bump
+        interior[k] = interior[k] + bump
     ltable = dataclasses.replace(ltable, polys=tuple(lpolys))
     qtable = dataclasses.replace(qtable, polys=tuple(polys), interior=tuple(interior))
     return _Ctx(depth, ltable, qtable)
 
 
 def _first_pairwise_failure(ctx):
-    """(orthLn, OrthQn, NormQn) witnesses from the pairwise product path."""
+    """(orthLn, OrthQn, NormQn) witnesses from the pairwise product path; None
+    for an entry that holds."""
     top, lt, qt = ctx.max_degree, ctx.ltable, ctx.qtable
-    orthln = next(
+    orthln = next((
         {"n": n, "inputs": {"m": m}, "oracle_value": _w(got), "stated_value": _w(want)}
         for n in range(top + 1) for m in range(n, top + 1)
         for got, want in [((lt.poly(n) * lt.poly(m)).integral(-1, 1),
                            Fraction(2, 2 * n + 1) if n == m else Fraction(0))]
         if got != want
-    )
-    orthqn = next(
+    ), None)
+    orthqn = next((
         {"n": n, "inputs": {"m": m}, "oracle_value": _w(got), "stated_value": "0"}
         for n in range(2, top + 1) for m in range(n + 1, top + 1)
         for got in [weighted_inner_product(qt.q(n), qt.q(m))]
         if got != 0
-    )
-    normqn = next(
+    ), None)
+    normqn = next((
         {"n": n, "oracle_value": _w(got), "stated_value": _w(want)}
         for n in range(2, top + 1)
         for got, want in [(weighted_inner_product(qt.q(n), qt.q(n)),
                            Fraction(2, n * (n - 1) * (2 * n - 1)))]
         if got != want
-    )
+    ), None)
     return orthln, orthqn, normqn
 
 
+# The depth is 12, or k above that. The triangular moment tests of orthLn and
+# OrthQn hand every failure to the pair scan: (12, 11) breaks P_12's parity,
+# (12, 13) its degree, (64, 62) a moment of the top member, and the scaled P_6
+# (j None) passes every moment and fails only orthLn's norm; the scaled Q_6 is
+# still orthogonal, so OrthQn holds there.
 @pytest.mark.parametrize("k, j, c", [(7, 3, Fraction(1, 5)), (10, 0, Fraction(-3, 7)),
                                      (12, 10, Fraction(2, 9)), (12, 11, Fraction(1)),
-                                     (12, 13, Fraction(1, 3))])
+                                     (12, 13, Fraction(1, 3)), (6, None, Fraction(1)),
+                                     (64, 62, Fraction(-1, 3))])
 def test_contracted_checks_report_the_pairwise_witness(k, j, c):
-    ctx = _perturbed_ctx(12, k, j, c)
+    ctx = _perturbed_ctx(max(12, k), k, j, c)
     want = _first_pairwise_failure(ctx)
     for identity_id, expected in zip(("orthLn", "OrthQn", "NormQn"), want):
         entry = _run(identity_id, ctx)
-        assert entry.verdict is Verdict.FAILED, entry.identity_id
-        assert entry.witness == expected, entry.identity_id
+        if expected is None:
+            assert entry.verdict is Verdict.CONFIRMED, entry.identity_id
+        else:
+            assert entry.verdict is Verdict.FAILED, entry.identity_id
+            assert entry.witness == expected, entry.identity_id
+    if j is None:
+        assert want[0]["n"] == want[0]["inputs"]["m"] == k and want[1] is None
 
 
 _L_IDS = {"DifLn", "Lnat1", "Qqn", "expp", "orthLn"}
