@@ -44,9 +44,8 @@ def _moments(size: int) -> tuple[int, tuple[int, ...]]:
 
 
 def _moment_vector(nums: tuple[int, ...], js: Iterable[int], size: int) -> tuple[int, list[int]]:
-    """(L, v) with v listing L * integral of x^j * sum_k nums[k] x^k over [-1, 1]
-    for each j in js, where L is _moments(size)'s; size must be at least len(nums) + j.
-    The moments of odd powers vanish, so only the k of j's parity enter each sum."""
+    """(L, [L * integral over [-1, 1] of x^j sum_k nums[k] x^k for j in js]), L from
+    _moments(size), size >= len(nums) + j; odd moments vanish, so k runs over j's parity."""
     scale, moments = _moments(size)
     halves = nums[::2], nums[1::2]
     return scale, [sum(map(mul, halves[j % 2], moments[j + j % 2::2])) for j in js]

@@ -7,7 +7,8 @@ compares them with the sums and records the correction factor.
 The sums are running sums: K_n is K_{n-1} plus one term, so one pass to a
 top index gives every K_n below it: ``kernel_values`` lists the scalar
 values, indexed by n with slots 0 and 1 None as in the QTable tuples, and
-``kernel_sections`` yields the sections. Nothing is cached between calls.
+``kernel_sections`` yields the sections; ``kernel_forms`` adds the stated
+two-term forms from the same member values. Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Optional
 
 from .exactpoly import Poly, Scalar
@@ -69,21 +71,8 @@ def kernel_sum(n: int, y: Scalar, qtable: QTable) -> KernelSection:
 
 def kernel_values(top: int, x: Scalar, y: Scalar, qtable: QTable) -> list[Optional[Fraction]]:
     """K_n(x, y) = sum_{k=2..n} Q_k(x) Q_k(y)/norm_k for n = 2..top in one
-    pass, each the previous plus one term; index n holds K_n(x, y).
-
-    Every member is evaluated once at x and once at y (once in all when
-    x == y)."""
-    if top < 2:
-        raise ValueError("kernel index starts at 2")
-    x, y = Fraction(x), Fraction(y)
-    total = Fraction(0)
-    values: list[Optional[Fraction]] = [None, None]
-    for k in range(2, top + 1):
-        q = qtable.q(k)
-        qy = q.at(y)
-        total += (qy if x == y else q.at(x)) * qy / qtable.norm_sq(k)
-        values.append(total)
-    return values
+    pass, each the previous plus one term; index n holds K_n(x, y)."""
+    return kernel_forms(top, x, y, qtable, stated=False)[0]
 
 
 def kernel_value(n: int, x: Scalar, y: Scalar, qtable: QTable) -> Fraction:
@@ -91,19 +80,27 @@ def kernel_value(n: int, x: Scalar, y: Scalar, qtable: QTable) -> Fraction:
     return kernel_values(n, x, y, qtable)[n]
 
 
-def kernel_cd_values(top: int, x: Scalar, y: Scalar, qtable: QTable,
-                     low: int = 2) -> list[Optional[Fraction]]:
-    """kernel_cd(n, x, y) for n = low..top, index n (slots below low None), or
-    kernel_confluent(n, x) when x == y; each member is evaluated once per point."""
+def kernel_forms(top: int, x: Scalar, y: Scalar, qtable: QTable, low: int = 2,
+                 stated: bool = True) -> tuple[list[Optional[Fraction]], list[Optional[Fraction]]]:
+    """For n = low..top, index n (slots below low None): the running sum of
+    Q_k(x) Q_k(y)/norm_k over k = low..n, and with stated, kernel_cd(n, x, y),
+    or kernel_confluent(n, x) when x == y (else an empty list). Every member is
+    evaluated once at x and once at y (once in all when x == y)."""
+    if top < 2:
+        raise ValueError("kernel index starts at 2")
     x, y = Fraction(x), Fraction(y)
-    ns, qx = range(low, top + 1), {k: qtable.q(k).at(x) for k in range(low, top + 2)}
+    ns, pad = range(low, top + 1), [None] * low
+    qx = {k: qtable.q(k).at(x) for k in range(low, top + 2 if stated else top + 1)}
+    qy = qx if x == y else {k: qtable.q(k).at(y) for k in qx}
+    sums = pad + list(accumulate(qx[n] * qy[n] / qtable.norm_sq(n) for n in ns))
+    if not stated:
+        return sums, []
     if x == y:
         d = {k: qtable.q(k).deriv().at(x) for k in qx}
-        forms = [d[n + 1] * qx[n] - qx[n + 1] * d[n] for n in ns]
+        forms = (d[n + 1] * qx[n] - qx[n + 1] * d[n] for n in ns)
     else:
-        qy = {k: qtable.q(k).at(y) for k in qx}
-        forms = [(qx[n + 1] * qy[n] - qy[n + 1] * qx[n]) / (x - y) for n in ns]
-    return [None] * low + [form / qtable.norm_sq(n) for n, form in zip(ns, forms)]
+        forms = ((qx[n + 1] * qy[n] - qy[n + 1] * qx[n]) / (x - y) for n in ns)
+    return sums, pad + [form / qtable.norm_sq(n) for n, form in zip(ns, forms)]
 
 
 def kernel_cd(n: int, x: Scalar, y: Scalar, qtable: QTable) -> Fraction:
@@ -111,13 +108,13 @@ def kernel_cd(n: int, x: Scalar, y: Scalar, qtable: QTable) -> Fraction:
     stated prefactor 1/norm_n. Needs x != y."""
     if Fraction(x) == Fraction(y):
         raise ValueError("confluent point: use kernel_confluent")
-    return kernel_cd_values(n, x, y, qtable, n)[n]
+    return kernel_forms(n, x, y, qtable, n)[1][n]
 
 
 def kernel_confluent(n: int, x: Scalar, qtable: QTable) -> Fraction:
     """Diagonal form Q'_{n+1}(x)Q_n(x) - Q_{n+1}(x)Q'_n(x) with the stated
     prefactor 1/norm_n."""
-    return kernel_cd_values(n, x, x, qtable, n)[n]
+    return kernel_forms(n, x, x, qtable, n)[1][n]
 
 
 def kernel_zero_stated(n: int) -> Fraction:

@@ -159,13 +159,7 @@ class LegendreValues(NamedTuple):
         return (self.p[n] - self.p[n - 2]) / (2 * n - 1)
 
     def r(self, n: int) -> float:  # monic r_n = P'_{n+1}/lead(P'_{n+1}), needs a pass to n+1
-        scale, lead = _monic(n)
-        return self.d[n + 1] * scale / lead
-
-
-@functools.cache
-def _monic(n: int) -> tuple[int, int]:  # lead(P'_{n+1}) = (n+1) C(2n+2, n+1) / 2^(n+1)
-    return 2 ** (n + 1), (n + 1) * math.comb(2 * n + 2, n + 1)
+        return self.d[n + 1] * 2 ** (n + 1) / ((n + 1) * math.comb(2 * n + 2, n + 1))
 
 
 def legendre_values(n: int, x: float) -> LegendreValues:

@@ -182,17 +182,13 @@ def _pulled_back(
     system: TransformedSystem, top: int, f: Callable[[list[float], float], list[float]], tol: float
 ) -> tuple[float, ...]:
     """Integrals over the induced interval of f(r, w), r holding r_0..r_top at
-    the mapped point and w the induced weight; one recurrence pass per node. The
-    map's and the weight's coefficients become floats once, and the weight takes
-    Poly.at_float's Horner steps."""
-    m, w = system.map, system.weight
+    the mapped point and w the induced weight; one recurrence pass per node."""
+    m, weight = system.map, system.weight.at_float
     lam, alpha, mu, beta = float(m.lam), float(m.alpha), float(m.mu), float(m.beta)
-    num, den = ([c / p.den for c in reversed(p.nums)] for p in (w.numerator, w.denominator))
 
     def at(x: float) -> list[float]:
         v = legendre_values(top + 1, (lam * x + alpha) / (mu * x + beta))
-        wx = [functools.reduce(lambda acc, c: acc * x + c, cs, 0.0) for cs in (num, den)]
-        return f([v.r(n) for n in range(top + 1)], wx[0] / wx[1])
+        return f([v.r(n) for n in range(top + 1)], weight(x))
 
     return quad.integrate(at, float(system.a), float(system.b), tol).value
 

@@ -107,8 +107,7 @@ def q_rodrigues(n: int) -> Poly:
     scaled by 1/(2^(n-1) n! (n-1))."""
     if n < 2:
         raise ValueError("family starts at degree 2")
-    core = _make(2 ** (n - 1) * math.factorial(n) * (n - 1), _derived_power(n - 1, n))
-    return X2_MINUS_1 * core
+    return X2_MINUS_1 * _make(2 ** (n - 1) * math.factorial(n) * (n - 1), _derived_power(n - 1, n))
 
 
 def q_norm_sq(n: int) -> Fraction:

@@ -171,14 +171,13 @@ def _width(polys) -> int:
     return max(p.degree or 0 for p in polys)
 
 
-def _triangular(ns: range, member: Callable[[int], Poly], span: Callable[[int], Poly],
-                lag: int) -> Optional[list[Fraction]]:
-    """Each member(n)'s moment against x^(n - lag) when the all-pairs scan must pass;
-    None leaves the verdict to the scan. With every span(n) of exact degree n - lag,
-    member(n) is orthogonal to each lower span(k) exactly when its moments against
-    x^j, j < n - lag, vanish; with member(n) of exact degree n and n's parity, those
-    of the other parity vanish by symmetry, so only its own are computed."""
-    if any(span(n).degree != n - lag for n in ns):
+def _triangular(ns: range, member: Callable[[int], Poly], lag: int = 0,
+                span: Optional[Callable[[int], Poly]] = None) -> Optional[list[Fraction]]:
+    """Each member(n)'s x^(n - lag) moment when the all-pairs scan must pass, else None.
+    With every span(n) (by default member(n)) of exact degree n - lag, member(n) is
+    orthogonal to each lower span(k) exactly when its x^j moments, j < n - lag, vanish;
+    with member(n) of exact degree n and n's parity, only that parity's can be nonzero."""
+    if span and any(span(n).degree != n - lag for n in ns):  # members are checked below
         return None
     size, tops = 2 * ns[-1] + 1, []  # one _moments table for every member
     for n, p in zip(ns, map(member, ns)):
@@ -241,7 +240,7 @@ def _expp(ctx: _Ctx, top: int) -> None:
 @identity("orthLn", "plain-weight orthogonality with norm 2/(2n+1)", "0..{top}")
 def _orthln(ctx: _Ctx, top: int) -> None:
     p = ctx.ltable.poly
-    tops = _triangular(range(top + 1), p, p, 0)
+    tops = _triangular(range(top + 1), p)
     # with P_n orthogonal to every lower power, its norm is lead(P_n) times its x^n moment
     if tops and all(p(n).coeff(n) * t == Fraction(2, 2 * n + 1) for n, t in enumerate(tops)):
         return
@@ -424,7 +423,7 @@ def _pipcirs3(ctx: _Ctx, top: int) -> None:
 @identity("OrthQn", "weighted orthogonality of distinct members", "2..{top}")
 def _orthqn(ctx: _Ctx, top: int) -> None:
     # i_n = Q_n / (x^2 - 1) has degree n - 2, so Q_m needs vanishing moments below x^(m-2)
-    if _triangular(range(2, top + 1), ctx.qtable.q, ctx.qtable.interior_factor, 2) is not None:
+    if _triangular(range(2, top + 1), ctx.qtable.q, 2, ctx.qtable.interior_factor) is not None:
         return
     width = _width(ctx.qtable.q(m) for m in range(2, top + 1))
     for n in range(2, top + 1):
@@ -451,14 +450,12 @@ def _normqn(ctx: _Ctx, top: int) -> None:
 def _cd_prefactor(ctx: _Ctx, top: int) -> tuple[Verdict, dict]:
     points: list[tuple[Fraction, Fraction]] = []
     while len(points) < 20:
-        x = _rand_fraction(ctx.rng)
-        y = _rand_fraction(ctx.rng)
+        x, y = _rand_fraction(ctx.rng), _rand_fraction(ctx.rng)
         if x != y and abs(x) <= 1 and abs(y) <= 1:
             points.append((x, y))
     points += [(x, x) for x in (Fraction(0), Fraction(1, 3), Fraction(-2, 5))]  # confluent
     # the summed kernel and the stated form at every n, one pass per point
-    oracles = [kernel.kernel_values(top, x, y, ctx.qtable) for x, y in points]
-    forms = [kernel.kernel_cd_values(top, x, y, ctx.qtable) for x, y in points]
+    oracles, forms = zip(*(kernel.kernel_forms(top, x, y, ctx.qtable) for x, y in points))
     labels = [{"x": _w(x), "y": _w(y)} if x != y else {"x": _w(x), "confluent": True}
               for x, y in points]
     witness = None

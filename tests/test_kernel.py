@@ -9,8 +9,8 @@ from intlegendre.exactpoly import Poly, X
 from intlegendre.kernel import (
     InadmissibleFunction,
     kernel_cd,
-    kernel_cd_values,
     kernel_confluent,
+    kernel_forms,
     kernel_sections,
     kernel_sum,
     kernel_value,
@@ -72,12 +72,14 @@ def test_confluent_is_limit_of_cd(qtable):
             assert off == pytest.approx(diag, abs=1e-6)
 
 
-def test_cd_values_equal_the_per_index_forms(qtable):
-    # the two-term and confluent forms written out from member values, per n
+def test_forms_equal_the_per_index_forms_and_the_running_sums(qtable):
+    # the two-term and confluent forms written out from member values, per n,
+    # next to the running sums of the same pass
     q = qtable.q
     for x, y in ((F(1, 3), F(-2, 5)), (F(-7, 8), F(1, 2)), (F(2, 7), F(2, 7)), (F(0), F(0))):
-        values = kernel_cd_values(20, x, y, qtable)
-        assert values[:2] == [None, None]
+        sums, values = kernel_forms(20, x, y, qtable)
+        assert values[:2] == [None, None] and sums == kernel_values(20, x, y, qtable)
+        assert kernel_forms(20, x, y, qtable, stated=False) == (sums, [])
         for n in range(2, 21):
             if x != y:
                 want = (q(n + 1).at(x) * q(n).at(y) - q(n + 1).at(y) * q(n).at(x)) / (x - y)

@@ -228,17 +228,14 @@ def test_minimality_fails_for_a_member_that_is_not_minimal(monkeypatch):
 
 
 def _pulled_back_per_node(system, top, f, tol):
-    """The integrals of moebius._pulled_back with every constant recomputed at
-    each node: the map's and the weight's Fractions converted there, and the
-    monic scale of r_n computed there."""
+    """The integrals of moebius._pulled_back with the map's Fractions
+    converted to floats at each node."""
     m = system.map
 
     def at(x):
         t = (float(m.lam) * x + float(m.alpha)) / (float(m.mu) * x + float(m.beta))
-        d = legendre_values(top + 1, t).d
-        r = [d[n + 1] * 2 ** (n + 1) / ((n + 1) * math.comb(2 * n + 2, n + 1))
-             for n in range(top + 1)]
-        return f(r, system.weight.at_float(x))
+        v = legendre_values(top + 1, t)
+        return f([v.r(n) for n in range(top + 1)], system.weight.at_float(x))
 
     return quad.integrate(at, float(system.a), float(system.b), tol).value
 

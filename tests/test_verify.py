@@ -194,6 +194,22 @@ def test_contracted_checks_report_the_pairwise_witness(k, j, c):
         assert want[0]["n"] == want[0]["inputs"]["m"] == k and want[1] is None
 
 
+def test_orthqn_checks_the_interior_factor_degrees():
+    # i_5 raised to degree 11 with every Q_n intact: each member's moments still
+    # vanish, so only the interior factors' degree check sends OrthQn to the scan
+    ltable = build_legendre(15)
+    qtable = build_q_table(15, ltable)
+    interior = list(qtable.interior)
+    interior[5] = interior[5] + X**11
+    ctx = _Ctx(14, ltable, dataclasses.replace(qtable, interior=tuple(interior)))
+    got = -(interior[5] * qtable.q(7)).integral(-1, 1)
+    assert got != 0
+    entry = _run("OrthQn", ctx)
+    assert entry.verdict is Verdict.FAILED
+    assert entry.witness == {"n": 5, "inputs": {"m": 7}, "oracle_value": _w(got),
+                             "stated_value": "0"}
+
+
 _L_IDS = {"DifLn", "Lnat1", "Qqn", "expp", "orthLn"}
 _Q_IDS = {"CDS11-prefactor", "Diff2", "Diff3", "FourierQ", "NormQn", "OrthQn", "Pipcirs2",
           "Pipcirs3", "Qnderiv1", "Qqn", "Reprkernel", "Rodrigues", "anex-sign"}
