@@ -11,9 +11,8 @@ compares it with the orthogonality-based integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from . import quad
 from .exactpoly import ONE, Poly, X
@@ -69,8 +68,7 @@ def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -
     return [Fraction(v, prev) for v in y]
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
+class BruteForceResult(NamedTuple):
     m_value: Fraction
     poly: Poly
 
@@ -106,8 +104,7 @@ def brute_force_minimizer(n: int, qtable: QTable) -> BruteForceResult:
     return BruteForceResult(m_value, (-X2_MINUS_1) * r)
 
 
-@dataclass(frozen=True)
-class ExtremalSolution:
+class ExtremalSolution(NamedTuple):
     """Kernel-form solution of the constrained minimization, with the
     certified polynomial and minimum alongside. The two agree exactly."""
 
@@ -218,8 +215,7 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
 _GRID = [(-1.0 + 2.0 * i / 1000.0) for i in range(1001)]
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(NamedTuple):
     """Partial-sum expansion data.
 
     coeffs maps member degree to the coefficient (Fraction for polynomial

@@ -14,10 +14,9 @@ two-term forms from the same member values. Nothing is cached between calls.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .exactpoly import Poly, Scalar
 from .legendre import double_factorial, legendre_special_values
@@ -28,8 +27,7 @@ class InadmissibleFunction(ValueError):
     """Argument lies outside the span reproduced by the kernel."""
 
 
-@dataclass(frozen=True)
-class KernelSection:
+class KernelSection(NamedTuple):
     """The kernel with the second argument frozen at y, as a polynomial in x."""
 
     n: int

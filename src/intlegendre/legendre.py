@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -34,8 +33,7 @@ def pochhammer_half(n: int) -> Fraction:
     return out
 
 
-@dataclass(frozen=True)
-class LegendreTable:
+class LegendreTable(NamedTuple):
     """Exact coefficient vectors for degrees 0..max_degree; immutable once built."""
 
     max_degree: int
@@ -100,8 +98,7 @@ def legendre_shifted_expansion(n: int) -> Poly:
     return _make(1 << n, total)
 
 
-@dataclass(frozen=True)
-class LegendreSpecialValues:
+class LegendreSpecialValues(NamedTuple):
     at_plus1: Fraction
     at_minus1: Fraction
     at0: Fraction

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import quad
 from .exactpoly import Poly, Scalar, X, _frac
@@ -23,20 +22,28 @@ class DegenerateMap(ValueError):
     """Map cannot carry a proper interval onto [-1, 1]."""
 
 
-@dataclass(frozen=True)
-class MoebiusMap:
-    """x -> (lam x + alpha)/(mu x + beta) with exact unit determinant."""
-
+class _MapFields(NamedTuple):
     lam: Fraction
     alpha: Fraction
     mu: Fraction
     beta: Fraction
 
-    def __post_init__(self) -> None:
-        for name in ("lam", "alpha", "mu", "beta"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+
+class MoebiusMap(_MapFields):
+    """x -> (lam x + alpha)/(mu x + beta) with exact unit determinant."""
+
+    __slots__ = ()
+
+    def __new__(cls, lam: Scalar, alpha: Scalar, mu: Scalar, beta: Scalar) -> MoebiusMap:
+        self = super().__new__(cls, _frac(lam), _frac(alpha), _frac(mu), _frac(beta))
         if self.lam * self.beta - self.mu * self.alpha != 1:
             raise DegenerateMap("determinant lam*beta - mu*alpha must equal 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> MoebiusMap:
+        # the namedtuple _make, which _replace calls, would skip the checks in __new__
+        return cls(*iterable)
 
     @property
     def pole(self) -> Optional[Fraction]:
@@ -47,8 +54,7 @@ class MoebiusMap:
         return (self.lam * x + self.alpha) / (self.mu * x + self.beta)
 
 
-@dataclass(frozen=True)
-class Endpoints:
+class Endpoints(NamedTuple):
     """Induced interval endpoints.
 
     a and b solve f(a) = -1 and f(b) = 1 exactly. stated_a and stated_b
@@ -76,8 +82,7 @@ def induced_endpoints(m: MoebiusMap) -> Endpoints:
     )
 
 
-@dataclass(frozen=True)
-class RationalWeight:
+class RationalWeight(NamedTuple):
     """Exact weight numerator/(mu x + beta)^4; equals (1 - f(x)^2) f'(x)."""
 
     numerator: Poly
@@ -108,8 +113,7 @@ def weight_identity_gap(m: MoebiusMap) -> Poly:
 _W = Poly((1, 0, -1))  # 1 - t^2
 
 
-@dataclass(frozen=True)
-class RFamily:
+class RFamily(NamedTuple):
     """Monic polynomials orthogonal on [-1, 1] under the weight 1 - t^2."""
 
     max_degree: int
@@ -147,15 +151,18 @@ def build_r_family(max_degree: int) -> RFamily:
     return RFamily(max_degree, tuple(polys))
 
 
-@dataclass(frozen=True)
-class TransformedSystem:
-    """A map with its induced interval, weight and (built on first use) family."""
-
+class _SystemFields(NamedTuple):
     map: MoebiusMap
     a: Fraction
     b: Fraction
     weight: RationalWeight
     max_degree: int
+
+
+class TransformedSystem(_SystemFields):
+    """A map with its induced interval, weight and (built on first use) family.
+
+    Not slotted, unlike the other records: the instance dict holds the family."""
 
     @functools.cached_property
     def family(self) -> RFamily:

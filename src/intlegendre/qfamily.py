@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactpoly import NotDivisible, Poly, _make, _raw
 from .legendre import LegendreTable, _derived_power, build_legendre, legendre_values
@@ -28,8 +27,7 @@ class RootCountMismatch(RuntimeError):
     """An interior root did not settle inside its Gauss-node gap to the tolerance."""
 
 
-@dataclass(frozen=True)
-class QTable:
+class QTable(NamedTuple):
     """Exact data for family members 2..max_degree.
 
     Index n of each tuple holds the degree-n data; slots 0 and 1 are None.

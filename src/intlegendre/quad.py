@@ -11,9 +11,8 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .legendre import legendre_float
 
@@ -35,8 +34,7 @@ class NoConvergence(RuntimeError):
         self.est_error = est_error
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     """Nodes and weights of the order-m rule, exact on degree <= 2m-1."""
 
     order: int
@@ -97,8 +95,7 @@ def gauss_legendre(m: int) -> QuadratureRule:
     return QuadratureRule(m, tuple(nodes), tuple(weights))
 
 
-@dataclass(frozen=True)
-class IntegrationResult:
+class IntegrationResult(NamedTuple):
     value: tuple[float, ...]
     est_error: float
 

@@ -23,9 +23,8 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from . import approx, kernel, moebius
 from .exactpoly import Poly, X, _moment_vector
@@ -69,8 +68,7 @@ _GRAM_TOP = 8
 _FLOAT_TOL = 1e-11
 
 
-@dataclass(frozen=True)
-class IdentityEntry:
+class IdentityEntry(NamedTuple):
     identity_id: str
     description: str
     degrees_checked: str
@@ -78,17 +76,10 @@ class IdentityEntry:
     witness: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        return {
-            "identity_id": self.identity_id,
-            "description": self.description,
-            "degrees_checked": self.degrees_checked,
-            "verdict": self.verdict.value,
-            "witness": self.witness,
-        }
+        return {**self._asdict(), "verdict": self.verdict.value}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     max_degree: int
     entries: tuple[IdentityEntry, ...]
 
@@ -111,8 +102,7 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-@dataclass(frozen=True)
-class _Ctx:
+class _Ctx(NamedTuple):
     max_degree: int
     ltable: LegendreTable
     qtable: QTable
@@ -149,7 +139,7 @@ def identity(identity_id: str, description: str, degrees: str,
 def _run(identity_id: str, ctx: _Ctx) -> IdentityEntry:
     description, degrees, cap, check = _REGISTRY[identity_id]
     top = min(cap, ctx.max_degree)
-    ctx = replace(ctx, rng=random.Random(f"intlegendre:{identity_id}"))
+    ctx = ctx._replace(rng=random.Random(f"intlegendre:{identity_id}"))
     try:
         verdict, witness = check(ctx, top) or (Verdict.CONFIRMED, None)
     except Failed as failure:

@@ -294,6 +294,25 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+_COLD_IMPORT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import intlegendre.cli
+print(" ".join(sys.modules))
+"""
+
+
+def test_cold_cli_import_leaves_out_dataclasses_and_loads_every_traced_module():
+    # every CLI call is a fresh process: dataclasses pulls in inspect, ast and dis;
+    # the benchmark's tracer looks each intlegendre module up in sys.modules
+    done = subprocess.run([sys.executable, "-S", "-c", _COLD_IMPORT, str(SRC)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = set(done.stdout.split())
+    assert not {"dataclasses", "inspect"} & loaded
+    traced = ("legendre", "qfamily", "kernel", "approx", "moebius", "quad", "verify", "cli")
+    assert {f"intlegendre.{name}" for name in traced} <= loaded
+
+
 def _fresh_process(argv):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -89,7 +88,7 @@ def test_recurrence_cross_check_catches_a_bad_legendre_table(monkeypatch):
         table = build_legendre(depth)
         polys = list(table.polys)
         polys[4] = polys[4] + X
-        return dataclasses.replace(table, polys=tuple(polys))
+        return table._replace(polys=tuple(polys))
 
     monkeypatch.setattr(moebius, "build_legendre", broken)
     with pytest.raises(AssertionError, match="degree 3"):
@@ -101,6 +100,19 @@ def test_determinant_enforced():
         MoebiusMap(1, 1, 1, 1)
     with pytest.raises(TypeError):
         MoebiusMap(1.0, 0, 0, 1)
+
+
+def test_replace_and_make_validate_and_coerce():
+    # a NamedTuple's _replace builds through _make, which skips a subclass __new__
+    with pytest.raises(DegenerateMap):
+        IDENTITY._replace(lam=2)
+    with pytest.raises(DegenerateMap):
+        MoebiusMap._make((2, 0, 0, 1))
+    with pytest.raises(TypeError):
+        IDENTITY._replace(alpha=0.5)
+    shifted = IDENTITY._replace(alpha=1)
+    assert shifted == SHIFT
+    assert type(shifted) is MoebiusMap and type(shifted.alpha) is F
 
 
 def test_endpoints_examples():

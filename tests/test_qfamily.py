@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -271,7 +270,7 @@ def test_integer_build_matches_the_rational_construction(depth):
 def _with_row(ltable, n, poly):
     polys = list(ltable.polys)
     polys[n] = poly
-    return dataclasses.replace(ltable, polys=tuple(polys))
+    return ltable._replace(polys=tuple(polys))
 
 
 def test_interior_factors_equal_the_exact_quotients():

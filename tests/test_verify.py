@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -139,8 +138,8 @@ def _perturbed_ctx(depth, k, j, c):
         lpolys[k] = lpolys[k] + bump
         polys[k] = polys[k] + X2_MINUS_1 * bump
         interior[k] = interior[k] + bump
-    ltable = dataclasses.replace(ltable, polys=tuple(lpolys))
-    qtable = dataclasses.replace(qtable, polys=tuple(polys), interior=tuple(interior))
+    ltable = ltable._replace(polys=tuple(lpolys))
+    qtable = qtable._replace(polys=tuple(polys), interior=tuple(interior))
     return _Ctx(depth, ltable, qtable)
 
 
@@ -201,7 +200,7 @@ def test_orthqn_checks_the_interior_factor_degrees():
     qtable = build_q_table(15, ltable)
     interior = list(qtable.interior)
     interior[5] = interior[5] + X**11
-    ctx = _Ctx(14, ltable, dataclasses.replace(qtable, interior=tuple(interior)))
+    ctx = _Ctx(14, ltable, qtable._replace(interior=tuple(interior)))
     got = -(interior[5] * qtable.q(7)).integral(-1, 1)
     assert got != 0
     entry = _run("OrthQn", ctx)
@@ -284,7 +283,7 @@ def ctx_21():
 def test_recorded_correction_witness_comes_from_the_seeded_draw(ctx_21, identity_id, top):
     """At every top the entry can see, its id-seeded draw holds an odd-n instance
     of the correction; a change to the draws that loses it fails here."""
-    entry = _run(identity_id, dataclasses.replace(ctx_21, max_degree=top))
+    entry = _run(identity_id, ctx_21._replace(max_degree=top))
     assert entry.verdict is _CORRECTIONS[identity_id]
     assert entry.witness["n"] % 2 == 1 and entry.witness["inputs"]
 
