@@ -146,14 +146,11 @@ def _steps(bits: int) -> tuple[tuple[float, float, int], ...]:
 
 
 class LegendreValues(NamedTuple):
-    """P_k(x) and P'_k(x), k = 0..n, at one point; every family member's float
-    value is read off them, never off monomial coefficients (unstable at high degree)."""
+    """P_k(x) and P'_k(x), k = 0..n, at one point; family members' float values come from
+    these recurrences or legendre_float's, never from monomial coefficients (unstable)."""
 
     p: list[float]
     d: list[float]
-
-    def q(self, n: int) -> float:  # (P_n - P_{n-2})/(2n-1); its derivative is P_{n-1}
-        return (self.p[n] - self.p[n - 2]) / (2 * n - 1)
 
     def r(self, n: int) -> float:  # monic r_n = P'_{n+1}/lead(P'_{n+1}), needs a pass to n+1
         return self.d[n + 1] * 2 ** (n + 1) / ((n + 1) * math.comb(2 * n + 2, n + 1))
@@ -172,17 +169,17 @@ def legendre_values(n: int, x: float) -> LegendreValues:
 
 
 def legendre_float(n: int, x: float) -> tuple[float, float]:
-    """(value, derivative) of the degree-n polynomial at x: the two recurrences
-    of legendre_values, the same operations in the same order, keeping only
-    the last two terms of each, so the result equals its entries bit for bit."""
+    """(P_n(x), P_{n-1}(x)), with P_{-1} = 0: the value recurrence of
+    legendre_values, the same operations in the same order, keeping only its
+    last two terms, so both equal its entries bit for bit."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     if n == 0:
         return 1.0, 0.0
-    p0, p1, d0, d1 = 1.0, x, 0.0, 1.0
-    for a, b, odd in _steps(n.bit_length())[: n - 1]:
-        p0, p1, d0, d1 = p1, a * x * p1 - b * p0, d1, d0 + odd * p1
-    return p1, d1
+    p0, p1 = 1.0, x
+    for a, b, _ in _steps(n.bit_length())[: n - 1]:
+        p0, p1 = p1, a * x * p1 - b * p0
+    return p1, p0
 
 
 def legendre_series(c: Sequence[float]) -> Callable[[float], float]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .exactpoly import NotDivisible, Poly, _make, _raw
-from .legendre import LegendreTable, _derived_power, build_legendre, legendre_values
+from .legendre import LegendreTable, _derived_power, build_legendre, legendre_float
 from .quad import gauss_legendre, newton
 
 X2_MINUS_1 = Poly((-1, 0, 1))
@@ -133,11 +133,12 @@ def weighted_inner_product(p: Poly, q: Poly) -> Fraction:
 
 
 def q_float(n: int, x: float) -> tuple[float, float]:
-    """(value, derivative) of the degree-n member at x, from one recurrence pass."""
+    """(value, derivative) of the degree-n member at x, one recurrence step past P_{n-1}."""
     if n < 2:
         raise ValueError("family starts at degree 2")
-    v = legendre_values(n, x)
-    return v.q(n), v.p[n - 1]
+    p1, p0 = legendre_float(n - 1, x)
+    pn = (2 * n - 1) / n * x * p1 - (n - 1) / n * p0  # legendre._steps' constants, k = n-1
+    return (pn - p0) / (2 * n - 1), p1
 
 
 def q_roots(n: int, table: QTable, tol: float = 1e-12) -> list[float]:
@@ -148,16 +149,16 @@ def q_roots(n: int, table: QTable, tol: float = 1e-12) -> list[float]:
     rule, so the member is strictly monotone between consecutive nodes and,
     by Rolle's theorem, has exactly one root in each of those n-2 gaps (the
     two sets of zeros interlace). Each root is found by quad.newton from the
-    midpoint of its gap and is accepted only inside the gap with |value| < tol;
-    otherwise RootCountMismatch is raised. Degrees run up to
-    quad.MAX_ORDER + 1 = 513; above that gauss_legendre raises ValueError.
+    midpoint of its gap and is accepted only inside the gap with |value| < tol
+    at Newton's last evaluation; otherwise RootCountMismatch is raised. Degrees
+    run up to quad.MAX_ORDER + 1 = 513; above that gauss_legendre raises ValueError.
     """
     if n < 2:
         raise ValueError("family starts at degree 2")
     nodes = gauss_legendre(n - 1).nodes
     roots = [-1.0]
     for lo, hi in zip(nodes, nodes[1:]):
-        x, value, _ = newton(functools.partial(q_float, n), (lo + hi) / 2)
+        x, value, _, _ = newton(functools.partial(q_float, n), (lo + hi) / 2)
         if not (lo < x < hi and abs(value) < tol):
             raise RootCountMismatch(
                 f"root {x!r} with residual {value!r} is not in ({lo!r}, {hi!r}) to {tol}")

@@ -46,9 +46,9 @@ class QuadratureRule(NamedTuple):
         return 2 * self.order - 1
 
 
-def newton(f: Callable[[float], tuple[float, float]], x0: float) -> tuple[float, float, float]:
-    """The package's one Newton loop on f(x) = (value, derivative), from x0;
-    returns the final (x, value, derivative).
+def newton(f: Callable[[float], tuple[float, float]], x0: float) -> tuple[float, ...]:
+    """The package's one Newton loop on f(x) = (value, derivative), from x0; returns
+    (x, value, derivative, step): the final iterate, and f and the step at the one before.
 
     Converges on the Newton step, not the raw residual: once the step falls
     under a few ulp the iterate is as close to the true root as a double can
@@ -60,7 +60,7 @@ def newton(f: Callable[[float], tuple[float, float]], x0: float) -> tuple[float,
         dx = v / dv
         x -= dx
         if abs(dx) < _NEWTON_STEP_TOL:
-            return (x, *f(x))
+            return x, v, dv, dx
     raise ConvergenceFailure(f"Newton iteration from {x0} did not settle in {_NEWTON_STEPS} steps")
 
 
@@ -69,30 +69,32 @@ def gauss_legendre(m: int) -> QuadratureRule:
     """Order-m rule: nodes at the roots of the degree-m Legendre polynomial,
     weights 2/((1-x^2) P'_m(x)^2).
 
-    Initial guesses are cos(pi (4i-1)/(4m+2)); only the positive half is
-    iterated and the rule is mirrored, so node antisymmetry and weight
-    symmetry hold exactly. Rules are cached per order; an out-of-range
-    order raises ValueError and is never cached.
+    Newton runs from Tricomi's asymptotic guess in about two value passes (P_m, P_{m-1})
+    per node, with P'_m = m (P_{m-1} - x P_m)/(1-x^2). Only the positive half is iterated
+    and the rule is mirrored, so node antisymmetry and weight symmetry hold exactly. Rules
+    are cached per order; an out-of-range order raises ValueError and is never cached.
     """
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}")
+
+    def value_and_slope(x: float) -> tuple[float, float]:
+        p, p_prev = legendre_float(m, x)
+        return p, m * (p_prev - x * p) / (1.0 - x * x)
+
     positive: list[tuple[float, float]] = []
     for i in range(1, m // 2 + 1):
-        x0 = math.cos(math.pi * (4 * i - 1) / (4 * m + 2))
-        x, _, dp = newton(functools.partial(legendre_float, m), x0)
+        theta = math.pi * (4 * i - 1) / (4 * m + 2)
+        shrink = 1 - (m - 1) / (8 * m**3) - (39 - 28 / math.sin(theta) ** 2) / (384 * m**4)
+        x, p, dp, dx = newton(value_and_slope, shrink * math.cos(theta))
+        # carry the slope over the last step, with P''_m = (2x P'_m - m(m+1) P_m)/(1-x^2)
+        dp -= dx * (2 * x * dp - m * (m + 1) * p) / (1.0 - x * x)
         positive.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
     positive.sort()
-
-    nodes = [-x for x, _ in reversed(positive)]
-    weights = [w for _, w in reversed(positive)]
+    pairs = [(-x, w) for x, w in reversed(positive)]
     if m % 2:
-        _, dp = legendre_float(m, 0.0)
-        nodes.append(0.0)
-        weights.append(2.0 / (dp * dp))
-    nodes.extend(x for x, _ in positive)
-    weights.extend(w for _, w in positive)
-
-    return QuadratureRule(m, tuple(nodes), tuple(weights))
+        _, dp = value_and_slope(0.0)
+        pairs.append((0.0, 2.0 / (dp * dp)))
+    return QuadratureRule(m, *map(tuple, zip(*pairs, *positive)))
 
 
 class IntegrationResult(NamedTuple):

@@ -35,9 +35,14 @@ def legendre_mp(n, x):
     return mpmath.legendre(n, mpmath.mpf(x))
 
 
-def legendre_deriv_mp(n, x):
+def legendre_and_slope_mp(n, x):
     x = mpmath.mpf(x)
-    return n * (x * legendre_mp(n, x) - legendre_mp(n - 1, x)) / (x * x - 1)
+    value = legendre_mp(n, x)
+    return value, n * (x * value - legendre_mp(n - 1, x)) / (x * x - 1)
+
+
+def legendre_deriv_mp(n, x):
+    return legendre_and_slope_mp(n, x)[1]
 
 
 def q_mp(n, x):
@@ -133,3 +138,23 @@ def test_gauss_legendre_512_nodes_and_weights():
         assert abs(rule.nodes[i] - x) < 2e-16
         # 1 - x^2 loses relative accuracy near the ends in any double computation
         assert abs(rule.weights[i] - weight) < 1e-10 * weight
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 17, 32, 64, 127, 128, 255, 256, 400, 511, 512])
+def test_gauss_legendre_against_fifty_digit_roots_and_weights(m):
+    rule = gauss_legendre(m)
+    assert all(a < b for a, b in zip(rule.nodes, rule.nodes[1:]))
+    assert all(x == -y for x, y in zip(rule.nodes, reversed(rule.nodes)))
+    assert rule.weights == tuple(reversed(rule.weights))
+    with mpmath.workdps(50):
+        # the negative half is the exact mirror image, so the positive half covers every node
+        for node, weight in zip(rule.nodes[m // 2:], rule.weights[m // 2:]):
+            x = mpmath.mpf(node)
+            value, slope = legendre_and_slope_mp(m, x)
+            x -= value / slope
+            value, slope = legendre_and_slope_mp(m, x)
+            # x is the root far below a double's ulp: the next step would move it less than 1e-24
+            assert abs(value / slope) < 1e-24
+            assert abs(node - x) <= 4 * math.ulp(float(x))
+            true_weight = 2 / ((1 - x * x) * slope**2)
+            assert abs(weight - true_weight) <= m * m * 2.0**-52 * true_weight

@@ -133,20 +133,20 @@ def test_second_derivative_at_endpoints(ltable):
 def test_float_recurrence_matches_table(ltable):
     # reference is the exact rational value of the binary float point
     for n in (5, 20, 40):
-        p = ltable.poly(n)
-        d = p.deriv()
+        p, prev = ltable.poly(n), ltable.poly(n - 1)
         for x in (-1.0, -0.7, 0.0, 0.3, 1.0):
-            v, dv = legendre_float(n, x)
+            v, v_prev = legendre_float(n, x)
             assert v == pytest.approx(float(p.at(F(x))), rel=1e-12, abs=1e-13)
-            assert dv == pytest.approx(float(d.at(F(x))), rel=1e-12, abs=1e-13)
+            assert v_prev == pytest.approx(float(prev.at(F(x))), rel=1e-12, abs=1e-13)
 
 
 def test_rolling_pass_equals_the_full_pass_bit_for_bit():
-    # legendre_float keeps two terms of the recurrences legendre_values lists
+    # legendre_float keeps two terms of the value recurrence legendre_values lists
     for x in (-1.0, -0.999, 0.0, 0.3, 0.9999999, 1.0):
-        for n in range(513):
+        assert legendre_float(0, x) == (1.0, 0.0)
+        for n in range(1, 513):
             v = legendre_values(n, x)
-            assert legendre_float(n, x) == (v.p[n], v.d[n]), (n, x)
+            assert legendre_float(n, x) == (v.p[n], v.p[n - 1]), (n, x)
     with pytest.raises(ValueError):
         legendre_float(-1, 0.5)
 

@@ -17,7 +17,7 @@ from intlegendre.qfamily import (
     q_roots,
     weighted_inner_product,
 )
-from intlegendre.legendre import build_legendre, double_factorial
+from intlegendre.legendre import build_legendre, double_factorial, legendre_values
 from intlegendre.quad import gauss_legendre
 
 Q2 = Poly((F(-1, 2), 0, F(1, 2)))
@@ -176,8 +176,8 @@ def test_root_outside_its_gap_is_rejected(qtable, monkeypatch, n):
     real = qfamily.newton
 
     def moved(f, x0):
-        x, value, slope = real(f, x0)
-        return x + 1.0, value, slope
+        x, *rest = real(f, x0)
+        return x + 1.0, *rest
 
     monkeypatch.setattr(qfamily, "newton", moved)
     with pytest.raises(RootCountMismatch):
@@ -209,6 +209,15 @@ def test_q_float_matches_table(qtable):
             v, dv = q_float(n, x)
             assert v == pytest.approx(float(q.at(F(x))), rel=1e-12, abs=1e-13)
             assert dv == pytest.approx(float(d.at(F(x))), rel=1e-12, abs=1e-13)
+
+
+def test_q_float_equals_the_difference_of_listed_values_bit_for_bit():
+    # one recurrence step past legendre_float(n-1, x) gives the bits of
+    # (P_n - P_{n-2})/(2n-1) and P_{n-1} read off the full pass
+    for x in (-1.0, -0.999, -0.3, 0.0, 0.1, 0.7, 0.9999999, 1.0):
+        for n in range(2, 129):
+            v = legendre_values(n, x)
+            assert q_float(n, x) == ((v.p[n] - v.p[n - 2]) / (2 * n - 1), v.p[n - 1]), (n, x)
 
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)

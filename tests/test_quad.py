@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from intlegendre import quad
 from intlegendre.legendre import legendre_float
 from intlegendre.quad import MAX_ORDER, NoConvergence, gauss_legendre, integrate
 
@@ -122,3 +123,17 @@ def test_order_bounds():
 
 def test_rule_is_cached():
     assert gauss_legendre(16) is gauss_legendre(16)
+
+
+@pytest.mark.parametrize("m", [64, 128, 256, 511, 512])
+def test_two_value_passes_per_node(monkeypatch, m):
+    # Tricomi's starting guess leaves Newton about two evaluations per node
+    calls = []
+
+    def counted(n, x):
+        calls.append(x)
+        return legendre_float(n, x)
+
+    monkeypatch.setattr(quad, "legendre_float", counted)
+    quad.gauss_legendre.__wrapped__(m)  # past the cache
+    assert len(calls) <= 2.25 * ((m + 1) // 2)
