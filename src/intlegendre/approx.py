@@ -105,15 +105,13 @@ def brute_force_minimizer(n: int, qtable: QTable) -> BruteForceResult:
 
 
 class ExtremalSolution(NamedTuple):
-    """Kernel-form solution of the constrained minimization, with the
-    certified polynomial and minimum alongside. The two agree exactly."""
+    """Kernel-form solution of the constrained minimization; minimize_constrained
+    returns it only once certify_minimizer has proved it and its minimum."""
 
     n: int
     q_coeffs: Mapping[int, Fraction]
     minimizer: Poly
     min_value: Fraction
-    oracle_value: Fraction
-    oracle_minimizer: Poly
 
 
 def certify_minimizer(p: Poly, n: int) -> Fraction:
@@ -153,7 +151,7 @@ def minimize_constrained(n: int, qtable: QTable) -> ExtremalSolution:
     certified = certify_minimizer(minimizer, n)
     if certified != m_value:
         raise AssertionError(f"certified minimum {certified} is not 1/K_n(0,0) at n={n}")
-    return ExtremalSolution(n, q_coeffs, minimizer, m_value, certified, minimizer)
+    return ExtremalSolution(n, q_coeffs, minimizer, m_value)
 
 
 # -- Fourier coefficients -----------------------------------------------------

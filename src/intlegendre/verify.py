@@ -161,23 +161,17 @@ def _width(polys) -> int:
     return max(p.degree or 0 for p in polys)
 
 
-def _triangular(ns: range, member: Callable[[int], Poly], lag: int = 0,
-                span: Optional[Callable[[int], Poly]] = None) -> Optional[list[Fraction]]:
-    """Each member(n)'s x^(n - lag) moment when the all-pairs scan must pass, else None.
-    With every span(n) (by default member(n)) of exact degree n - lag, member(n) is
-    orthogonal to each lower span(k) exactly when its x^j moments, j < n - lag, vanish;
-    with member(n) of exact degree n and n's parity, only that parity's can be nonzero."""
-    if span and any(span(n).degree != n - lag for n in ns):  # members are checked below
+def _sturm(p: Poly, n: int, e: int, size: int) -> Optional[Fraction]:
+    """p's x^(n-1+e) moment if p has exact degree n and solves (1-x^2) y'' - (1+e) x y'
+    + n(n+e) y = 0, else None. e = 1 is Legendre's equation; e = -1 is the family's, which
+    forces Q(+-1) = 0. Two integrations by parts against x^j, or x^j (1-x^2) for e = -1,
+    whose boundary terms vanish, then make every moment below x^(n-1+e) vanish."""
+    c = p.nums + (0,)  # the equation's x^k coefficients, k < n, on the integer numerators
+    if len(c) != n + 2 or any((k + 2) * (k + 1) * c[k + 2] != (k - n) * (k + n + e) * c[k]
+                              for k in range(n)):
         return None
-    size, tops = 2 * ns[-1] + 1, []  # one _moments table for every member
-    for n, p in zip(ns, map(member, ns)):
-        if p.degree != n or any(p.nums[1 - n % 2::2]):
-            return None
-        scale, (*low, last) = _moment_vector(p.nums, range(n % 2, n - lag + 1, 2), size)
-        if any(low):
-            return None
-        tops.append(Fraction(last, p.den * scale))
-    return tops
+    scale, (moment,) = _moment_vector(p.nums, (n - 1 + e,), size)  # size >= 2n + 1
+    return Fraction(moment, p.den * scale)
 
 
 def _rand_fraction(rng: random.Random, span: int = 8, den: int = 8) -> Fraction:
@@ -230,9 +224,9 @@ def _expp(ctx: _Ctx, top: int) -> None:
 @identity("orthLn", "plain-weight orthogonality with norm 2/(2n+1)", "0..{top}")
 def _orthln(ctx: _Ctx, top: int) -> None:
     p = ctx.ltable.poly
-    tops = _triangular(range(top + 1), p)
     # with P_n orthogonal to every lower power, its norm is lead(P_n) times its x^n moment
-    if tops and all(p(n).coeff(n) * t == Fraction(2, 2 * n + 1) for n, t in enumerate(tops)):
+    if all((mu := _sturm(p(n), n, 1, 2 * top + 1)) is not None
+           and p(n).coeff(n) * mu == Fraction(2, 2 * n + 1) for n in range(top + 1)):
         return
     width = _width(ctx.ltable.poly(m) for m in range(top + 1))
     for n in range(top + 1):
@@ -412,8 +406,10 @@ def _pipcirs3(ctx: _Ctx, top: int) -> None:
 
 @identity("OrthQn", "weighted orthogonality of distinct members", "2..{top}")
 def _orthqn(ctx: _Ctx, top: int) -> None:
-    # i_n = Q_n / (x^2 - 1) has degree n - 2, so Q_m needs vanishing moments below x^(m-2)
-    if _triangular(range(2, top + 1), ctx.qtable.q, 2, ctx.qtable.interior_factor) is not None:
+    # with every i_n of degree n - 2, -integral of i_n Q_m vanishes for m > n once Q_m's
+    # moments below x^(m-2) do
+    if all(ctx.qtable.interior_factor(n).degree == n - 2 and
+           _sturm(ctx.qtable.q(n), n, -1, 2 * top + 1) is not None for n in range(2, top + 1)):
         return
     width = _width(ctx.qtable.q(m) for m in range(2, top + 1))
     for n in range(2, top + 1):
@@ -426,8 +422,11 @@ def _orthqn(ctx: _Ctx, top: int) -> None:
 @identity("NormQn", "weighted squared norm 2/(n(n-1)(2n-1))", "2..{top}")
 def _normqn(ctx: _Ctx, top: int) -> None:
     for n in range(2, top + 1):
-        qn = ctx.qtable.q(n)
-        _agree(-ctx.qtable.interior_factor(n).pairing(_width((qn,)))(qn), q_norm_sq(n), n=n)
+        qn, i_n = ctx.qtable.q(n), ctx.qtable.interior_factor(n)
+        # with Q_n's moments below x^(n-2) zero, -integral of i_n Q_n is one product
+        nu = _sturm(qn, n, -1, 2 * top + 1) if i_n.degree == n - 2 else None
+        if nu is None or -i_n.coeff(n - 2) * nu != q_norm_sq(n):
+            _agree(-i_n.pairing(_width((qn,)))(qn), q_norm_sq(n), n=n)
 
 
 # -- kernel checks --------------------------------------------------------------

@@ -4,9 +4,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intlegendre import verify
-from intlegendre.exactpoly import X
+from intlegendre.exactpoly import Poly, X
 from intlegendre.legendre import build_legendre
 from intlegendre.qfamily import X2_MINUS_1, build_q_table, weighted_inner_product
 from intlegendre.verdict import Verdict
@@ -170,11 +172,11 @@ def _first_pairwise_failure(ctx):
     return orthln, orthqn, normqn
 
 
-# The depth is 12, or k above that. The triangular moment tests of orthLn and
-# OrthQn hand every failure to the pair scan: (12, 11) breaks P_12's parity,
-# (12, 13) its degree, (64, 62) a moment of the top member, and the scaled P_6
-# (j None) passes every moment and fails only orthLn's norm; the scaled Q_6 is
-# still orthogonal, so OrthQn holds there.
+# The depth is 12, or k above that. The differential-equation certificates of
+# orthLn, OrthQn and NormQn hand every failure to the scan: (12, 11) breaks
+# P_12's parity, (12, 13) its degree, (64, 62) the top member's equation, and
+# the scaled P_6 (j None) still solves its equation and fails only orthLn's
+# norm; the scaled Q_6 is still orthogonal, so OrthQn holds there.
 @pytest.mark.parametrize("k, j, c", [(7, 3, Fraction(1, 5)), (10, 0, Fraction(-3, 7)),
                                      (12, 10, Fraction(2, 9)), (12, 11, Fraction(1)),
                                      (12, 13, Fraction(1, 3)), (6, None, Fraction(1)),
@@ -191,6 +193,40 @@ def test_contracted_checks_report_the_pairwise_witness(k, j, c):
             assert entry.witness == expected, entry.identity_id
     if j is None:
         assert want[0]["n"] == want[0]["inputs"]["m"] == k and want[1] is None
+
+
+_FAULTS = st.integers(2, 16).flatmap(lambda k: st.tuples(
+    st.just(k), st.none() | st.integers(0, k + 1),
+    st.fractions(-2, 2, max_denominator=9).filter(bool)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_FAULTS)
+def test_certified_checks_agree_with_the_pair_scan(fault):
+    # a certificate that passed a broken member would report CONFIRMED here
+    k, j, c = fault
+    ctx = _perturbed_ctx(max(12, k), k, j, c)
+    for identity_id, expected in zip(("orthLn", "OrthQn", "NormQn"),
+                                     _first_pairwise_failure(ctx)):
+        entry = _run(identity_id, ctx)
+        assert entry.verdict is (Verdict.CONFIRMED if expected is None else Verdict.FAILED)
+        assert entry.witness == expected, identity_id
+
+
+@pytest.mark.parametrize("depth", [64, 256])
+def test_orthogonality_is_certified_without_the_scan(monkeypatch, depth):
+    def scan(self, max_degree):
+        raise AssertionError("the pair scan ran")
+
+    ltable = build_legendre(depth + 1)
+    ctx = _Ctx(depth, ltable, build_q_table(depth + 1, ltable))
+    monkeypatch.setattr(Poly, "pairing", scan)
+    for identity_id in ("orthLn", "OrthQn", "NormQn"):
+        description, degrees, _, check = _REGISTRY[identity_id]
+        monkeypatch.setitem(_REGISTRY, identity_id, (description, degrees, depth, check))
+        entry = _run(identity_id, ctx)
+        assert entry.verdict is Verdict.CONFIRMED, identity_id
+        assert entry.degrees_checked.endswith(f"..{depth}")
 
 
 def test_orthqn_checks_the_interior_factor_degrees():
