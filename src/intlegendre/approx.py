@@ -19,6 +19,7 @@ from .exactpoly import ONE, Poly, X
 from .kernel import kernel_sum
 from .legendre import build_legendre, legendre_series, legendre_values
 from .qfamily import QTable, X2_MINUS_1, weighted_inner_product
+from .quad import FUNCTIONS
 
 
 class SingularSystem(ArithmeticError):
@@ -203,12 +204,6 @@ def fourier_coeff_moments(f: Poly, n: int) -> Fraction:
 
 
 # -- expansion ----------------------------------------------------------------
-
-FUNCTIONS: dict[str, Callable[[float], float]] = {
-    # smooth functions vanishing at both endpoints: spectral coefficient decay
-    "one-minus-x2-exp": lambda x: (1.0 - x * x) * math.exp(x),
-    "sin-pi": lambda x: math.sin(math.pi * x),
-}
 
 _GRID = [(-1.0 + 2.0 * i / 1000.0) for i in range(1001)]
 

@@ -20,13 +20,10 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import approx, moebius, quad, verify
+from . import approx, moebius, qfamily, quad, verify
 from .exactpoly import Poly
-from .legendre import build_legendre
-from .qfamily import build_q_table
+from .legendre import MAX_DEGREE, build_legendre
 from .verdict import Verdict
-
-_TABLE_CAP = verify.MAX_DEGREE
 
 
 class CliError(Exception):
@@ -118,12 +115,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
     lo, hi = _parse_degrees(args.degrees)
     family = args.family
     floor = {"L": 0, "Q": 2, "r": 0}[family]
-    if lo < floor or hi > _TABLE_CAP:
-        raise CliError(f"family {family} supports degrees {floor}..{_TABLE_CAP}")
+    if lo < floor or hi > MAX_DEGREE:
+        raise CliError(f"family {family} supports degrees {floor}..{MAX_DEGREE}")
     if family == "L":
         poly = build_legendre(max(hi, 1)).poly
     elif family == "Q":
-        poly = build_q_table(hi).q
+        poly = qfamily.build_q_table(hi).q
     else:
         poly = moebius.build_r_family(hi).poly
     polys = {n: poly(n) for n in range(lo, hi + 1)}
@@ -199,9 +196,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_minimize(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise CliError("--n must be >= 2")
-    if args.n > _TABLE_CAP:
-        raise CliError(f"--n must be <= {_TABLE_CAP}")
-    table = build_q_table(args.n)
+    if args.n > MAX_DEGREE:
+        raise CliError(f"--n must be <= {MAX_DEGREE}")
+    table = qfamily.build_q_table(args.n)
     solution = approx.minimize_constrained(args.n, table)
     payload = {
         "n": solution.n,
@@ -219,28 +216,28 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
 def _cmd_expand(args: argparse.Namespace) -> int:
     if args.top < 2:
         raise CliError("--N must be >= 2")
-    if args.top > _TABLE_CAP:
-        raise CliError(f"--N must be <= {_TABLE_CAP}")
+    if args.top > MAX_DEGREE:
+        raise CliError(f"--N must be <= {MAX_DEGREE}")
     if (args.poly is None) == (args.fn is None):
         raise CliError("exactly one of --poly or --fn is required")
     _check_tol(args.tol)
-    if args.fn is not None and args.fn not in approx.FUNCTIONS:
+    if args.fn is not None and args.fn not in quad.FUNCTIONS:
         raise CliError(
-            f"unknown function {args.fn!r}; known: {', '.join(sorted(approx.FUNCTIONS))}"
+            f"unknown function {args.fn!r}; known: {', '.join(sorted(quad.FUNCTIONS))}"
         )
     spec = args.fn if args.fn is not None else _parse_poly_spec(args.poly)
     target: Poly | str
     if isinstance(spec, tuple):
         family, degree = spec
-        low, high = (2, args.top) if family == "Q" else (0, _TABLE_CAP)
+        low, high = (2, args.top) if family == "Q" else (0, MAX_DEGREE)
         if not low <= degree <= high:
             raise CliError(f"{family}{degree} outside {low}..{high}")
         # one Legendre table, deep enough for an L input, serves the expansion too
-        table = build_q_table(args.top, build_legendre(max(args.top, degree)))
+        table = qfamily.build_q_table(args.top, build_legendre(max(args.top, degree)))
         target = table.q(degree) if family == "Q" else table.legendre.poly(degree)
         label = f"{family}{degree}"
     else:
-        table = build_q_table(args.top)
+        table = qfamily.build_q_table(args.top)
         target = spec
         label = spec if isinstance(spec, str) else spec.pretty()
     report = approx.expand(target, args.top, table, args.tol)
@@ -354,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--poly", default=None,
                           help="ascending rational coefficients like 0,0,1,0,-1 or Q3/L5")
     p_expand.add_argument("--fn", default=None,
-                          help=f"named function: {', '.join(sorted(approx.FUNCTIONS))}")
+                          help=f"named function: {', '.join(sorted(quad.FUNCTIONS))}")
     p_expand.add_argument("--N", type=int, required=True, dest="top")
     p_expand.add_argument("--tol", type=float, default=1e-12)
     p_expand.add_argument("--format", choices=("json", "csv"), default="json")

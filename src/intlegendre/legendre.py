@@ -13,6 +13,10 @@ from typing import Callable, NamedTuple, Sequence
 
 from .exactpoly import Poly, _make
 
+# The supported depth: the deepest table the command line serves and the
+# deepest verification run.
+MAX_DEGREE = 64
+
 
 def double_factorial(n: int) -> int:
     """n!! with the conventions (-1)!! = 0!! = 1; defined for n >= -1."""

@@ -20,6 +20,13 @@ MAX_ORDER = 512
 _NEWTON_STEP_TOL = 5e-16
 _NEWTON_STEPS = 100
 
+# The named float integrands of `expand --fn`: smooth functions vanishing at
+# both endpoints, whose coefficients decay spectrally.
+FUNCTIONS: dict[str, Callable[[float], float]] = {
+    "one-minus-x2-exp": lambda x: (1.0 - x * x) * math.exp(x),
+    "sin-pi": lambda x: math.sin(math.pi * x),
+}
+
 
 class ConvergenceFailure(RuntimeError):
     """Newton iteration failed to settle within its step cap."""

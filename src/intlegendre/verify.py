@@ -29,6 +29,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Union
 from . import approx, kernel, moebius
 from .exactpoly import Poly, X, _moment_vector
 from .legendre import (
+    MAX_DEGREE,
     LegendreTable,
     build_legendre,
     double_factorial,
@@ -50,7 +51,6 @@ from .verdict import Verdict
 
 SCHEMA_VERSION = 1
 MIN_DEGREE = 4
-MAX_DEGREE = 64
 
 TEST_MAPS: tuple[tuple[Union[int, Fraction], ...], ...] = (
     (1, 0, 0, 1),
@@ -120,12 +120,13 @@ class Failed(Exception):
 _Check = Callable[[_Ctx, int], Optional[tuple[Verdict, dict]]]
 
 # id -> (description, degrees, cap, check)
-_REGISTRY: dict[str, tuple[str, str, int, _Check]] = {}
+_REGISTRY: dict[str, tuple[str, str, Optional[int], _Check]] = {}
 
 
 def identity(identity_id: str, description: str, degrees: str,
-             cap: int = MAX_DEGREE) -> Callable[[_Check], _Check]:
-    """Register a check; ``degrees`` may use ``{top}``, which is min(cap, depth)."""
+             cap: Optional[int] = None) -> Callable[[_Check], _Check]:
+    """Register a check; ``degrees`` may use ``{top}``, which is the run's depth,
+    or min(cap, depth) when a cap is given."""
     if identity_id in _REGISTRY:
         raise ValueError(f"identity id {identity_id!r} is already registered")
 
@@ -138,7 +139,7 @@ def identity(identity_id: str, description: str, degrees: str,
 
 def _run(identity_id: str, ctx: _Ctx) -> IdentityEntry:
     description, degrees, cap, check = _REGISTRY[identity_id]
-    top = min(cap, ctx.max_degree)
+    top = ctx.max_degree if cap is None else min(cap, ctx.max_degree)
     ctx = ctx._replace(rng=random.Random(f"intlegendre:{identity_id}"))
     try:
         verdict, witness = check(ctx, top) or (Verdict.CONFIRMED, None)

@@ -294,23 +294,59 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
-_COLD_IMPORT = """
-import sys
+_EXECUTED = """
+import sys, types
 sys.path.insert(0, sys.argv[1])
 import intlegendre.cli
-print(" ".join(sys.modules))
+if len(sys.argv) > 2:
+    intlegendre.cli.main(sys.argv[2:])
+executed = [name for name, module in sys.modules.items()
+            if name.startswith("intlegendre.") and type(module) is types.ModuleType]
+print(" ".join(sys.modules), file=sys.stderr)
+print(" ".join(executed), file=sys.stderr)
 """
+
+
+def _executed(*argv):
+    """(modules loaded, intlegendre modules executed) in a fresh process that imports
+    the CLI and runs argv, if given."""
+    done = subprocess.run([sys.executable, "-S", "-c", _EXECUTED, str(SRC), *argv],
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded, executed = done.stderr.splitlines()[-2:]
+    return set(loaded.split()), {name.split(".")[1] for name in executed.split()}
 
 
 def test_cold_cli_import_leaves_out_dataclasses_and_loads_every_traced_module():
     # every CLI call is a fresh process: dataclasses pulls in inspect, ast and dis;
     # the benchmark's tracer looks each intlegendre module up in sys.modules
-    done = subprocess.run([sys.executable, "-S", "-c", _COLD_IMPORT, str(SRC)],
-                          capture_output=True, text=True, timeout=120, check=True)
-    loaded = set(done.stdout.split())
+    loaded, executed = _executed()
     assert not {"dataclasses", "inspect"} & loaded
     traced = ("legendre", "qfamily", "kernel", "approx", "moebius", "quad", "verify", "cli")
     assert {f"intlegendre.{name}" for name in traced} <= loaded
+    # registered, yet not executed until first used
+    assert not {"verify", "approx", "moebius"} & executed
+
+
+def test_cold_quad_executes_only_what_it_uses():
+    _, executed = _executed("quad", "--m", "8")
+    assert executed == {"cli", "exactpoly", "legendre", "quad", "verdict"}
+
+
+def test_traced_cold_child_sees_the_lazy_modules():
+    # perfbench/child.py installs the tracer right after `from intlegendre import cli`
+    perfbench = SRC.parent / "perfbench"
+    done = subprocess.run([sys.executable, str(perfbench / "child.py"), str(SRC), "1",
+                           "quad", "--m", "8", "--format", "json"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["m"] == 8
+    sys.path.insert(0, str(perfbench))
+    try:
+        from spans import SPAN_NAMES
+    finally:
+        sys.path.remove(str(perfbench))
+    spans = {SPAN_NAMES[i] for buf in json.loads(done.stderr)["buffers"] for i in buf["name"]}
+    assert {"cli.main", "quad.gauss_legendre"} <= spans
 
 
 def _fresh_process(argv):

@@ -101,6 +101,15 @@ def test_depth_bounds():
         run_verification(65)
 
 
+def test_uncapped_entries_follow_the_run_depth():
+    # an entry without a cap checks every degree of the run, whatever MAX_DEGREE was
+    # when it registered; a capped entry stops at its cap
+    ltable = build_legendre(71)
+    ctx = _Ctx(70, ltable, build_q_table(71, ltable))
+    assert _run("Qqn1", ctx).degrees_checked == "2..70"
+    assert _run("Second", ctx).degrees_checked == "2..20"
+
+
 def test_registering_a_used_id_raises():
     before = dict(_REGISTRY)
     with pytest.raises(ValueError, match="orthLn"):
