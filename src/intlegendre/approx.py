@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from . import quad
-from .exactpoly import ONE, Poly, X
+from .exactpoly import ONE, Poly, X, _moment_vector
 from .kernel import kernel_sum
 from .legendre import build_legendre, legendre_series, legendre_values
 from .qfamily import QTable, X2_MINUS_1, weighted_inner_product
@@ -181,7 +181,8 @@ def moment_vector(f: Poly, n: int) -> list[Fraction]:
     """Even moments of the n-th derivative: integral of x^(2k) f^(n) over
     [-1, 1] for k = 0..n-1, exact."""
     fn = f.deriv(n)
-    return [(Poly.monomial(2 * k) * fn).integral(-1, 1) for k in range(n)]
+    scale, vec = _moment_vector(fn.nums, range(0, 2 * n, 2), len(fn.nums) + 2 * n)
+    return [Fraction(v, fn.den * scale) for v in vec]
 
 
 def fourier_coeff_moments(f: Poly, n: int) -> Fraction:

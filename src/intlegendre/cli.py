@@ -2,12 +2,12 @@
 report, extremal solving, expansion and transformed-system generation.
 
 Exit codes: 0 on success (all identities confirmed or corrected), 1 when the
-verification registry records any FAILED entry, 2 on usage errors (including
-a --tol that is not a positive finite float and an --out path that cannot be
-written), 3 on a numerical limit (a quadrature that does not converge within
-its order cap, as in `expand --fn sin-pi --N 29 --tol 1e-300`, or a
-quadrature node that does not settle). Exact rationals serialize as 'p/q'
-strings, never floats, so reports stay diffable and lossless.
+verification registry records any FAILED entry, 2 on usage errors (including a
+--tol that is not a positive finite float, an --out path that cannot be written,
+and an input whose floats leave the float range), 3 on a numerical limit (a
+quadrature that does not converge within its order cap, as in `expand --fn sin-pi
+--N 29 --tol 1e-300`, or a quadrature node that does not settle). Exact rationals
+serialize as 'p/q' strings, never floats, so reports stay diffable and lossless.
 """
 
 from __future__ import annotations
@@ -88,22 +88,6 @@ def _json_text(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _value_at(p: Poly, x: float) -> float:
-    """The float nearest to p(x), +-inf past the float range as IEEE rounding
-    gives: x = m/q is dyadic, so integer Horner gives p(x) as one integer over
-    den * q^deg, and Python's int / int division rounds it once."""
-    m, q = x.as_integer_ratio()
-    rest = reversed(p.nums)
-    acc, qk = next(rest, 0), 1
-    for c in rest:
-        qk *= q
-        acc = acc * m + c * qk
-    try:
-        return acc / (p.den * qk)
-    except OverflowError:
-        return math.inf if acc > 0 else -math.inf
-
-
 def _float_or_none(value: float) -> Optional[float]:
     return None if math.isinf(value) else value
 
@@ -127,7 +111,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     points = [_parse_point(p) for p in args.points.split(",")] if args.points else []
 
     def values(p: Poly) -> list[float]:  # the exact member value at each point, rounded once
-        return [_value_at(p, x) for x in points]
+        return [p.at_float(x) for x in points]
 
     def coeff_cells(p: Poly) -> list:  # as float(c) or str(c), off the numerators
         if args.backend == "float":
@@ -240,10 +224,11 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         table = qfamily.build_q_table(args.top)
         target = spec
         label = spec if isinstance(spec, str) else spec.pretty()
-    report = approx.expand(target, args.top, table, args.tol)
-    coeff_cell = (
-        (lambda v: str(v)) if report.method == "quadrature_exact" else (lambda v: v)
-    )
+    try:
+        report = approx.expand(target, args.top, table, args.tol)
+    except OverflowError:
+        raise CliError("the expansion residual leaves the float range") from None
+    coeff_cell = str if report.method == "quadrature_exact" else float
     if args.format == "json":
         payload = {
             "input": label,
@@ -273,7 +258,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     values = [_parse_fraction(p) for p in parts]
     try:
         mob = moebius.MoebiusMap(*values)
-        system = moebius.build_transformed_system(mob, args.top)
+        system = moebius.build_transformed_system(mob)
     except moebius.DegenerateMap as exc:
         raise CliError(str(exc)) from None
     ends = moebius.induced_endpoints(mob)

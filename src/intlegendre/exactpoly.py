@@ -281,34 +281,34 @@ class Poly:
 
     # -- evaluation ---------------------------------------------------------
 
-    def at(self, x: Scalar) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
-        x = _frac(x)
-        if not self.nums:
-            return Fraction(0)
-        p, q = x.numerator, x.denominator
+    def _horner(self, p: int, q: int) -> tuple[int, int]:
+        """(A, q^deg) with A / (den * q^deg) the value at p/q, by integer Horner."""
         rest = reversed(self.nums)
-        acc = next(rest)
+        acc, qk = next(rest, 0), 1
         if q == 1:
             for c in rest:
                 acc = acc * p + c
-            return Fraction(acc, self.den)
-        qk = 1
+            return acc, qk
         for c in rest:
             qk *= q
             acc = acc * p + c * qk
+        return acc, qk
+
+    def at(self, x: Scalar) -> Fraction:
+        """Exact Horner evaluation at a rational point."""
+        x = _frac(x)
+        acc, qk = self._horner(x.numerator, x.denominator)
         return Fraction(acc, self.den * qk)
 
     def at_float(self, x: float) -> float:
-        """Horner evaluation in double precision, in the monomial basis, for
-        low-degree general polynomials: each coefficient is rounded once, but
-        cancellation between large coefficients loses accuracy fast with the
-        degree. Family members go through ``legendre.legendre_values``."""
-        den = self.den
-        acc = 0.0
-        for c in reversed(self.nums):
-            acc = acc * x + c / den
-        return acc
+        """The float nearest to the value at a finite float x, +-inf past the float
+        range: x is dyadic, so the value is one integer over den * q^deg, and
+        int / int division rounds it once, at any degree."""
+        acc, qk = self._horner(*x.as_integer_ratio())
+        try:
+            return acc / (self.den * qk)
+        except OverflowError:
+            return math.inf if acc > 0 else -math.inf
 
     def pretty(self) -> str:
         """Human-readable form, ascending powers, e.g. '1 - x^2'."""

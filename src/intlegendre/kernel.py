@@ -78,17 +78,17 @@ def kernel_value(n: int, x: Scalar, y: Scalar, qtable: QTable) -> Fraction:
     return kernel_values(n, x, y, qtable)[n]
 
 
-def kernel_forms(top: int, x: Scalar, y: Scalar, qtable: QTable, low: int = 2,
+def kernel_forms(top: int, x: Scalar, y: Scalar, qtable: QTable,
                  stated: bool = True) -> tuple[list[Optional[Fraction]], list[Optional[Fraction]]]:
-    """For n = low..top, index n (slots below low None): the running sum of
-    Q_k(x) Q_k(y)/norm_k over k = low..n, and with stated, kernel_cd(n, x, y),
+    """For n = 2..top, index n (slots 0 and 1 None): K_n(x, y), the running sum
+    of Q_k(x) Q_k(y)/norm_k over k = 2..n, and with stated, kernel_cd(n, x, y),
     or kernel_confluent(n, x) when x == y (else an empty list). Every member is
     evaluated once at x and once at y (once in all when x == y)."""
     if top < 2:
         raise ValueError("kernel index starts at 2")
     x, y = Fraction(x), Fraction(y)
-    ns, pad = range(low, top + 1), [None] * low
-    qx = {k: qtable.q(k).at(x) for k in range(low, top + 2 if stated else top + 1)}
+    ns, pad = range(2, top + 1), [None, None]
+    qx = {k: qtable.q(k).at(x) for k in range(2, top + 2 if stated else top + 1)}
     qy = qx if x == y else {k: qtable.q(k).at(y) for k in qx}
     sums = pad + list(accumulate(qx[n] * qy[n] / qtable.norm_sq(n) for n in ns))
     if not stated:
@@ -106,13 +106,13 @@ def kernel_cd(n: int, x: Scalar, y: Scalar, qtable: QTable) -> Fraction:
     stated prefactor 1/norm_n. Needs x != y."""
     if Fraction(x) == Fraction(y):
         raise ValueError("confluent point: use kernel_confluent")
-    return kernel_forms(n, x, y, qtable, n)[1][n]
+    return kernel_forms(n, x, y, qtable)[1][n]
 
 
 def kernel_confluent(n: int, x: Scalar, qtable: QTable) -> Fraction:
     """Diagonal form Q'_{n+1}(x)Q_n(x) - Q_{n+1}(x)Q'_n(x) with the stated
     prefactor 1/norm_n."""
-    return kernel_forms(n, x, x, qtable, n)[1][n]
+    return kernel_forms(n, x, x, qtable)[1][n]
 
 
 def kernel_zero_stated(n: int) -> Fraction:

@@ -156,9 +156,6 @@ class LegendreValues(NamedTuple):
     p: list[float]
     d: list[float]
 
-    def r(self, n: int) -> float:  # monic r_n = P'_{n+1}/lead(P'_{n+1}), needs a pass to n+1
-        return self.d[n + 1] * 2 ** (n + 1) / ((n + 1) * math.comb(2 * n + 2, n + 1))
-
 
 def legendre_values(n: int, x: float) -> LegendreValues:
     """P_0..P_n and P'_0..P'_n at x from one pass of the value recurrence and of

@@ -8,7 +8,6 @@ pulled-back weight, which vanishes at both induced endpoints.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -151,30 +150,22 @@ def build_r_family(max_degree: int) -> RFamily:
     return RFamily(max_degree, tuple(polys))
 
 
-class _SystemFields(NamedTuple):
+class TransformedSystem(NamedTuple):
+    """A map with its induced interval and weight."""
+
     map: MoebiusMap
     a: Fraction
     b: Fraction
     weight: RationalWeight
-    max_degree: int
 
 
-class TransformedSystem(_SystemFields):
-    """A map with its induced interval, weight and (built on first use) family.
-
-    Not slotted, unlike the other records: the instance dict holds the family."""
-
-    @functools.cached_property
-    def family(self) -> RFamily:
-        return build_r_family(self.max_degree)
-
-
-def build_transformed_system(m: MoebiusMap, max_degree: int) -> TransformedSystem:
+def build_transformed_system(m: MoebiusMap) -> TransformedSystem:
     """Validate the map and assemble the induced system.
 
     Rejects maps whose endpoints are out of order and maps whose pole falls
     inside the closed induced interval; either way no proper interval is
-    carried onto [-1, 1].
+    carried onto [-1, 1]. The Gram integrals run in floats, so it also rejects a map
+    whose floats overflow, or leave an empty interval or a midpoint weight 0, inf or nan.
     """
     ends = induced_endpoints(m)
     if not ends.a < ends.b:
@@ -182,7 +173,15 @@ def build_transformed_system(m: MoebiusMap, max_degree: int) -> TransformedSyste
     pole = m.pole
     if pole is not None and ends.a <= pole <= ends.b:
         raise DegenerateMap(f"pole {pole} lies inside [{ends.a}, {ends.b}]")
-    return TransformedSystem(m, ends.a, ends.b, induced_weight(m), max_degree)
+    weight = induced_weight(m)
+    try:
+        *_, a, b = map(float, (*m, ends.a, ends.b))
+        finite = a < b and 0 < abs(weight.at_float((a + b) / 2)) < math.inf
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise DegenerateMap("the map, its interval or its weight leaves the float range")
+    return TransformedSystem(m, ends.a, ends.b, weight)
 
 
 def _pulled_back(
@@ -192,10 +191,12 @@ def _pulled_back(
     the mapped point and w the induced weight; one recurrence pass per node."""
     m, weight = system.map, system.weight.at_float
     lam, alpha, mu, beta = float(m.lam), float(m.alpha), float(m.mu), float(m.beta)
+    # monic r_n = P'_{n+1} / lead(P'_{n+1}), and lead(P'_k) = k C(2k, k) / 2^k
+    scales = [(2.0 ** k, float(k * math.comb(2 * k, k))) for k in range(1, top + 2)]
 
     def at(x: float) -> list[float]:
-        v = legendre_values(top + 1, (lam * x + alpha) / (mu * x + beta))
-        return f([v.r(n) for n in range(top + 1)], weight(x))
+        d = legendre_values(top + 1, (lam * x + alpha) / (mu * x + beta)).d
+        return f([dk * p / q for dk, (p, q) in zip(d[1:], scales)], weight(x))
 
     return quad.integrate(at, float(system.a), float(system.b), tol).value
 

@@ -250,6 +250,17 @@ def test_transform_rejects_bad_maps(capsys):
     assert run_cli(capsys, "transform", "--map", "0,-1,1,0", "--N", "4")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("expand", "--poly", "1e400", "--N", "2"),
+    ("expand", "--poly", "0,1e400,0,-1e400", "--N", "2"),
+    ("transform", "--map", "1e200,0,0,1e-200", "--N", "2"),
+])
+def test_inputs_past_the_float_range_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "float range" in err
+
+
 def test_quad_csv(capsys):
     code, out, _ = run_cli(capsys, "quad", "--m", "3")
     assert code == 0

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intlegendre.exactpoly import NotDivisible, Poly, X
+from intlegendre.legendre import build_legendre
+from intlegendre.moebius import build_r_family
+from intlegendre.qfamily import build_q_table
 
 ONE = Poly((1,))
 
@@ -246,10 +249,7 @@ def test_core_matches_fraction_reference(a, b, c, order, power):
     assert p.at(3) == _ref_at(ra, 3)
     assert p.coeff(2) == (ra[2] if len(ra) > 2 else 0)
     if abs(c) <= 1:
-        want = 0.0
-        for x in reversed(ra):
-            want = want * float(c) + float(x)
-        assert p.at_float(float(c)) == want  # bit for bit
+        assert p.at_float(float(c)) == float(_ref_at(ra, F(float(c))))  # rounded once
     top = max(len(rb) - 1, 0) + order
     assert p.pairing(top)(q) == _ref_integral(_ref_mul(ra, rb), -1, 1)
     if rb and len(ra) >= len(rb):
@@ -263,16 +263,20 @@ def test_core_matches_fraction_reference(a, b, c, order, power):
         assert (p * q).divexact(q).coeffs == ra
 
 
-def test_at_float_rounds_each_coefficient_once():
-    # numerators far beyond 2**53: each coefficient must still convert exactly
-    # like float(Fraction), with no intermediate rounding
-    cs = [F((-1) ** k * (3**45 + k), 7**22 + 2 * k) for k in range(12)]
-    p = Poly(cs)
-    for x in (0.9, -0.37, 1.0):
-        want = 0.0
-        for c in reversed(cs):
-            want = want * x + float(c)
-        assert p.at_float(x) == want
+def test_at_float_is_the_exact_value_rounded_once():
+    # family members to the top depth, whose monomial coefficients cancel far
+    # beyond double precision, and numerators far beyond 2**53
+    ltable = build_legendre(64)
+    members = [*ltable.polys, *build_q_table(64, ltable).polys[2:], *build_r_family(64).polys,
+               Poly([F((-1) ** k * (3**45 + k), 7**22 + 2 * k) for k in range(12)])]
+    for p in members:
+        for x in (0.9, -0.9999, 1.0, -1.0, 5e-324):
+            assert p.at_float(x) == float(p.at(F(x)))
+        if p.degree >= 2:  # past the float range: the infinity IEEE rounding gives
+            lead = math.copysign(math.inf, p.nums[-1])
+            assert p.at_float(1e300) == lead
+            assert p.at_float(-1e300) == lead * (-1) ** p.degree
+    assert ltable.poly(64).at_float(0.9) == -0.15040882054494792
 
 
 def test_pairing_rejects_degree_above_its_bound():

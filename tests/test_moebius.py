@@ -177,19 +177,23 @@ def test_weight_vanishes_at_induced_endpoints():
 
 def test_system_rejects_bad_maps():
     with pytest.raises(DegenerateMap):
-        build_transformed_system(MoebiusMap(0, -1, 1, 0), 4)  # endpoints out of order
+        build_transformed_system(MoebiusMap(0, -1, 1, 0))  # endpoints out of order
+    with pytest.raises(DegenerateMap):  # float interval [-0.0, 0.0] and weight 0/0
+        build_transformed_system(MoebiusMap(F(10**200), 0, 0, F(1, 10**200)))
+    with pytest.raises(DegenerateMap):  # parameters past the float range
+        build_transformed_system(MoebiusMap(F(10**400), 0, 0, F(1, 10**400)))
 
 
 def test_transformed_orthogonality_examples():
     for m, (n, k), tol in ((IDENTITY, (1, 2), 1e-13), (SHIFT, (1, 2), 1e-12),
                            (SCALE, (2, 3), 1e-12)):
-        matrix, _ = gram_matrix(build_transformed_system(m, 4), 4, tol)
+        matrix, _ = gram_matrix(build_transformed_system(m), 4, tol)
         assert abs(matrix[n][k]) < tol * math.sqrt(matrix[n][n] * matrix[k][k])
 
 
 def test_gram_matrices_nearly_diagonal():
     for m in ALL_MAPS:
-        system = build_transformed_system(m, 5)
+        system = build_transformed_system(m)
         matrix, worst = gram_matrix(system, 6)
         assert worst < 1e-11
         for n in range(6):
@@ -198,10 +202,9 @@ def test_gram_matrices_nearly_diagonal():
 
 def test_change_of_variables_consistency():
     # transformed integrals equal the exact inner products under 1 - t^2
+    fam = build_r_family(5)
     for m in ALL_MAPS:
-        system = build_transformed_system(m, 5)
-        matrix, _ = gram_matrix(system, 6)
-        fam = system.family
+        matrix, _ = gram_matrix(build_transformed_system(m), 6)
         for n in range(6):
             for k in range(n, 6):
                 exact = float(reference_inner_product(fam.poly(n), fam.poly(k)))
@@ -209,12 +212,11 @@ def test_change_of_variables_consistency():
 
 
 def test_gram_matrix_at_size_17_matches_the_exact_inner_products():
+    fam = build_r_family(16)
+    exact = [[float(reference_inner_product(fam.poly(i), fam.poly(j))) for j in range(17)]
+             for i in range(17)]
     for m in ALL_MAPS:
-        system = build_transformed_system(m, 16)
-        matrix, worst = gram_matrix(system, 17)
-        fam = system.family
-        exact = [[float(reference_inner_product(fam.poly(i), fam.poly(j))) for j in range(17)]
-                 for i in range(17)]
+        matrix, worst = gram_matrix(build_transformed_system(m), 17)
         for i in range(17):
             for j in range(17):
                 scale = math.sqrt(exact[i][i] * exact[j][j])
@@ -226,28 +228,28 @@ def test_minimality_fails_for_a_member_that_is_not_minimal(monkeypatch):
     # shift r_2 by 1/2 r_0: the perturbation by -1/4 r_0 then lowers the objective
     true_values = moebius.legendre_values
 
-    class Shifted:
-        def __init__(self, n, x):
-            self.v = true_values(n, x)
+    def shifted(n, x):
+        v = true_values(n, x)
+        v.d[3] += 3.75  # r_2 = P'_3 / lead(P'_3) with lead 15/2, and r_0 = P'_1 = 1
+        return v
 
-        def r(self, k):
-            return self.v.r(k) + (0.5 if k == 2 else 0.0)
-
-    monkeypatch.setattr(moebius, "legendre_values", Shifted)
-    assert minimality_check(build_transformed_system(SHIFT, 4), 2) is False
+    monkeypatch.setattr(moebius, "legendre_values", shifted)
+    assert minimality_check(build_transformed_system(SHIFT), 2) is False
     monkeypatch.undo()
-    assert minimality_check(build_transformed_system(SHIFT, 4), 2) is True
+    assert minimality_check(build_transformed_system(SHIFT), 2) is True
 
 
 def _pulled_back_per_node(system, top, f, tol):
     """The integrals of moebius._pulled_back with the map's Fractions
-    converted to floats at each node."""
+    converted to floats, and each monic scale computed, at each node."""
     m = system.map
 
     def at(x):
         t = (float(m.lam) * x + float(m.alpha)) / (float(m.mu) * x + float(m.beta))
-        v = legendre_values(top + 1, t)
-        return f([v.r(n) for n in range(top + 1)], system.weight.at_float(x))
+        d = legendre_values(top + 1, t).d
+        r = [d[n + 1] * 2 ** (n + 1) / ((n + 1) * math.comb(2 * n + 2, n + 1))
+             for n in range(top + 1)]
+        return f(r, system.weight.at_float(x))
 
     return quad.integrate(at, float(system.a), float(system.b), tol).value
 
@@ -263,7 +265,7 @@ def test_per_system_constants_leave_every_integral_bit_identical(monkeypatch):
 
     monkeypatch.setattr(moebius, "_pulled_back", both)
     for m in ALL_MAPS:
-        system = build_transformed_system(m, 8)
+        system = build_transformed_system(m)
         gram_matrix(system, 9, 1e-11)
         assert all(minimality_check(system, n) for n in range(1, 4))
     assert len(pairs) == 20
@@ -272,15 +274,14 @@ def test_per_system_constants_leave_every_integral_bit_identical(monkeypatch):
 
 
 def test_minimality():
-    assert minimality_check(build_transformed_system(IDENTITY, 4), 2) is True
-    assert minimality_check(build_transformed_system(SHIFT, 4), 2) is True
-    assert minimality_check(build_transformed_system(SCALE, 4), 3) is True
+    assert minimality_check(build_transformed_system(IDENTITY), 2) is True
+    assert minimality_check(build_transformed_system(SHIFT), 2) is True
+    assert minimality_check(build_transformed_system(SCALE), 3) is True
 
 
 def test_minimality_perturbation_grows_quadratically():
     # under the identity map the objective increase is exactly eps^2 |r_j|^2
-    system = build_transformed_system(IDENTITY, 4)
-    fam = system.family
+    fam = build_r_family(4)
     base = float(reference_inner_product(fam.poly(2), fam.poly(2)))
     perturbed = fam.poly(2) + fam.poly(0).scale(F(1, 4))
     grown = float(reference_inner_product(perturbed, perturbed))
@@ -292,20 +293,3 @@ def test_map_pole():
     assert IDENTITY.pole is None
     assert GENERIC.pole == -1
     assert GENERIC.pole < induced_endpoints(GENERIC).a
-
-
-def test_family_is_built_on_first_use_only(monkeypatch):
-    calls = []
-
-    def counted(depth):
-        calls.append(depth)
-        return build_r_family(depth)
-
-    monkeypatch.setattr(moebius, "build_r_family", counted)
-    system = build_transformed_system(GENERIC, 6)
-    gram_matrix(system, 7)
-    minimality_check(system, 3)
-    assert calls == []
-    assert system.family.poly(2) == X * X - F(1, 5)
-    assert system.family is system.family
-    assert calls == [6]

@@ -22,14 +22,14 @@ PUBLIC_RECORDS = {
 def records():
     qtable = build_q_table(6)
     m = moebius.MoebiusMap(2, 1, 1, 1)
-    system = moebius.build_transformed_system(m, 4)
+    system = moebius.build_transformed_system(m)
     report = run_verification(4)
     return [
         build_legendre(4), legendre_special_values(3), qtable, kernel_sum(4, 0, qtable),
         gauss_legendre(4), integrate(lambda x: (x * x,), -1.0, 1.0),
         brute_force_minimizer(4, qtable), minimize_constrained(4, qtable),
         expand(qtable.q(3), 4, qtable), m, moebius.induced_endpoints(m),
-        moebius.induced_weight(m), system.family, system, report, report.entries[0],
+        moebius.induced_weight(m), moebius.build_r_family(4), system, report, report.entries[0],
     ]
 
 
@@ -39,6 +39,7 @@ def test_every_public_record_is_covered(records):
 
 def test_fields_cannot_be_assigned(records):
     for record in records:
+        assert not hasattr(record, "__dict__")  # slotted, so no attribute can be added either
         for name in record._fields:
             with pytest.raises(AttributeError):
                 setattr(record, name, getattr(record, name))
