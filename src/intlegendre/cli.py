@@ -17,13 +17,9 @@ import functools
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import approx, moebius, qfamily, quad, verify
-from .exactpoly import Poly
-from .legendre import MAX_DEGREE, build_legendre
-from .verdict import Verdict
+from . import approx, exactpoly, legendre, moebius, qfamily, quad, verdict, verify
 
 
 class CliError(Exception):
@@ -41,9 +37,9 @@ def _parse_degrees(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str) -> exactpoly.Fraction:
     try:
-        return Fraction(text)
+        return exactpoly._frac(text)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"bad rational {text!r}") from None
 
@@ -58,14 +54,14 @@ def _parse_point(text: str) -> float:
     return x
 
 
-def _parse_poly_spec(text: str) -> Poly | tuple[str, int]:
+def _parse_poly_spec(text: str) -> exactpoly.Poly | tuple[str, int]:
     """Either a comma-separated ascending coefficient list, or a family
     shorthand like Q3 / L5 resolved against the exact tables."""
     text = text.strip()
     if text and text[0] in "QLql" and text[1:].isdigit():
         return text[0].upper(), int(text[1:])
     coeffs = [_parse_fraction(part) for part in text.split(",")]
-    return Poly(coeffs)
+    return exactpoly.Poly(coeffs)
 
 
 def _check_tol(tol: float) -> None:
@@ -99,10 +95,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
     lo, hi = _parse_degrees(args.degrees)
     family = args.family
     floor = {"L": 0, "Q": 2, "r": 0}[family]
-    if lo < floor or hi > MAX_DEGREE:
-        raise CliError(f"family {family} supports degrees {floor}..{MAX_DEGREE}")
+    if lo < floor or hi > legendre.MAX_DEGREE:
+        raise CliError(f"family {family} supports degrees {floor}..{legendre.MAX_DEGREE}")
     if family == "L":
-        poly = build_legendre(max(hi, 1)).poly
+        poly = legendre.build_legendre(max(hi, 1)).poly
     elif family == "Q":
         poly = qfamily.build_q_table(hi).q
     else:
@@ -110,10 +106,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
     polys = {n: poly(n) for n in range(lo, hi + 1)}
     points = [_parse_point(p) for p in args.points.split(",")] if args.points else []
 
-    def values(p: Poly) -> list[float]:  # the exact member value at each point, rounded once
+    def values(p: exactpoly.Poly) -> list[float]:  # each exact value, rounded once
         return [p.at_float(x) for x in points]
 
-    def coeff_cells(p: Poly) -> list:  # as float(c) or str(c), off the numerators
+    def coeff_cells(p: exactpoly.Poly) -> list:  # as float(c) or str(c), off the numerators
         if args.backend == "float":
             return [c / p.den for c in p.nums]
         return [str(c // g) if (g := math.gcd(c, p.den)) == p.den else f"{c // g}/{p.den // g}"
@@ -166,7 +162,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify.run_verification(args.max_degree, timings)
     for entry in report.entries:
         line = f"{entry.identity_id}: {entry.verdict.value} ({entry.degrees_checked})"
-        if entry.verdict is not Verdict.CONFIRMED:
+        if entry.verdict is not verdict.Verdict.CONFIRMED:
             line += _witness_summary(entry.witness)
         print(line)
     if args.out:
@@ -180,8 +176,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_minimize(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise CliError("--n must be >= 2")
-    if args.n > MAX_DEGREE:
-        raise CliError(f"--n must be <= {MAX_DEGREE}")
+    if args.n > legendre.MAX_DEGREE:
+        raise CliError(f"--n must be <= {legendre.MAX_DEGREE}")
     table = qfamily.build_q_table(args.n)
     solution = approx.minimize_constrained(args.n, table)
     payload = {
@@ -200,8 +196,8 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
 def _cmd_expand(args: argparse.Namespace) -> int:
     if args.top < 2:
         raise CliError("--N must be >= 2")
-    if args.top > MAX_DEGREE:
-        raise CliError(f"--N must be <= {MAX_DEGREE}")
+    if args.top > legendre.MAX_DEGREE:
+        raise CliError(f"--N must be <= {legendre.MAX_DEGREE}")
     if (args.poly is None) == (args.fn is None):
         raise CliError("exactly one of --poly or --fn is required")
     _check_tol(args.tol)
@@ -210,14 +206,14 @@ def _cmd_expand(args: argparse.Namespace) -> int:
             f"unknown function {args.fn!r}; known: {', '.join(sorted(quad.FUNCTIONS))}"
         )
     spec = args.fn if args.fn is not None else _parse_poly_spec(args.poly)
-    target: Poly | str
+    target: exactpoly.Poly | str
     if isinstance(spec, tuple):
         family, degree = spec
-        low, high = (2, args.top) if family == "Q" else (0, MAX_DEGREE)
+        low, high = (2, args.top) if family == "Q" else (0, legendre.MAX_DEGREE)
         if not low <= degree <= high:
             raise CliError(f"{family}{degree} outside {low}..{high}")
         # one Legendre table, deep enough for an L input, serves the expansion too
-        table = qfamily.build_q_table(args.top, build_legendre(max(args.top, degree)))
+        table = qfamily.build_q_table(args.top, legendre.build_legendre(max(args.top, degree)))
         target = table.q(degree) if family == "Q" else table.legendre.poly(degree)
         label = f"{family}{degree}"
     else:

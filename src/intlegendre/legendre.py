@@ -6,12 +6,12 @@ of (x^2-1)^n and the shifted binomial expansion act as independent verifiers.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .exactpoly import Poly, _make
+from .quad import _steps, legendre_float  # noqa: F401 (legendre_float re-exported)
 
 # The supported depth: the deepest table the command line serves and the
 # deepest verification run.
@@ -142,13 +142,6 @@ def legendre_odd_deriv_at_zero(m: int) -> Fraction:
     return 2 * Fraction((-1) ** m) * pochhammer_half(m + 1) / math.factorial(m)
 
 
-@functools.cache
-def _steps(bits: int) -> tuple[tuple[float, float, int], ...]:
-    """Recurrence constants ((2k+1)/(k+1), k/(k+1), 2k+1) for k = 1..2^bits - 1;
-    _steps(n.bit_length()) covers every k <= n with one table per power of two."""
-    return tuple(((2 * k + 1) / (k + 1), k / (k + 1), 2 * k + 1) for k in range(1, 1 << bits))
-
-
 class LegendreValues(NamedTuple):
     """P_k(x) and P'_k(x), k = 0..n, at one point; family members' float values come from
     these recurrences or legendre_float's, never from monomial coefficients (unstable)."""
@@ -167,20 +160,6 @@ def legendre_values(n: int, x: float) -> LegendreValues:
         p.append(a * x * p[k] - b * p[k - 1])
         d.append(d[k - 1] + odd * p[k])
     return LegendreValues(p[: n + 1], d[: n + 1])
-
-
-def legendre_float(n: int, x: float) -> tuple[float, float]:
-    """(P_n(x), P_{n-1}(x)), with P_{-1} = 0: the value recurrence of
-    legendre_values, the same operations in the same order, keeping only its
-    last two terms, so both equal its entries bit for bit."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    if n == 0:
-        return 1.0, 0.0
-    p0, p1 = 1.0, x
-    for a, b, _ in _steps(n.bit_length())[: n - 1]:
-        p0, p1 = p1, a * x * p1 - b * p0
-    return p1, p0
 
 
 def legendre_series(c: Sequence[float]) -> Callable[[float], float]:

@@ -88,7 +88,13 @@ class RationalWeight(NamedTuple):
     denominator: Poly
 
     def at_float(self, x: float) -> float:
-        return self.numerator.at_float(x) / self.denominator.at_float(x)
+        """The float nearest the exact ratio at a finite float x, +-inf past the float range:
+        one integer Horner pass each, a den_d q_d / (b den_n q_n) rounded once by int / int."""
+        (a, qn), (b, qd) = (p._horner(*x.as_integer_ratio()) for p in self)
+        try:
+            return a * self.denominator.den * qd / (b * self.numerator.den * qn)
+        except OverflowError:
+            return math.inf if (a > 0) == (b > 0) else -math.inf
 
 
 def induced_weight(m: MoebiusMap) -> RationalWeight:

@@ -3,7 +3,8 @@
 Used for every floating-point integral in the package: named-function
 expansions and transformed-weight integrals. Weighted integrals of
 polynomials against 1/(1-x^2) are never computed here; admissible integrands
-cancel that singularity polynomially and stay in exact arithmetic.
+cancel that singularity polynomially and stay in exact arithmetic. The float
+value recurrence of the Legendre polynomials lives here, so a rule needs no exact code.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import math
 from array import array
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
-
-from .legendre import legendre_float
 
 MAX_ORDER = 512
 _NEWTON_STEP_TOL = 5e-16
@@ -26,6 +25,27 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
     "one-minus-x2-exp": lambda x: (1.0 - x * x) * math.exp(x),
     "sin-pi": lambda x: math.sin(math.pi * x),
 }
+
+
+@functools.cache
+def _steps(bits: int) -> tuple[tuple[float, float, int], ...]:
+    """Recurrence constants ((2k+1)/(k+1), k/(k+1), 2k+1) for k = 1..2^bits - 1;
+    _steps(n.bit_length()) covers every k <= n with one table per power of two."""
+    return tuple(((2 * k + 1) / (k + 1), k / (k + 1), 2 * k + 1) for k in range(1, 1 << bits))
+
+
+def legendre_float(n: int, x: float) -> tuple[float, float]:
+    """(P_n(x), P_{n-1}(x)), with P_{-1} = 0: the value recurrence of
+    legendre.legendre_values, the same operations in the same order, keeping only its
+    last two terms, so both equal its entries bit for bit."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    if n == 0:
+        return 1.0, 0.0
+    p0, p1 = 1.0, x
+    for a, b, _ in _steps(n.bit_length())[: n - 1]:
+        p0, p1 = p1, a * x * p1 - b * p0
+    return p1, p0
 
 
 class ConvergenceFailure(RuntimeError):

@@ -11,7 +11,7 @@ import pytest
 from intlegendre import quad
 from intlegendre.cli import build_parser, main
 from intlegendre.legendre import build_legendre
-from intlegendre.moebius import build_r_family
+from intlegendre.moebius import build_r_family, reference_inner_product
 from intlegendre.qfamily import build_q_table
 from intlegendre.verify import _REGISTRY
 
@@ -244,6 +244,17 @@ def test_transform_identity_map(capsys):
     assert payload["max_offdiag_relative"] < 1e-13
 
 
+def test_transform_keeps_a_weight_whose_parts_leave_the_float_range(capsys):
+    # the weight at 0 is 1e200 / 1e400 = 1e-200, finite once the exact ratio is rounded
+    code, out, _ = run_cli(capsys, "transform", "--map", "1e-100,0,0,1e100", "--N", "4")
+    assert code == 0
+    matrix = json.loads(out)["gram_matrix"]
+    family = build_r_family(4)
+    for n in range(5):
+        exact = reference_inner_product(family.poly(n), family.poly(n))
+        assert matrix[n][n] == pytest.approx(float(exact), rel=1e-13)  # 4/3, 4/15, ...
+
+
 def test_transform_rejects_bad_maps(capsys):
     assert run_cli(capsys, "transform", "--map", "1,1,1,1", "--N", "4")[0] == 2
     assert run_cli(capsys, "transform", "--map", "1,1,0", "--N", "4")[0] == 2
@@ -339,8 +350,10 @@ def test_cold_cli_import_leaves_out_dataclasses_and_loads_every_traced_module():
 
 
 def test_cold_quad_executes_only_what_it_uses():
-    _, executed = _executed("quad", "--m", "8")
-    assert executed == {"cli", "exactpoly", "legendre", "quad", "verdict"}
+    # quad owns the float value recurrence; the exact core and its Fractions stay unloaded
+    loaded, executed = _executed("quad", "--m", "8")
+    assert executed == {"cli", "quad"}
+    assert not {"fractions", "decimal"} & loaded
 
 
 def test_traced_cold_child_sees_the_lazy_modules():

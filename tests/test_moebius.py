@@ -133,6 +133,18 @@ def test_endpoints_satisfy_defining_equations():
         assert e.stated_b == e.b
 
 
+def test_weight_at_float_is_the_exact_ratio_rounded_once():
+    for m in ALL_MAPS:
+        e, weight = induced_endpoints(m), induced_weight(m)
+        mid, half = float(e.a + e.b) / 2, float(e.b - e.a) / 2
+        for t in quad.gauss_legendre(16).nodes:
+            x = mid + half * t
+            assert weight.at_float(x) == float(weight.numerator.at(F(x)) / weight.denominator.at(F(x)))
+    # numerator and denominator past the float range, their ratio inside it; and a ratio past it
+    assert induced_weight(MoebiusMap(F("1e-100"), 0, 0, F("1e100"))).at_float(0.0) == 1e-200
+    assert induced_weight(IDENTITY).at_float(1e200) == -math.inf
+
+
 def test_stated_lower_endpoint_fails_defining_equation():
     e = induced_endpoints(SHIFT)
     assert SHIFT.at(e.stated_a) != -1
