@@ -18,7 +18,7 @@ from . import quad
 from .exactpoly import ONE, Poly, X, _moment_vector
 from .kernel import kernel_sum
 from .legendre import build_legendre, legendre_series, legendre_values
-from .qfamily import QTable, X2_MINUS_1, weighted_inner_product
+from .qfamily import QTable, X2_MINUS_1, fourier_coeffs, q_series, weighted_inner_product
 from .quad import FUNCTIONS
 
 
@@ -158,25 +158,6 @@ def minimize_constrained(n: int, qtable: QTable) -> ExtremalSolution:
 # -- Fourier coefficients -----------------------------------------------------
 
 
-def fourier_coeff_quadrature(f: Poly, n: int, qtable: QTable) -> Fraction:
-    """Coefficient on the degree-n member via the weighted inner product.
-
-    The weight singularity cancels against the endpoint factor of the
-    member, so the value is the exact integral of -f times the interior
-    factor, over the member's squared norm. Defined for any polynomial f.
-    """
-    if n < 2:
-        raise ValueError("family starts at degree 2")
-    return -(f * qtable.interior_factor(n)).integral(-1, 1) / qtable.norm_sq(n)
-
-
-def fourier_coeffs(f: Poly, top_degree: int, qtable: QTable) -> dict[int, Fraction]:
-    """fourier_coeff_quadrature for members 2..top_degree, from one pairing of f."""
-    pair = f.pairing(top_degree - 2)
-    return {n: -pair(qtable.interior_factor(n)) / qtable.norm_sq(n)
-            for n in range(2, top_degree + 1)}
-
-
 def moment_vector(f: Poly, n: int) -> list[Fraction]:
     """Even moments of the n-th derivative: integral of x^(2k) f^(n) over
     [-1, 1] for k = 0..n-1, exact."""
@@ -189,7 +170,7 @@ def fourier_coeff_moments(f: Poly, n: int) -> Fraction:
     """Coefficient from endpoint moments of the n-th derivative,
     (2n-1)/(2^n (n-1)!) sum_k (-1)^k C(n-1, k) m_k.
 
-    This carries the sign that matches the quadrature coefficient whenever f
+    This carries the sign that matches qfamily.fourier_coeffs whenever f
     vanishes at both endpoints (where the underlying integration by parts has
     no boundary terms); the stated form has an extra (-1)^n. The binomial sum
     runs over k = 0..n-1; the k = n term carries a vanishing binomial and is
@@ -248,10 +229,7 @@ def expand(
 
 def _expand_poly(f: Poly, top_degree: int, qtable: QTable) -> ExpansionReport:
     coeffs = {n: a for n, a in fourier_coeffs(f, top_degree, qtable).items() if a}
-    partial = Poly()
-    for n, a in coeffs.items():
-        partial = partial + qtable.q(n).scale(a)
-    diff = f - partial
+    diff = f - q_series(coeffs, qtable)
     if diff.is_zero():
         return ExpansionReport(coeffs, 0.0, 0.0, "quadrature_exact")
     # the residual's Legendre coefficients (2k+1)/2 * integral of diff*P_k, exact

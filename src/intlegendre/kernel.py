@@ -13,18 +13,13 @@ two-term forms from the same member values. Nothing is cached between calls.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
-from .exactpoly import Poly, Scalar
+from .exactpoly import Poly, Scalar, _frac
 from .legendre import double_factorial, legendre_special_values
-from .qfamily import QTable, weighted_inner_product
-
-
-class InadmissibleFunction(ValueError):
-    """Argument lies outside the span reproduced by the kernel."""
+from .qfamily import QTable, q_series
 
 
 class KernelSection(NamedTuple):
@@ -36,34 +31,25 @@ class KernelSection(NamedTuple):
     value_at_y: Fraction
 
 
-def _running_sections(top: int, y: Fraction, qtable: QTable) -> Iterator[tuple[int, Poly]]:
-    """(n, sum_{k=2..n} Q_k(y)/norm_k * Q_k) for n = 2..top, each the previous
-    plus one term."""
-    acc = Poly()
-    for k in range(2, top + 1):
-        qy = qtable.q(k).at(y)
-        if qy:
-            acc = acc + qtable.q(k).scale(qy / qtable.norm_sq(k))
-        yield k, acc
-
-
 def kernel_sections(top: int, y: Scalar, qtable: QTable) -> Iterator[KernelSection]:
     """Yield the sections sum_{k=2..n} Q_k(y)/norm_k * Q_k for n = 2..top
-    from one running pass."""
+    from one running pass, each the previous plus one term."""
     if top < 2:
         raise ValueError("kernel index starts at 2")
-    y = Fraction(y)
-    for n, acc in _running_sections(top, y, qtable):
+    y, acc = _frac(y), Poly()
+    for n in range(2, top + 1):
+        qy = qtable.q(n).at(y)
+        if qy:
+            acc = acc + qtable.q(n).scale(qy / qtable.norm_sq(n))
         yield KernelSection(n, y, acc, acc.at(y))
 
 
 def kernel_sum(n: int, y: Scalar, qtable: QTable) -> KernelSection:
-    """Exact section sum_{k=2..n} Q_k(y)/norm_k * Q_k, from the same pass
-    with no per-index work beyond the running sum (minimize calls it)."""
+    """Exact section sum_{k=2..n} Q_k(y)/norm_k * Q_k (minimize calls it)."""
     if n < 2:
         raise ValueError("kernel index starts at 2")
-    y = Fraction(y)
-    _, acc = deque(_running_sections(n, y, qtable), maxlen=1)[0]
+    y = _frac(y)
+    acc = q_series({k: qtable.q(k).at(y) / qtable.norm_sq(k) for k in range(2, n + 1)}, qtable)
     return KernelSection(n, y, acc, acc.at(y))
 
 
@@ -86,7 +72,7 @@ def kernel_forms(top: int, x: Scalar, y: Scalar, qtable: QTable,
     evaluated once at x and once at y (once in all when x == y)."""
     if top < 2:
         raise ValueError("kernel index starts at 2")
-    x, y = Fraction(x), Fraction(y)
+    x, y = _frac(x), _frac(y)
     ns, pad = range(2, top + 1), [None, None]
     qx = {k: qtable.q(k).at(x) for k in range(2, top + 2 if stated else top + 1)}
     qy = qx if x == y else {k: qtable.q(k).at(y) for k in qx}
@@ -104,7 +90,7 @@ def kernel_forms(top: int, x: Scalar, y: Scalar, qtable: QTable,
 def kernel_cd(n: int, x: Scalar, y: Scalar, qtable: QTable) -> Fraction:
     """Two-term form (Q_{n+1}(x)Q_n(y) - Q_{n+1}(y)Q_n(x))/(x-y) with the
     stated prefactor 1/norm_n. Needs x != y."""
-    if Fraction(x) == Fraction(y):
+    if _frac(x) == _frac(y):
         raise ValueError("confluent point: use kernel_confluent")
     return kernel_forms(n, x, y, qtable)[1][n]
 
@@ -138,25 +124,4 @@ def kernel_zero_stated(n: int) -> Fraction:
         (-1) ** ((n - 1) // 2) * double_factorial(n - 2), double_factorial(n + 1)
     )
     return -pref * second * mid
-
-
-def reproducing_check(n: int, g: Poly, qtable: QTable) -> bool:
-    """Exact test that integrating the kernel section against g under the
-    weight returns g itself.
-
-    Admissible g: degree <= n and g(1) = g(-1) = 0; anything else is outside
-    the claimed span and raises InadmissibleFunction.
-    """
-    if n < 2:
-        raise ValueError("kernel index starts at 2")
-    if (g.degree or 0) > n:
-        raise InadmissibleFunction(f"degree {g.degree} exceeds kernel index {n}")
-    if g.at(1) != 0 or g.at(-1) != 0:
-        raise InadmissibleFunction("argument must vanish at both endpoints")
-    recon = Poly()
-    for k in range(2, n + 1):
-        coef = weighted_inner_product(qtable.q(k), g) / qtable.norm_sq(k)
-        if coef:
-            recon = recon + qtable.q(k).scale(coef)
-    return recon == g
 

@@ -37,14 +37,20 @@ def pochhammer_half(n: int) -> Fraction:
     return out
 
 
+def _member(self, n: int) -> Poly:
+    """Row n of a record holding degrees 0..max_degree: LegendreTable.poly, RFamily.poly."""
+    if n < 0 or n > self.max_degree:
+        raise IndexError(f"family holds degrees 0..{self.max_degree}, got {n}")
+    return self.polys[n]
+
+
 class LegendreTable(NamedTuple):
     """Exact coefficient vectors for degrees 0..max_degree; immutable once built."""
 
     max_degree: int
     polys: tuple[Poly, ...]
 
-    def poly(self, n: int) -> Poly:
-        return self.polys[n]
+    poly = _member
 
 
 def build_legendre(max_degree: int) -> LegendreTable:

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import quad
 from .exactpoly import Poly, Scalar, X, _frac
-from .legendre import build_legendre, legendre_values
+from .legendre import _member, build_legendre, legendre_values
 
 
 class DegenerateMap(ValueError):
@@ -49,7 +49,7 @@ class MoebiusMap(_MapFields):
         return None if self.mu == 0 else -self.beta / self.mu
 
     def at(self, x: Scalar) -> Fraction:
-        x = Fraction(x)
+        x = _frac(x)
         return (self.lam * x + self.alpha) / (self.mu * x + self.beta)
 
 
@@ -124,8 +124,7 @@ class RFamily(NamedTuple):
     max_degree: int
     polys: tuple[Poly, ...]
 
-    def poly(self, n: int) -> Poly:
-        return self.polys[n]
+    poly = _member
 
 
 def reference_inner_product(p: Poly, q: Poly) -> Fraction:

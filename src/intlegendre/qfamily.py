@@ -14,9 +14,9 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
-from .exactpoly import NotDivisible, Poly, _make, _raw
+from .exactpoly import NotDivisible, Poly, Scalar, _make, _raw
 from .legendre import LegendreTable, _derived_power, build_legendre, legendre_float
 from .quad import gauss_legendre, newton
 
@@ -130,6 +130,19 @@ def weighted_inner_product(p: Poly, q: Poly) -> Fraction:
         return -(reduced * second).integral(-1, 1)
     reduced = (p * q).divexact(X2_MINUS_1)
     return -reduced.integral(-1, 1)
+
+
+def fourier_coeffs(f: Poly, top_degree: int, qtable: QTable) -> dict[int, Fraction]:
+    """<f, Q_n>_w / norm_n for members 2..top_degree and any polynomial f, from one pairing
+    of f: the weight cancels the endpoint factor, leaving -integral(f i_n) / norm_n."""
+    pair = f.pairing(top_degree - 2)
+    return {n: -pair(qtable.interior_factor(n)) / qtable.norm_sq(n)
+            for n in range(2, top_degree + 1)}
+
+
+def q_series(coeffs: Mapping[int, Scalar], qtable: QTable) -> Poly:
+    """The sum of c_n Q_n over the items of coeffs, skipping zero coefficients."""
+    return sum((qtable.q(n).scale(c) for n, c in coeffs.items() if c), Poly())
 
 
 def q_float(n: int, x: float) -> tuple[float, float]:

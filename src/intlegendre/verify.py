@@ -43,8 +43,10 @@ from .qfamily import (
     QTable,
     X2_MINUS_1,
     build_q_table,
+    fourier_coeffs,
     q_norm_sq,
     q_rodrigues,
+    q_series,
     weighted_inner_product,
 )
 from .verdict import Verdict
@@ -470,7 +472,7 @@ def _reprkernel(ctx: _Ctx, top: int) -> None:
     for trial in range(30):
         n = ctx.rng.randint(2, top)
         g = X2_MINUS_1 * _rand_poly(ctx.rng, max(0, n - 2))
-        if not kernel.reproducing_check(n, g, ctx.qtable):
+        if q_series(fourier_coeffs(g, n, ctx.qtable), ctx.qtable) != g:
             raise Failed(n=n, inputs={"g": _w(g)})
 
 
@@ -556,12 +558,9 @@ def _fourierq(ctx: _Ctx, top: int) -> None:
     for trial in range(20):
         n = ctx.rng.randint(3, top)
         coeffs = {k: _rand_fraction(ctx.rng) for k in range(2, n + 1)}
-        f = Poly()
-        for k, c in coeffs.items():
-            if c:
-                f = f + ctx.qtable.q(k).scale(c)
-        for k in range(2, n + 1):
-            _agree(approx.fourier_coeff_quadrature(f, k, ctx.qtable), coeffs[k], n=k)
+        f = q_series(coeffs, ctx.qtable)
+        for k, c in fourier_coeffs(f, n, ctx.qtable).items():
+            _agree(c, coeffs[k], n=k)
         if approx.parseval_gap(f, n, ctx.qtable) != 0:
             raise Failed(n=n, inputs={"f": _w(f)})
 
@@ -576,7 +575,7 @@ def _anex_sign(ctx: _Ctx, top: int) -> tuple[Verdict, dict]:
         n = ctx.rng.randint(2, top)
         f = X2_MINUS_1 * _rand_poly(ctx.rng, ctx.rng.randint(0, 6))
         corrected = approx.fourier_coeff_moments(f, n)
-        quadrature = approx.fourier_coeff_quadrature(f, n, ctx.qtable)
+        quadrature = fourier_coeffs(f, n, ctx.qtable)[n]
         _agree(quadrature, corrected, n=n, inputs={"f": _w(f)})
         if witness is None and n % 2 and quadrature != 0:
             witness = {"n": n, "inputs": {"f": _w(f)},
@@ -601,7 +600,7 @@ def _akk(ctx: _Ctx, top: int) -> tuple[Verdict, dict]:
     return Verdict.CONFIRMED_UP_TO_SIGN, {
         "n": 2, "stated_value": _w(stated(2)),
         "oracle_value": _w(approx.fourier_coeff_moments(x2, 2)),
-        "fourier_coefficient": _w(approx.fourier_coeff_quadrature(x2, 2, ctx.qtable)),
+        "fourier_coefficient": _w(fourier_coeffs(x2, 2, ctx.qtable)[2]),
         "note": "expansion coefficient differs from the moment functional"}
 
 

@@ -24,7 +24,9 @@ from intlegendre.legendre import (
 )
 from intlegendre.qfamily import (
     X2_MINUS_1,
+    fourier_coeffs,
     q_rodrigues,
+    q_series,
     weighted_inner_product,
 )
 
@@ -125,7 +127,7 @@ def test_criterion_04_kernel_closed_forms(qtable):
         n = rng.randint(2, 12)
         core = Poly([_rand_fraction(rng, 6, 6) for _ in range(max(1, n - 1))])
         g = X2_MINUS_1 * core
-        assert kernel.reproducing_check(n, g, qtable) is True, n
+        assert q_series(fourier_coeffs(g, n, qtable), qtable) == g, n
     print("PASS criterion 4: kernel closed forms corrected and reproducing property exact")
 
 
@@ -174,7 +176,7 @@ def test_criterion_07_fourier_machinery(qtable):
         core = Poly([_rand_fraction(rng, 6, 6) for _ in range(rng.randint(1, 7))])
         f = X2_MINUS_1 * core
         corrected = approx.fourier_coeff_moments(f, n)
-        assert corrected == approx.fourier_coeff_quadrature(f, n, qtable), n
+        assert corrected == fourier_coeffs(f, n, qtable)[n], n
     for _ in range(10):
         top = rng.randint(3, 12)
         f = Poly()
@@ -185,7 +187,7 @@ def test_criterion_07_fourier_machinery(qtable):
         stated = F(k * 2 ** (k - 1) * math.factorial(k - 1) ** 2, math.factorial(2 * k - 2))
         assert stated == abs(approx.fourier_coeff_moments(Poly.monomial(k), k)), k
     x2 = Poly.monomial(2)
-    assert approx.fourier_coeff_quadrature(x2, 2, qtable) == -1
+    assert fourier_coeffs(x2, 2, qtable) == {2: -1}
     assert approx.fourier_coeff_moments(x2, 2) == 2
     print("PASS criterion 7: moment formula (sign-corrected) exact; Parseval exact; "
           "monomial magnitudes match with k=2 discrepancy recorded")

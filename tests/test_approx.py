@@ -15,8 +15,6 @@ from intlegendre.approx import (
     certify_minimizer,
     expand,
     fourier_coeff_moments,
-    fourier_coeff_quadrature,
-    fourier_coeffs,
     minimize_constrained,
     moment_vector,
     parseval_gap,
@@ -24,7 +22,7 @@ from intlegendre.approx import (
 )
 from intlegendre.exactpoly import Poly
 from intlegendre.legendre import legendre_rodrigues
-from intlegendre.qfamily import X2_MINUS_1, build_q_table, weighted_inner_product
+from intlegendre.qfamily import X2_MINUS_1, build_q_table, fourier_coeffs, weighted_inner_product
 
 ONE_MINUS_X2 = Poly((1, 0, -1))
 
@@ -220,9 +218,9 @@ def test_random_competitors_never_beat(qtable):
 
 
 def test_fourier_quadrature_examples(qtable):
-    assert fourier_coeff_quadrature(ONE_MINUS_X2, 2, qtable) == -2
-    assert fourier_coeff_quadrature(Poly((0, 1, 0, -1)), 3, qtable) == -2
-    assert fourier_coeff_quadrature(Poly((0, 0, 1, 0, -1)), 4, qtable) == F(-8, 5)
+    assert fourier_coeffs(ONE_MINUS_X2, 2, qtable) == {2: -2}
+    assert fourier_coeffs(Poly((0, 1, 0, -1)), 3, qtable)[3] == -2
+    assert fourier_coeffs(Poly((0, 0, 1, 0, -1)), 4, qtable)[4] == F(-8, 5)
 
 
 def test_moment_vector(qtable):
@@ -248,7 +246,7 @@ def test_moment_formula_matches_quadrature_on_vanishing_inputs(qtable):
         n = rng.randint(2, 12)
         core = Poly([F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(rng.randint(1, 7))])
         f = X2_MINUS_1 * core
-        assert fourier_coeff_moments(f, n) == fourier_coeff_quadrature(f, n, qtable)
+        assert fourier_coeff_moments(f, n) == fourier_coeffs(f, n, qtable)[n]
 
 
 def _monomial_stated(k):
@@ -258,7 +256,7 @@ def _monomial_stated(k):
 
 def test_monomial_closed_form(qtable):
     x2 = Poly.monomial(2)
-    assert (fourier_coeff_quadrature(x2, 2, qtable), fourier_coeff_moments(x2, 2),
+    assert (fourier_coeffs(x2, 2, qtable)[2], fourier_coeff_moments(x2, 2),
             _monomial_stated(2)) == (F(-1), F(2), F(2))
     assert (fourier_coeff_moments(Poly.monomial(3), 3), _monomial_stated(3)) == (F(2), F(-2))
     assert fourier_coeff_moments(Poly.monomial(4), 4) == F(8, 5)
@@ -388,5 +386,7 @@ def test_one_pairing_coefficients_equal_the_per_member_integrals():
     for _ in range(12):
         top = rng.randint(2, 64)
         f = Poly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 70))])
-        want = {n: fourier_coeff_quadrature(f, n, qtable) for n in range(2, top + 1)}
+        # the exact integral of -f times the interior factor, one product per member
+        want = {n: -(f * qtable.interior_factor(n)).integral(-1, 1) / qtable.norm_sq(n)
+                for n in range(2, top + 1)}
         assert fourier_coeffs(f, top, qtable) == want

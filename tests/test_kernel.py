@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from intlegendre.exactpoly import Poly, X
 from intlegendre.kernel import (
-    InadmissibleFunction,
     kernel_cd,
     kernel_confluent,
     kernel_forms,
@@ -16,9 +15,15 @@ from intlegendre.kernel import (
     kernel_value,
     kernel_values,
     kernel_zero_stated,
-    reproducing_check,
 )
-from intlegendre.qfamily import build_q_table, q_norm_sq, weighted_inner_product
+from intlegendre.qfamily import (
+    X2_MINUS_1,
+    build_q_table,
+    fourier_coeffs,
+    q_norm_sq,
+    q_series,
+    weighted_inner_product,
+)
 
 
 def test_section_small_cases(qtable):
@@ -98,20 +103,32 @@ def test_kernel_zero_closed_form(qtable):
         assert kernel_value(n, 0, 0, qtable) / kernel_zero_stated(n) == F(-(n + 1), 2 * n - 1)
 
 
+def _reproduced(n, g, qtable):
+    """The kernel of index n applied to g: its expansion over members 2..n, summed back."""
+    return q_series(fourier_coeffs(g, n, qtable), qtable)
+
+
 def test_reproducing_property(qtable):
-    assert reproducing_check(4, qtable.q(2), qtable) is True
+    assert _reproduced(4, qtable.q(2), qtable) == qtable.q(2)
     combo = qtable.q(3) * 5 - qtable.q(4) * 2
-    assert reproducing_check(4, combo, qtable) is True
-    with pytest.raises(InadmissibleFunction):
-        reproducing_check(4, Poly((1,)), qtable)
-    with pytest.raises(InadmissibleFunction):
-        reproducing_check(4, qtable.q(5), qtable)  # degree above the kernel index
-    with pytest.raises(InadmissibleFunction):
-        reproducing_check(4, X * X - X, qtable)  # vanishes at one endpoint only
+    assert _reproduced(4, combo, qtable) == combo
+    # outside the span: a degree above the kernel index, a constant, and a
+    # polynomial that vanishes at one endpoint only
+    for g in (qtable.q(5), Poly((1,)), X * X - X):
+        assert _reproduced(4, g, qtable) != g
 
 
 def test_reproducing_zero_function(qtable):
-    assert reproducing_check(4, Poly(), qtable) is True
+    assert _reproduced(4, Poly(), qtable) == Poly()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=12),
+       st.lists(st.fractions(max_denominator=9), min_size=11, max_size=11))
+def test_span_elements_come_back_exactly(n, cofactor):
+    # every (x^2 - 1) r with deg r <= n - 2 lies in the span of members 2..n
+    g = X2_MINUS_1 * Poly(cofactor[: n - 1])
+    assert _reproduced(n, g, _QT12) == g
 
 
 def test_section_times_x_is_admissible(qtable):
@@ -119,7 +136,7 @@ def test_section_times_x_is_admissible(qtable):
     # which is what makes the section-sequence orthogonality work
     for n in (2, 3, 4, 6):
         section = kernel_sum(n, 0, qtable).poly
-        assert reproducing_check(n + 1, X * section, qtable) is True
+        assert _reproduced(n + 1, X * section, qtable) == X * section
 
 
 def test_sequence_orthogonality(qtable):
@@ -174,6 +191,15 @@ def test_running_sums_equal_the_direct_sums(qtable):
             assert s.value_at_y == poly.at(y) == diagonal[n]
             assert s.poly.at(x) == values[n]
             assert kernel_sum(n, y, qtable) == s
+
+
+def test_points_refuse_floats(qtable):
+    # exact entry points never round a float silently, as Poly.at does not
+    for call in (lambda: list(kernel_sections(3, 0.1, qtable)), lambda: kernel_sum(3, 0.1, qtable),
+                 lambda: kernel_forms(3, 0.1, 0, qtable), lambda: kernel_forms(3, 0, 0.1, qtable),
+                 lambda: kernel_value(3, 0.1, 0, qtable), lambda: kernel_cd(3, 0.1, 0.1, qtable)):
+        with pytest.raises(TypeError, match="float"):
+            call()
 
 
 def test_oracles_handed_in_are_used(qtable):

@@ -43,6 +43,14 @@ def test_first_members(ltable):
     assert ltable.poly(3) == Poly((0, F(-3, 2), 0, F(5, 2)))
 
 
+def test_table_holds_degrees_0_to_max_degree():
+    table = build_legendre(4)
+    assert table.poly(0) == Poly((1,)) and table.poly(4).degree == 4
+    for n in (-1, 5):
+        with pytest.raises(IndexError, match=rf"family holds degrees 0\.\.4, got {n}"):
+            table.poly(n)
+
+
 def test_normalized_at_one(ltable):
     assert all(ltable.poly(n).at(1) == 1 for n in range(41))
 

@@ -37,6 +37,13 @@ def test_reference_family_values():
     assert fam.poly(3) == Poly((0, F(-3, 7), 0, 1))
 
 
+def test_reference_family_holds_degrees_0_to_max_degree():
+    fam = build_r_family(3)
+    for n in (-1, 4):
+        with pytest.raises(IndexError, match=rf"family holds degrees 0\.\.3, got {n}"):
+            fam.poly(n)
+
+
 def test_reference_family_orthogonal_and_monic():
     fam = build_r_family(8)
     for n in range(9):
@@ -299,6 +306,12 @@ def test_minimality_perturbation_grows_quadratically():
     grown = float(reference_inner_product(perturbed, perturbed))
     expected = base + float(reference_inner_product(fam.poly(0), fam.poly(0))) / 16
     assert grown == pytest.approx(expected, rel=1e-12)
+
+
+def test_map_refuses_a_float_point():
+    assert GENERIC.at(F(1, 2)) == F(4, 3)
+    with pytest.raises(TypeError, match="float"):
+        GENERIC.at(0.5)
 
 
 def test_map_pole():
