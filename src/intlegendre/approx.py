@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import quad
 from .exactpoly import ONE, Poly, X, _moment_vector
@@ -206,24 +206,24 @@ class ExpansionReport(NamedTuple):
 
 
 def expand(
-    f: Union[Poly, str], top_degree: int, qtable: QTable, tol: float = 1e-12
+    f: Union[Poly, str], top_degree: int, qtable: Optional[QTable], tol: float = 1e-12
 ) -> ExpansionReport:
     """Expand f over family members 2..top_degree.
 
     Polynomial input stays exact end to end (method 'quadrature_exact');
     named functions from FUNCTIONS use floating quadrature against the
-    interior factors (method 'quadrature_float').
+    interior factors (method 'quadrature_float') and no table (qtable=None).
     """
     if top_degree < 2:
         raise ValueError("expansion needs top degree >= 2")
-    if top_degree > qtable.max_degree:
-        raise ValueError("table too shallow for requested expansion")
     if isinstance(f, str):
         try:
             fn = FUNCTIONS[f]
         except KeyError:
             raise ValueError(f"unknown function name {f!r}") from None
         return _expand_named(fn, top_degree, tol)
+    if qtable is None or top_degree > qtable.max_degree:
+        raise ValueError("table too shallow for requested expansion")
     return _expand_poly(f, top_degree, qtable)
 
 

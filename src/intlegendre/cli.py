@@ -80,8 +80,15 @@ def _emit(text: str, out: Optional[str]) -> None:
         raise CliError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
+# json.dumps(indent=2) builds its pure-Python encoder, a cycle of closures, per call; once here
+_ITERENCODE = json.encoder._make_iterencode(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, "  ",
+    lambda v: float.__repr__(v) if math.isfinite(v) else json.dumps(v),
+    ": ", ",", True, False, True)
+
+
 def _json_text(payload: object) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return "".join(_ITERENCODE(payload, 0)) + "\n"
 
 
 def _float_or_none(value: float) -> Optional[float]:
@@ -166,7 +173,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             line += _witness_summary(entry.witness)
         print(line)
     if args.out:
-        _emit(report.to_json(), args.out)
+        _emit(_json_text(report.to_dict()), args.out)
     if args.stats:
         _emit(_json_text({"max_degree": args.max_degree, "clock": "time.perf_counter",
                           "unit": "s", **timings}), args.stats)
@@ -216,8 +223,8 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         table = qfamily.build_q_table(args.top, legendre.build_legendre(max(args.top, degree)))
         target = table.q(degree) if family == "Q" else table.legendre.poly(degree)
         label = f"{family}{degree}"
-    else:
-        table = qfamily.build_q_table(args.top)
+    else:  # a named function reads no exact table
+        table = None if isinstance(spec, str) else qfamily.build_q_table(args.top)
         target = spec
         label = spec if isinstance(spec, str) else spec.pretty()
     try:

@@ -81,6 +81,14 @@ def _derived_power(p: int, n: int) -> list[int]:
     return nums
 
 
+def _solves_equation(nums: Sequence[int], n: int, e: int) -> bool:
+    """Whether numerators nums (no trailing 0) have exact degree n and solve (1-x^2) y''
+    - (1+e) x y' + n(n+e) y = 0, the equation of the family orthogonal under (1-x^2)^((e-1)/2)."""
+    c = [*nums, 0]
+    return len(c) == n + 2 and all((k + 2) * (k + 1) * c[k + 2] == (k - n) * (k + n + e) * c[k]
+                                   for k in range(n))
+
+
 def legendre_rodrigues(n: int) -> Poly:
     """Degree-n polynomial as the n-th derivative of (x^2-1)^n over 2^n n!."""
     if n < 0:

@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from . import quad
-from .exactpoly import Poly, Scalar, X, _frac
-from .legendre import _member, build_legendre, legendre_values
+from .exactpoly import Poly, Scalar, _frac, _make
+from .legendre import _member, _solves_equation, build_legendre, legendre_values
 
 
 class DegenerateMap(ValueError):
@@ -133,25 +133,17 @@ def reference_inner_product(p: Poly, q: Poly) -> Fraction:
 
 
 def build_r_family(max_degree: int) -> RFamily:
-    """Monic members 0..max_degree by the three-term recurrence
-    r_{k+1} = x r_k - k(k+2)/((2k+1)(2k+3)) r_{k-1} of the Jacobi(1,1) family.
-
-    Each member is cross-checked against the monic derivative P'_{k+1} of an
-    independently built Legendre table. Monic normalization is what makes
-    the minimality statement well-posed: the extremal property is over
-    monic competitors.
-    """
+    """Monic members 0..max_degree, read off one Legendre table: r_k (the monic C_k^(3/2)) is the
+    numerators j c_j of P_{k+1} over their lead, certified by exact degree k and the Jacobi(1,1)
+    equation (1-x^2) y'' - 4x y' + k(k+3) y = 0. Being monic makes minimality well-posed."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    polys = [Poly((1,)), X][: max_degree + 1]
-    for k in range(1, max_degree):
-        c = Fraction(k * (k + 2), (2 * k + 1) * (2 * k + 3))
-        polys.append(X * polys[k] - polys[k - 1].scale(c))
-    ltable = build_legendre(max_degree + 1)
-    for k, r in enumerate(polys):
-        d = ltable.poly(k + 1).deriv()
-        if r != d / d.coeff(k):
-            raise AssertionError(f"recurrence cross-check failed at degree {k}")
+    polys = []
+    for k, row in enumerate(build_legendre(max_degree + 1).polys[1:]):
+        d = [j * c for j, c in enumerate(row.nums)][1:]
+        if not _solves_equation(d, k, 3):
+            raise AssertionError(f"Jacobi(1,1) equation fails at degree {k}")
+        polys.append(_make(d[-1], d))
     return RFamily(max_degree, tuple(polys))
 
 

@@ -14,9 +14,10 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, NamedTuple, Optional
 
-from .exactpoly import NotDivisible, Poly, Scalar, _make, _raw
+from .exactpoly import NotDivisible, Poly, Scalar, _frac, _make, _moment_vector, _raw
 from .legendre import LegendreTable, _derived_power, build_legendre, legendre_float
 from .quad import gauss_legendre, newton
 
@@ -133,16 +134,26 @@ def weighted_inner_product(p: Poly, q: Poly) -> Fraction:
 
 
 def fourier_coeffs(f: Poly, top_degree: int, qtable: QTable) -> dict[int, Fraction]:
-    """<f, Q_n>_w / norm_n for members 2..top_degree and any polynomial f, from one pairing
-    of f: the weight cancels the endpoint factor, leaving -integral(f i_n) / norm_n."""
-    pair = f.pairing(top_degree - 2)
-    return {n: -pair(qtable.interior_factor(n)) / qtable.norm_sq(n)
-            for n in range(2, top_degree + 1)}
+    """<f, Q_n>_w / norm_n = -n(n-1)(2n-1)/2 integral(f i_n) for members 2..top_degree and any
+    polynomial f: one integer dot product with f's moment vector (as in Poly.pairing) each."""
+    if top_degree < 2:
+        raise ValueError("family starts at degree 2")
+    scale, vec = _moment_vector(f.nums, range(top_degree - 1), len(f.nums) + top_degree - 1)
+    ins = [qtable.interior_factor(n) for n in range(2, top_degree + 1)]
+    return {n: Fraction(-n * (n - 1) * (2 * n - 1) * sum(map(mul, vec, i.nums)),
+                        2 * f.den * scale * i.den) for n, i in enumerate(ins, 2)}
 
 
 def q_series(coeffs: Mapping[int, Scalar], qtable: QTable) -> Poly:
-    """The sum of c_n Q_n over the items of coeffs, skipping zero coefficients."""
-    return sum((qtable.q(n).scale(c) for n, c in coeffs.items() if c), Poly())
+    """The sum of c_n Q_n over the items of coeffs, skipping zero coefficients, on integer
+    numerators over one common denominator, normalised once."""
+    terms = [(qtable.q(n), _frac(c)) for n, c in coeffs.items() if c]
+    den = math.lcm(*[q.den * c.denominator for q, c in terms])
+    acc = [0] * max([len(q.nums) for q, _ in terms], default=0)
+    for q, c in terms:
+        m = c.numerator * (den // (q.den * c.denominator))
+        acc[: len(q.nums)] = [a + m * b for a, b in zip(acc, q.nums)]
+    return _make(den, acc)
 
 
 def q_float(n: int, x: float) -> tuple[float, float]:

@@ -31,6 +31,7 @@ from .exactpoly import Poly, X, _moment_vector
 from .legendre import (
     MAX_DEGREE,
     LegendreTable,
+    _solves_equation,
     build_legendre,
     double_factorial,
     legendre_even_at_zero,
@@ -165,13 +166,9 @@ def _width(polys) -> int:
 
 
 def _sturm(p: Poly, n: int, e: int, size: int) -> Optional[Fraction]:
-    """p's x^(n-1+e) moment if p has exact degree n and solves (1-x^2) y'' - (1+e) x y'
-    + n(n+e) y = 0, else None. e = 1 is Legendre's equation; e = -1 is the family's, which
-    forces Q(+-1) = 0. Two integrations by parts against x^j, or x^j (1-x^2) for e = -1,
-    whose boundary terms vanish, then make every moment below x^(n-1+e) vanish."""
-    c = p.nums + (0,)  # the equation's x^k coefficients, k < n, on the integer numerators
-    if len(c) != n + 2 or any((k + 2) * (k + 1) * c[k + 2] != (k - n) * (k + n + e) * c[k]
-                              for k in range(n)):
+    """p's x^(n-1+e) moment if _solves_equation(p.nums, n, e), else None: by parts against x^j
+    (x^j (1-x^2) for e = -1, whose equation forces Q(+-1) = 0) every lower moment vanishes."""
+    if not _solves_equation(p.nums, n, e):
         return None
     scale, (moment,) = _moment_vector(p.nums, (n - 1 + e,), size)  # size >= 2n + 1
     return Fraction(moment, p.den * scale)

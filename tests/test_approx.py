@@ -221,6 +221,9 @@ def test_fourier_quadrature_examples(qtable):
     assert fourier_coeffs(ONE_MINUS_X2, 2, qtable) == {2: -2}
     assert fourier_coeffs(Poly((0, 1, 0, -1)), 3, qtable)[3] == -2
     assert fourier_coeffs(Poly((0, 0, 1, 0, -1)), 4, qtable)[4] == F(-8, 5)
+    for top in (1, 0):
+        with pytest.raises(ValueError, match="family starts at degree 2"):
+            fourier_coeffs(ONE_MINUS_X2, top, qtable)
 
 
 def test_moment_vector(qtable):
@@ -371,6 +374,12 @@ def test_named_registry_values_vanish_at_endpoints():
     for fn in FUNCTIONS.values():
         assert fn(1.0) == pytest.approx(0.0, abs=1e-15)
         assert fn(-1.0) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_named_expansion_reads_no_table(qtable):
+    assert expand("sin-pi", 12, None) == expand("sin-pi", 12, qtable)
+    with pytest.raises(ValueError, match="table too shallow"):
+        expand(ONE_MINUS_X2, 12, None)
 
 
 def test_expansion_coefficients_decay_spectrally(qtable):

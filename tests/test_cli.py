@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from intlegendre import quad
+from intlegendre import cli, qfamily, quad
 from intlegendre.cli import build_parser, main
 from intlegendre.legendre import build_legendre
 from intlegendre.moebius import build_r_family, reference_inner_product
@@ -172,6 +173,16 @@ def test_expand_named(capsys):
     payload = json.loads(out)
     assert payload["method"] == "quadrature_float"
     assert payload["residual_sup"] < 1e-8
+
+
+def test_expand_fn_builds_no_exact_table(capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("an exact table was built")
+
+    monkeypatch.setattr(qfamily, "build_q_table", no_table)
+    code, out, err = run_cli(capsys, "expand", "--fn", "sin-pi", "--N", "16")
+    assert (code, err) == (0, "")
+    assert sorted(json.loads(out)["coefficients"], key=int) == [str(n) for n in range(2, 17)]
 
 
 def test_expand_csv(capsys):
@@ -456,3 +467,31 @@ def test_verify_stats_sidecar(capsys, tmp_path):
     assert set(sidecar["entries_s"]) == set(_REGISTRY) and len(sidecar["entries_s"]) == 34
     assert sidecar["table_build_s"] >= 0
     assert all(t >= 0 for t in sidecar["entries_s"].values())
+
+
+@pytest.mark.parametrize("payload", [
+    {"b": [1, 2.5, None, True], "a": {"z": "é\u2028", "y": [], "x": {}}},
+    [math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324, "", [[]], [{}]],
+    {"n": 3, "coeffs": ["1/2", "-3"], "values": {"0.5": 0.1 + 0.2}},
+    "top-level text",
+])
+def test_json_text_is_json_dumps_indent_2(payload):
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_request_leaves_no_cyclic_garbage(capsys):
+    requests = [("table", "--family", "r", "--degrees", "0..6"),
+                ("minimize", "--n", "8"),
+                ("expand", "--poly", "1,2,3", "--N", "8"),
+                ("expand", "--fn", "sin-pi", "--N", "8"),
+                ("quad", "--m", "5", "--format", "json")]
+    for argv in requests:  # first use executes the lazily loaded submodules
+        run_cli(capsys, *argv)
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in requests:
+            assert run_cli(capsys, *argv)[0] == 0
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()

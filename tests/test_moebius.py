@@ -65,6 +65,20 @@ def _gram_schmidt_family(max_degree):
     return polys
 
 
+def _recurrence_family(max_degree):
+    """Monic three-term recurrence r_{k+1} = x r_k - k(k+2)/((2k+1)(2k+3)) r_{k-1} of the
+    Jacobi(1,1) family, in Fractions: the reference for the table to depth 64."""
+    polys = [Poly((1,)), X][: max_degree + 1]
+    for k in range(1, max_degree):
+        polys.append(X * polys[k] - polys[k - 1].scale(F(k * (k + 2), (2 * k + 1) * (2 * k + 3))))
+    return polys
+
+
+def test_family_matches_the_fraction_recurrence_to_64():
+    assert list(build_r_family(64).polys) == _recurrence_family(64)
+    assert list(build_r_family(1).polys) == _recurrence_family(1)
+
+
 def test_recurrence_family_matches_gram_schmidt():
     assert list(build_r_family(24).polys) == _gram_schmidt_family(24)
     assert build_r_family(0).polys == (Poly((1,)),)

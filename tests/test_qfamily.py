@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,10 +12,12 @@ from intlegendre.qfamily import (
     X2_MINUS_1,
     RootCountMismatch,
     build_q_table,
+    fourier_coeffs,
     q_float,
     q_norm_sq,
     q_rodrigues,
     q_roots,
+    q_series,
     weighted_inner_product,
 )
 from intlegendre.legendre import build_legendre, double_factorial, legendre_values
@@ -307,3 +310,36 @@ def test_construction_cross_check_catches_a_bad_row(bad, degree):
     with pytest.raises(AssertionError,
                        match=f"construction cross-check failed at degree {degree}$"):
         build_q_table(8, bad(build_legendre(8)))
+
+
+def _rand_scalar(rng):
+    return rng.randint(-9, 9) if rng.random() < 0.3 else F(rng.randint(-99, 99), rng.randint(1, 99))
+
+
+def test_fourier_coeffs_equal_the_fraction_definition():
+    # a_n = <f, Q_n>_w / |Q_n|^2, each side one Fraction route of its own
+    rng = random.Random("fourier-coeffs")
+    qtable = build_q_table(64)
+    inputs = [Poly(), Poly((7,)), Poly([rng.randint(-9, 9) for _ in range(40)])]
+    inputs += [Poly([_rand_scalar(rng) for _ in range(rng.randint(1, 70))]) for _ in range(8)]
+    for f in inputs:
+        top = rng.randint(2, 64)
+        want = {n: weighted_inner_product(f, qtable.q(n)) / q_norm_sq(n) for n in range(2, top + 1)}
+        assert fourier_coeffs(f, top, qtable) == want
+
+
+def test_q_series_equals_the_fraction_definition():
+    # the coefficient of x^j is the Fraction sum of c_n times Q_n's x^j coefficient
+    rng = random.Random("q-series")
+    qtable = build_q_table(64)
+    maps = [{}, {5: 0, 9: F(0)}, {2: 1, 3: -4, 64: 2}]
+    for _ in range(8):
+        ns = rng.sample(range(2, 65), rng.randint(1, 20))
+        maps.append({n: 0 if rng.random() < 0.2 else _rand_scalar(rng) for n in ns})
+    for coeffs in maps:
+        top = max(coeffs, default=2)
+        want = Poly([sum((c * qtable.q(n).coeff(j) for n, c in coeffs.items()), F(0))
+                     for j in range(top + 1)])
+        assert q_series(coeffs, qtable) == want
+    assert q_series({}, qtable).is_zero()
+    assert q_series({3: 2, 4: 1}, qtable) - q_series({4: 1}, qtable) == qtable.q(3).scale(2)
