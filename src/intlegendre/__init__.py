@@ -27,7 +27,7 @@ _EXPORTS = {
     "legendre": ("LegendreTable", "build_legendre", "legendre_special_values"),
     "qfamily": ("QTable", "RootCountMismatch", "build_q_table", "q_norm_sq", "q_roots",
                 "weighted_inner_product"),
-    "kernel": ("KernelSection", "kernel_cd", "kernel_confluent", "kernel_sum"),
+    "kernel": ("KernelSection", "kernel_sum"),
     "approx": ("ExpansionReport", "ExtremalSolution", "brute_force_minimizer", "expand",
                "fourier_coeff_moments", "minimize_constrained"),
     "moebius": ("DegenerateMap", "MoebiusMap", "RFamily", "TransformedSystem",

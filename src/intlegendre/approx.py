@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import quad
@@ -235,8 +236,9 @@ def _expand_poly(f: Poly, top_degree: int, qtable: QTable) -> ExpansionReport:
     # the residual's Legendre coefficients (2k+1)/2 * integral of diff*P_k, exact
     deg = diff.degree
     ltable = qtable.legendre if deg <= qtable.legendre.max_degree else build_legendre(deg)
-    pair = diff.pairing(deg)
-    r = [pair(ltable.poly(k)) * Fraction(2 * k + 1, 2) for k in range(deg + 1)]
+    scale, vec = _moment_vector(diff.nums, range(deg + 1), 2 * deg + 2)
+    r = [Fraction((2 * k + 1) * sum(map(mul, vec, p.nums)), 2 * diff.den * scale * p.den)
+         for k, p in enumerate(ltable.polys[: deg + 1])]
     # |P_k| <= 1 on [-1, 1], so |diff| <= sum |r_k| there; an endpoint (a grid
     # point) that reaches the bound certifies it as the sup, exact
     bound, ends = sum(map(abs, r)), (diff.at(1), diff.at(-1))

@@ -4,9 +4,9 @@ report, extremal solving, expansion and transformed-system generation.
 Exit codes: 0 on success (all identities confirmed or corrected), 1 when the
 verification registry records any FAILED entry, 2 on usage errors (including a
 --tol that is not a positive finite float, an --out path that cannot be written,
-and an input whose floats leave the float range), 3 on a numerical limit (a
-quadrature that does not converge within its order cap, as in `expand --fn sin-pi
---N 29 --tol 1e-300`, or a quadrature node that does not settle). Exact rationals
+and an input whose floats leave the float range), 3 on a numerical limit (an
+`expand --fn` quadrature that does not converge within its order cap, as in `expand --fn
+sin-pi --N 29 --tol 1e-300`, or a quadrature node that does not settle). Exact rationals
 serialize as 'p/q' strings, never floats, so reports stay diffable and lossless.
 """
 
@@ -255,9 +255,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     parts = args.map.split(",")
     if len(parts) != 4:
         raise CliError("--map needs four comma-separated rationals lam,alpha,mu,beta")
-    if args.top < 0 or args.top > 16:
-        raise CliError("--N must be in 0..16")
-    _check_tol(args.tol)
+    if not 0 <= args.top <= legendre.MAX_DEGREE:
+        raise CliError(f"--N must be in 0..{legendre.MAX_DEGREE}")
     values = [_parse_fraction(p) for p in parts]
     try:
         mob = moebius.MoebiusMap(*values)
@@ -265,7 +264,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     except moebius.DegenerateMap as exc:
         raise CliError(str(exc)) from None
     ends = moebius.induced_endpoints(mob)
-    matrix, worst = moebius.gram_matrix(system, args.top + 1, args.tol)
+    matrix, worst = moebius.gram_matrix(system, args.top + 1)
     payload = {
         "map": [str(v) for v in values],
         "interval": [str(system.a), str(system.b)],
@@ -349,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr = sub.add_parser("transform", help="orthogonal system induced by a rational map")
     p_tr.add_argument("--map", required=True, help="lam,alpha,mu,beta with unit determinant")
     p_tr.add_argument("--N", type=int, default=8, dest="top")
-    p_tr.add_argument("--tol", type=float, default=1e-12)
     p_tr.add_argument("--out", default=None)
     p_tr.set_defaults(handler=_cmd_transform)
 

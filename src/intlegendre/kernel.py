@@ -67,9 +67,11 @@ def kernel_value(n: int, x: Scalar, y: Scalar, qtable: QTable) -> Fraction:
 def kernel_forms(top: int, x: Scalar, y: Scalar, qtable: QTable,
                  stated: bool = True) -> tuple[list[Optional[Fraction]], list[Optional[Fraction]]]:
     """For n = 2..top, index n (slots 0 and 1 None): K_n(x, y), the running sum
-    of Q_k(x) Q_k(y)/norm_k over k = 2..n, and with stated, kernel_cd(n, x, y),
-    or kernel_confluent(n, x) when x == y (else an empty list). Every member is
-    evaluated once at x and once at y (once in all when x == y)."""
+    of Q_k(x) Q_k(y)/norm_k over k = 2..n, and with stated, the two-term form
+    (Q_{n+1}(x) Q_n(y) - Q_{n+1}(y) Q_n(x))/(x - y), or when x == y the diagonal form
+    Q'_{n+1}(x) Q_n(x) - Q_{n+1}(x) Q'_n(x), each with the stated prefactor 1/norm_n
+    (else an empty list). Every member is evaluated once at x and once at y (once in
+    all when x == y)."""
     if top < 2:
         raise ValueError("kernel index starts at 2")
     x, y = _frac(x), _frac(y)
@@ -85,20 +87,6 @@ def kernel_forms(top: int, x: Scalar, y: Scalar, qtable: QTable,
     else:
         forms = ((qx[n + 1] * qy[n] - qy[n + 1] * qx[n]) / (x - y) for n in ns)
     return sums, pad + [form / qtable.norm_sq(n) for n, form in zip(ns, forms)]
-
-
-def kernel_cd(n: int, x: Scalar, y: Scalar, qtable: QTable) -> Fraction:
-    """Two-term form (Q_{n+1}(x)Q_n(y) - Q_{n+1}(y)Q_n(x))/(x-y) with the
-    stated prefactor 1/norm_n. Needs x != y."""
-    if _frac(x) == _frac(y):
-        raise ValueError("confluent point: use kernel_confluent")
-    return kernel_forms(n, x, y, qtable)[1][n]
-
-
-def kernel_confluent(n: int, x: Scalar, qtable: QTable) -> Fraction:
-    """Diagonal form Q'_{n+1}(x)Q_n(x) - Q_{n+1}(x)Q'_n(x) with the stated
-    prefactor 1/norm_n."""
-    return kernel_forms(n, x, x, qtable)[1][n]
 
 
 def kernel_zero_stated(n: int) -> Fraction:

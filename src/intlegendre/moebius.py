@@ -9,6 +9,7 @@ pulled-back weight, which vanishes at both induced endpoints.
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -182,30 +183,36 @@ def build_transformed_system(m: MoebiusMap) -> TransformedSystem:
 
 
 def _pulled_back(
-    system: TransformedSystem, top: int, f: Callable[[list[float], float], list[float]], tol: float
+    system: TransformedSystem, top: int, f: Callable[[list[float], float], list[float]]
 ) -> tuple[float, ...]:
-    """Integrals over the induced interval of f(r, w), r holding r_0..r_top at
-    the mapped point and w the induced weight; one recurrence pass per node."""
+    """Integrals over the induced interval of f(r, w), r holding r_0..r_top at the mapped point
+    and w the induced weight times the node's weight; one recurrence pass per node.
+
+    The order top + 2 Gauss rule in t is carried through the map, to the nodes
+    x_i = (beta t_i - alpha)/(lam - mu t_i) with weights w_i/(lam - mu t_i)^2 (unit
+    determinant). Under t = f(x) each integrand r_i r_j W dx is r_i r_j (1 - t^2) dt, of
+    degree <= 2 top + 2, so the rule is exact for every valid map, even one with a pole
+    near the interval."""
     m, weight = system.map, system.weight.at_float
     lam, alpha, mu, beta = float(m.lam), float(m.alpha), float(m.mu), float(m.beta)
     # monic r_n = P'_{n+1} / lead(P'_{n+1}), and lead(P'_k) = k C(2k, k) / 2^k
     scales = [(2.0 ** k, float(k * math.comb(2 * k, k))) for k in range(1, top + 2)]
-
-    def at(x: float) -> list[float]:
+    rule = quad.gauss_legendre(top + 2)
+    rows = []
+    for t, w in zip(rule.nodes, rule.weights):
+        den = lam - mu * t
+        x = (beta * t - alpha) / den
         d = legendre_values(top + 1, (lam * x + alpha) / (mu * x + beta)).d
-        return f([dk * p / q for dk, (p, q) in zip(d[1:], scales)], weight(x))
+        rows.append(array("d", f([dk * p / q for dk, (p, q) in zip(d[1:], scales)],
+                                 weight(x) * w / (den * den))))
+    return tuple(map(math.fsum, zip(*rows)))
 
-    return quad.integrate(at, float(system.a), float(system.b), tol).value
 
-
-def gram_matrix(
-    system: TransformedSystem, size: int, tol: float = 1e-12
-) -> tuple[list[list[float]], float]:
+def gram_matrix(system: TransformedSystem, size: int) -> tuple[list[list[float]], float]:
     """Gram matrix of composed members 0..size-1 under the induced weight,
     plus the largest off-diagonal entry relative to the diagonal scale."""
     pairs = [(i, j) for i in range(size) for j in range(i, size)]
-    values = _pulled_back(system, size - 1, lambda r, w: [r[i] * r[j] * w for i, j in pairs],
-                          min(tol * 1e-2, 1e-13))
+    values = _pulled_back(system, size - 1, lambda r, w: [r[i] * r[j] * w for i, j in pairs])
     matrix = [[0.0] * size for _ in range(size)]
     for (i, j), v in zip(pairs, values):
         matrix[i][j] = matrix[j][i] = v
@@ -224,5 +231,5 @@ def minimality_check(system: TransformedSystem, n: int) -> bool:
     # the unperturbed member first (eps = 0), then every (j, eps)
     steps = [(0, 0.0)] + [(j, eps) for j in range(n) for eps in _PERTURBATION_SIZES]
     base, *perturbed = _pulled_back(
-        system, n, lambda r, w: [(r[n] + eps * r[j]) ** 2 * w for j, eps in steps], 1e-14)
+        system, n, lambda r, w: [(r[n] + eps * r[j]) ** 2 * w for j, eps in steps])
     return not any(v <= base for v in perturbed)

@@ -1,7 +1,8 @@
 """Gauss-Legendre quadrature with certified polynomial exactness.
 
-Used for every floating-point integral in the package: named-function
-expansions and transformed-weight integrals. Weighted integrals of
+Used for every floating-point integral in the package: the adaptive
+``integrate`` serves named-function expansions, and transformed-weight integrals
+carry one fixed rule through their map. Weighted integrals of
 polynomials against 1/(1-x^2) are never computed here; admissible integrands
 cancel that singularity polynomially and stay in exact arithmetic. The float
 value recurrence of the Legendre polynomials lives here, so a rule needs no exact code.

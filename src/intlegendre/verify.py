@@ -668,7 +668,7 @@ def _transformed(ctx: _Ctx, top: int) -> None:
     for params in TEST_MAPS:
         label = [str(p) for p in params]
         system = moebius.build_transformed_system(moebius.MoebiusMap(*params))
-        matrix, worst = moebius.gram_matrix(system, _GRAM_TOP + 1, _FLOAT_TOL)
+        matrix, worst = moebius.gram_matrix(system, _GRAM_TOP + 1)
         if worst >= _FLOAT_TOL:
             raise Failed(inputs={"map": label}, oracle_value=worst)
         for (n, m), value in zip(pairs, exact):

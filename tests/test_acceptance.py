@@ -114,7 +114,8 @@ def test_criterion_04_kernel_closed_forms(qtable):
         factor = qtable.lead(n) / qtable.lead(n + 1)
         assert factor == F(n + 1, 2 * n - 1), n
         for x, y in points:
-            stated, oracle = kernel.kernel_cd(n, x, y, qtable), kernel.kernel_value(n, x, y, qtable)
+            stated = kernel.kernel_forms(n, x, y, qtable)[1][n]
+            oracle = kernel.kernel_value(n, x, y, qtable)
             assert stated * factor == oracle, (n, x, y)
             if n == 3 and stated != oracle:
                 witness_seen = True
@@ -205,7 +206,7 @@ def test_criterion_08_transformed_systems():
     for mob in maps:
         assert moebius.weight_identity_gap(mob).is_zero()
         system = moebius.build_transformed_system(mob)
-        matrix, worst = moebius.gram_matrix(system, 9, 1e-11)
+        matrix, worst = moebius.gram_matrix(system, 9)
         assert worst < 1e-11, mob
         for n in range(9):
             for m in range(n, 9):

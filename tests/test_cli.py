@@ -219,7 +219,6 @@ def test_numerical_limit_exits_3(capsys, monkeypatch):
     ("expand", "--fn", "sin-pi", "--N", "8", "--tol", "nan"),
     ("expand", "--fn", "sin-pi", "--N", "8", "--tol", "inf"),
     ("expand", "--poly", "Q3", "--N", "3", "--tol", "0"),
-    ("transform", "--map", "1,0,0,1", "--N", "3", "--tol", "-1"),
 ])
 def test_bad_tol_is_a_usage_error_before_any_quadrature(capsys, monkeypatch, argv):
     def no_rule(m):
@@ -264,6 +263,30 @@ def test_transform_keeps_a_weight_whose_parts_leave_the_float_range(capsys):
     for n in range(5):
         exact = reference_inner_product(family.poly(n), family.poly(n))
         assert matrix[n][n] == pytest.approx(float(exact), rel=1e-13)  # 4/3, 4/15, ...
+
+
+@pytest.mark.parametrize("top", [0, 8, 16, 64])
+@pytest.mark.parametrize("mapping", ["1,0,99/100,1", "1,0,999/1000,1", "1,0,999999/1000000,1"])
+def test_transform_answers_for_a_pole_next_to_the_interval(capsys, monkeypatch, mapping, top):
+    # the pole -1/mu lies just left of the induced interval [-1/(1 + mu), 1/(1 - mu)]
+    def no_adaptive(*args):
+        raise AssertionError("an adaptive quadrature was requested")
+
+    monkeypatch.setattr(quad, "integrate", no_adaptive)
+    code, out, err = run_cli(capsys, "transform", "--map", mapping, "--N", str(top))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert len(payload["gram_matrix"]) == top + 1
+    assert payload["max_offdiag_relative"] < 1e-13
+
+
+def test_transform_takes_no_tol_and_caps_n_at_the_table_depth(capsys):
+    code, out, err = run_cli(capsys, "transform", "--map", "1,0,0,1", "--N", "3", "--tol", "1e-12")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --tol 1e-12" in err
+    for top in ("-1", "65"):
+        assert run_cli(capsys, "transform", "--map", "1,0,0,1", "--N", top) == (
+            2, "", "error: --N must be in 0..64\n")
 
 
 def test_transform_rejects_bad_maps(capsys):

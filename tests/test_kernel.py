@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from intlegendre.exactpoly import Poly, X
 from intlegendre.kernel import (
-    kernel_cd,
-    kernel_confluent,
     kernel_forms,
     kernel_sections,
     kernel_sum,
@@ -41,16 +39,19 @@ def _ratio(n, qtable):
     return qtable.lead(n) / qtable.lead(n + 1)
 
 
+def _stated(n, x, y, qtable):
+    """The stated form of index n: two-term for x != y, confluent for x == y."""
+    return kernel_forms(n, x, y, qtable)[1][n]
+
+
 def test_cd_examples(qtable):
     # the bare prefactor happens to work at n=2, where the ratio is 1
-    assert kernel_cd(2, F(1, 2), 0, qtable) == F(9, 16) == kernel_value(2, F(1, 2), 0, qtable)
+    assert _stated(2, F(1, 2), 0, qtable) == F(9, 16) == kernel_value(2, F(1, 2), 0, qtable)
     assert _ratio(2, qtable) == 1
-    r3 = kernel_cd(3, F(1, 2), 0, qtable)
+    r3 = _stated(3, F(1, 2), 0, qtable)
     assert r3 == F(45, 64)
     assert r3 * _ratio(3, qtable) == F(9, 16) == kernel_value(3, F(1, 2), 0, qtable)
     assert r3 != kernel_value(3, F(1, 2), 0, qtable)
-    with pytest.raises(ValueError):
-        kernel_cd(2, F(1, 2), F(1, 2), qtable)
 
 
 def test_correction_factor(qtable):
@@ -59,9 +60,9 @@ def test_correction_factor(qtable):
 
 
 def test_confluent_examples(qtable):
-    assert kernel_confluent(2, 0, qtable) * _ratio(2, qtable) == F(3, 4)
-    assert kernel_confluent(4, 0, qtable) * _ratio(4, qtable) == F(45, 32)
-    r3 = kernel_confluent(3, 0, qtable)
+    assert _stated(2, 0, 0, qtable) * _ratio(2, qtable) == F(3, 4)
+    assert _stated(4, 0, 0, qtable) * _ratio(4, qtable) == F(45, 32)
+    r3 = _stated(3, 0, 0, qtable)
     assert r3 * _ratio(3, qtable) == kernel_value(3, 0, 0, qtable) == F(3, 4)
     assert r3 == F(15, 16)
     assert r3 != kernel_value(3, 0, 0, qtable)
@@ -71,9 +72,9 @@ def test_confluent_is_limit_of_cd(qtable):
     # the diagonal value matches the off-diagonal form at x +- 1e-6
     for n in (2, 3, 5, 8):
         x = F(1, 3)
-        diag = float(kernel_confluent(n, x, qtable) * _ratio(n, qtable))
+        diag = float(_stated(n, x, x, qtable) * _ratio(n, qtable))
         for eps in (F(1, 10**6), -F(1, 10**6)):
-            off = float(kernel_cd(n, x + eps, x, qtable) * _ratio(n, qtable))
+            off = float(_stated(n, x + eps, x, qtable) * _ratio(n, qtable))
             assert off == pytest.approx(diag, abs=1e-6)
 
 
@@ -91,8 +92,6 @@ def test_forms_equal_the_per_index_forms_and_the_running_sums(qtable):
             else:
                 want = q(n + 1).deriv().at(x) * q(n).at(x) - q(n + 1).at(x) * q(n).deriv().at(x)
             assert values[n] == want / q_norm_sq(n), (x, y, n)
-            assert values[n] == (kernel_cd(n, x, y, qtable) if x != y
-                                 else kernel_confluent(n, x, qtable))
 
 
 def test_kernel_zero_closed_form(qtable):
@@ -197,7 +196,8 @@ def test_points_refuse_floats(qtable):
     # exact entry points never round a float silently, as Poly.at does not
     for call in (lambda: list(kernel_sections(3, 0.1, qtable)), lambda: kernel_sum(3, 0.1, qtable),
                  lambda: kernel_forms(3, 0.1, 0, qtable), lambda: kernel_forms(3, 0, 0.1, qtable),
-                 lambda: kernel_value(3, 0.1, 0, qtable), lambda: kernel_cd(3, 0.1, 0.1, qtable)):
+                 lambda: kernel_value(3, 0.1, 0, qtable),
+                 lambda: kernel_forms(3, 0.1, 0.1, qtable)):
         with pytest.raises(TypeError, match="float"):
             call()
 

@@ -220,7 +220,7 @@ def test_system_rejects_bad_maps():
 def test_transformed_orthogonality_examples():
     for m, (n, k), tol in ((IDENTITY, (1, 2), 1e-13), (SHIFT, (1, 2), 1e-12),
                            (SCALE, (2, 3), 1e-12)):
-        matrix, _ = gram_matrix(build_transformed_system(m), 4, tol)
+        matrix, _ = gram_matrix(build_transformed_system(m), 4)
         assert abs(matrix[n][k]) < tol * math.sqrt(matrix[n][n] * matrix[k][k])
 
 
@@ -257,6 +257,29 @@ def test_gram_matrix_at_size_17_matches_the_exact_inner_products():
         assert worst < 1e-13
 
 
+@pytest.fixture(scope="module")
+def exact_gram_65():
+    fam = build_r_family(64)
+    return [[float(reference_inner_product(fam.poly(i), fam.poly(j))) for j in range(65)]
+            for i in range(65)]
+
+
+@pytest.mark.parametrize("params", [
+    (1, 0, 0, 1), (1, 1, 0, 1), (2, 0, 0, F(1, 2)), (2, 1, 1, 1), (3, 1, 2, 1),
+    # a pole just left of the induced interval [-1/(1 + mu), 1/(1 - mu)]
+    (1, 0, F(99, 100), 1), (1, 0, F(999, 1000), 1), (1, 0, F(999999, 1000000), 1),
+], ids=lambda p: ",".join(map(str, p)))
+def test_gram_matrix_at_size_65_matches_the_exact_inner_products(params, exact_gram_65):
+    system = build_transformed_system(MoebiusMap(*params))
+    matrix, worst = gram_matrix(system, 65)
+    for i in range(65):
+        for j in range(65):
+            scale = math.sqrt(exact_gram_65[i][i] * exact_gram_65[j][j])
+            assert abs(matrix[i][j] - exact_gram_65[i][j]) <= 1e-13 * scale, (i, j)
+    assert worst < 1e-13
+    assert minimality_check(system, 64)
+
+
 def test_minimality_fails_for_a_member_that_is_not_minimal(monkeypatch):
     # shift r_2 by 1/2 r_0: the perturbation by -1/4 r_0 then lowers the objective
     true_values = moebius.legendre_values
@@ -272,34 +295,36 @@ def test_minimality_fails_for_a_member_that_is_not_minimal(monkeypatch):
     assert minimality_check(build_transformed_system(SHIFT), 2) is True
 
 
-def _pulled_back_per_node(system, top, f, tol):
-    """The integrals of moebius._pulled_back with the map's Fractions
-    converted to floats, and each monic scale computed, at each node."""
-    m = system.map
-
-    def at(x):
-        t = (float(m.lam) * x + float(m.alpha)) / (float(m.mu) * x + float(m.beta))
-        d = legendre_values(top + 1, t).d
+def _pulled_back_per_node(system, top, f):
+    """The integrals of moebius._pulled_back with the map's Fractions converted to
+    floats, and each monic scale and each carried node and weight computed, at each
+    node of the order top + 2 rule: x = f^-1(t), weight w / (lam - mu t)^2."""
+    m, rule = system.map, quad.gauss_legendre(top + 2)
+    rows = []
+    for t, w in zip(rule.nodes, rule.weights):
+        den = float(m.lam) - float(m.mu) * t
+        x = (float(m.beta) * t - float(m.alpha)) / den
+        d = legendre_values(top + 1, (float(m.lam) * x + float(m.alpha))
+                            / (float(m.mu) * x + float(m.beta))).d
         r = [d[n + 1] * 2 ** (n + 1) / ((n + 1) * math.comb(2 * n + 2, n + 1))
              for n in range(top + 1)]
-        return f(r, system.weight.at_float(x))
-
-    return quad.integrate(at, float(system.a), float(system.b), tol).value
+        rows.append(f(r, system.weight.at_float(x) * w / (den * den)))
+    return tuple(math.fsum(col) for col in zip(*rows))
 
 
 def test_per_system_constants_leave_every_integral_bit_identical(monkeypatch):
     # the In entry's Gram matrices and minimality checks on the five reference maps
     fast, pairs = moebius._pulled_back, []
 
-    def both(system, top, f, tol):
-        got = fast(system, top, f, tol)
-        pairs.append((got, _pulled_back_per_node(system, top, f, tol)))
+    def both(system, top, f):
+        got = fast(system, top, f)
+        pairs.append((got, _pulled_back_per_node(system, top, f)))
         return got
 
     monkeypatch.setattr(moebius, "_pulled_back", both)
     for m in ALL_MAPS:
         system = build_transformed_system(m)
-        gram_matrix(system, 9, 1e-11)
+        gram_matrix(system, 9)
         assert all(minimality_check(system, n) for n in range(1, 4))
     assert len(pairs) == 20
     for got, want in pairs:

@@ -12,7 +12,7 @@ PUBLIC = {
     "legendre": ("LegendreTable", "build_legendre", "legendre_special_values"),
     "qfamily": ("QTable", "RootCountMismatch", "build_q_table", "q_norm_sq", "q_roots",
                 "weighted_inner_product"),
-    "kernel": ("KernelSection", "kernel_cd", "kernel_confluent", "kernel_sum"),
+    "kernel": ("KernelSection", "kernel_sum"),
     "approx": ("ExpansionReport", "ExtremalSolution", "brute_force_minimizer", "expand",
                "fourier_coeff_moments", "minimize_constrained"),
     "moebius": ("DegenerateMap", "MoebiusMap", "RFamily", "TransformedSystem",
@@ -26,7 +26,7 @@ NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]
 
 
 def test_all_lists_the_public_names():
-    assert len(intlegendre.__all__) == len(NAMES) == 36
+    assert len(intlegendre.__all__) == len(NAMES) == 34
     assert set(intlegendre.__all__) == {name for _, name in NAMES}
 
 
