@@ -29,7 +29,7 @@ def main() -> int:
         print(f"\n{name}")
         print(f"{'N':>4}  {'residual_sup':>14}  {'residual_weighted_l2':>20}")
         for top in range(2, args.top + 1, 2):
-            report = expand(name, top, table, tol=1e-13)
+            report = expand(name, top, table)
             print(f"{top:>4}  {report.residual_sup:>14.3e}  "
                   f"{report.residual_weighted_l2:>20.3e}")
     return 0

@@ -206,9 +206,7 @@ class ExpansionReport(NamedTuple):
     method: str
 
 
-def expand(
-    f: Union[Poly, str], top_degree: int, qtable: Optional[QTable], tol: float = 1e-12
-) -> ExpansionReport:
+def expand(f: Union[Poly, str], top_degree: int, qtable: Optional[QTable]) -> ExpansionReport:
     """Expand f over family members 2..top_degree.
 
     Polynomial input stays exact end to end (method 'quadrature_exact');
@@ -222,7 +220,7 @@ def expand(
             fn = FUNCTIONS[f]
         except KeyError:
             raise ValueError(f"unknown function name {f!r}") from None
-        return _expand_named(fn, top_degree, tol)
+        return _expand_named(fn, top_degree)
     if qtable is None or top_degree > qtable.max_degree:
         raise ValueError("table too shallow for requested expansion")
     return _expand_poly(f, top_degree, qtable)
@@ -254,23 +252,25 @@ def _expand_poly(f: Poly, top_degree: int, qtable: QTable) -> ExpansionReport:
     return ExpansionReport(coeffs, sup, l2, "quadrature_exact")
 
 
-def _expand_named(fn: Callable[[float], float], top_degree: int, tol: float) -> ExpansionReport:
+def _expand_named(fn: Callable[[float], float], top_degree: int) -> ExpansionReport:
+    # Each named integrand is entire and the order top + 32 rule is exact through degree
+    # 2 top + 63, so the first Legendre coefficient of fn it aliases lies at degree >= 64,
+    # far below double rounding: one rule per integral, no order doubling.
+    order = top_degree + 32
     # a_n = <f, Q_n>_w / |Q_n|^2 = -(2n-1)/2 * integral of f P'_{n-1}, because
     # the interior factor Q_n/(x^2-1) is P'_{n-1}/(n(n-1))
-    def weighted(x: float) -> list[float]:
-        d, fx = legendre_values(top_degree - 1, x).d, fn(x)
-        return [-(2 * n - 1) / 2 * fx * d[n - 1] for n in range(2, top_degree + 1)]
+    def weighted(x: float, w: float) -> list[float]:
+        d, wfx = legendre_values(top_degree - 1, x).d, w * fn(x)
+        return [-(2 * n - 1) / 2 * wfx * d[n - 1] for n in range(2, top_degree + 1)]
 
-    coeffs = dict(enumerate(quad.integrate(weighted, -1.0, 1.0, tol).value, 2))
+    coeffs = dict(enumerate(quad.integrate(weighted, order), 2))
     # Q_n = (P_n - P_{n-2})/(2n-1) turns the partial sum into a Legendre series
     g = {n: a / (2 * n - 1) for n, a in coeffs.items()}
     partial = legendre_series([g.get(k, 0.0) - g.get(k + 2, 0.0) for k in range(top_degree + 1)])
 
     sup = max(abs(fn(x) - partial(x)) for x in _GRID)
-    res = quad.integrate(
-        lambda x: ((fn(x) - partial(x)) ** 2 / (1.0 - x * x),), -1.0, 1.0, max(tol, 1e-14)
-    )
-    return ExpansionReport(coeffs, sup, math.sqrt(max(res.value[0], 0.0)), "quadrature_float")
+    (res,) = quad.integrate(lambda x, w: (w * (fn(x) - partial(x)) ** 2 / (1.0 - x * x),), order)
+    return ExpansionReport(coeffs, sup, math.sqrt(max(res, 0.0)), "quadrature_float")
 
 
 def parseval_gap(f: Poly, top_degree: int, qtable: QTable) -> Fraction:

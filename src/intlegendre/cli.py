@@ -2,12 +2,11 @@
 report, extremal solving, expansion and transformed-system generation.
 
 Exit codes: 0 on success (all identities confirmed or corrected), 1 when the
-verification registry records any FAILED entry, 2 on usage errors (including a
---tol that is not a positive finite float, an --out path that cannot be written,
-and an input whose floats leave the float range), 3 on a numerical limit (an
-`expand --fn` quadrature that does not converge within its order cap, as in `expand --fn
-sin-pi --N 29 --tol 1e-300`, or a quadrature node that does not settle). Exact rationals
-serialize as 'p/q' strings, never floats, so reports stay diffable and lossless.
+verification registry records any FAILED entry, 2 on usage errors (including an
+--out path that cannot be written and an input whose floats leave the float range),
+3 on a numerical limit: a quadrature node whose Newton iteration does not settle.
+Every float integral runs one fixed Gauss rule, so none can miss a tolerance. Exact
+rationals serialize as 'p/q' strings, never floats, so reports stay diffable and lossless.
 """
 
 from __future__ import annotations
@@ -62,11 +61,6 @@ def _parse_poly_spec(text: str) -> exactpoly.Poly | tuple[str, int]:
         return text[0].upper(), int(text[1:])
     coeffs = [_parse_fraction(part) for part in text.split(",")]
     return exactpoly.Poly(coeffs)
-
-
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise CliError(f"bad --tol {tol!r}; expected a positive finite float")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -207,7 +201,6 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         raise CliError(f"--N must be <= {legendre.MAX_DEGREE}")
     if (args.poly is None) == (args.fn is None):
         raise CliError("exactly one of --poly or --fn is required")
-    _check_tol(args.tol)
     if args.fn is not None and args.fn not in quad.FUNCTIONS:
         raise CliError(
             f"unknown function {args.fn!r}; known: {', '.join(sorted(quad.FUNCTIONS))}"
@@ -228,7 +221,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         target = spec
         label = spec if isinstance(spec, str) else spec.pretty()
     try:
-        report = approx.expand(target, args.top, table, args.tol)
+        report = approx.expand(target, args.top, table)
     except OverflowError:
         raise CliError("the expansion residual leaves the float range") from None
     coeff_cell = str if report.method == "quadrature_exact" else float
@@ -340,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--fn", default=None,
                           help=f"named function: {', '.join(sorted(quad.FUNCTIONS))}")
     p_expand.add_argument("--N", type=int, required=True, dest="top")
-    p_expand.add_argument("--tol", type=float, default=1e-12)
     p_expand.add_argument("--format", choices=("json", "csv"), default="json")
     p_expand.add_argument("--out", default=None)
     p_expand.set_defaults(handler=_cmd_expand)
@@ -371,7 +363,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (quad.NoConvergence, quad.ConvergenceFailure) as exc:
+    except quad.ConvergenceFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

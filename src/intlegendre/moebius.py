@@ -9,7 +9,6 @@ pulled-back weight, which vanishes at both induced endpoints.
 from __future__ import annotations
 
 import math
-from array import array
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -197,15 +196,14 @@ def _pulled_back(
     lam, alpha, mu, beta = float(m.lam), float(m.alpha), float(m.mu), float(m.beta)
     # monic r_n = P'_{n+1} / lead(P'_{n+1}), and lead(P'_k) = k C(2k, k) / 2^k
     scales = [(2.0 ** k, float(k * math.comb(2 * k, k))) for k in range(1, top + 2)]
-    rule = quad.gauss_legendre(top + 2)
-    rows = []
-    for t, w in zip(rule.nodes, rule.weights):
+
+    def carried(t: float, w: float) -> list[float]:
         den = lam - mu * t
         x = (beta * t - alpha) / den
         d = legendre_values(top + 1, (lam * x + alpha) / (mu * x + beta)).d
-        rows.append(array("d", f([dk * p / q for dk, (p, q) in zip(d[1:], scales)],
-                                 weight(x) * w / (den * den))))
-    return tuple(map(math.fsum, zip(*rows)))
+        return f([dk * p / q for dk, (p, q) in zip(d[1:], scales)], weight(x) * w / (den * den))
+
+    return quad.integrate(carried, top + 2)
 
 
 def gram_matrix(system: TransformedSystem, size: int) -> tuple[list[list[float]], float]:

@@ -22,10 +22,12 @@ from .legendre import LegendreTable, _derived_power, build_legendre, legendre_fl
 from .quad import gauss_legendre, newton
 
 X2_MINUS_1 = Poly((-1, 0, 1))
+_ROOT_RESIDUAL = 1e-12  # q_roots accepts a root only where |Q_n| falls below this
 
 
 class RootCountMismatch(RuntimeError):
-    """An interior root did not settle inside its Gauss-node gap to the tolerance."""
+    """An interior root did not settle inside its Gauss-node gap with a residual
+    under _ROOT_RESIDUAL."""
 
 
 class QTable(NamedTuple):
@@ -165,15 +167,15 @@ def q_float(n: int, x: float) -> tuple[float, float]:
     return (pn - p0) / (2 * n - 1), p1
 
 
-def q_roots(n: int, table: QTable, tol: float = 1e-12) -> list[float]:
+def q_roots(n: int, table: QTable) -> list[float]:
     """All n roots, sorted ascending: -1 and 1 exactly, plus n-2 interior
-    roots located to |value| < tol.
+    roots located to |value| < 1e-12 (_ROOT_RESIDUAL).
 
     The derivative P_{n-1} vanishes at the nodes of the order-(n-1) Gauss
     rule, so the member is strictly monotone between consecutive nodes and,
     by Rolle's theorem, has exactly one root in each of those n-2 gaps (the
     two sets of zeros interlace). Each root is found by quad.newton from the
-    midpoint of its gap and is accepted only inside the gap with |value| < tol
+    midpoint of its gap and is accepted only inside the gap with |value| < 1e-12
     at Newton's last evaluation; otherwise RootCountMismatch is raised. Degrees
     run up to quad.MAX_ORDER + 1 = 513; above that gauss_legendre raises ValueError.
     """
@@ -183,8 +185,8 @@ def q_roots(n: int, table: QTable, tol: float = 1e-12) -> list[float]:
     roots = [-1.0]
     for lo, hi in zip(nodes, nodes[1:]):
         x, value, _, _ = newton(functools.partial(q_float, n), (lo + hi) / 2)
-        if not (lo < x < hi and abs(value) < tol):
-            raise RootCountMismatch(
-                f"root {x!r} with residual {value!r} is not in ({lo!r}, {hi!r}) to {tol}")
+        if not (lo < x < hi and abs(value) < _ROOT_RESIDUAL):
+            raise RootCountMismatch(f"root {x!r} with residual {value!r} is not in "
+                                    f"({lo!r}, {hi!r}) to {_ROOT_RESIDUAL}")
         roots.append(x)
     return roots + [1.0]

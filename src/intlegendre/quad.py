@@ -1,8 +1,9 @@
 """Gauss-Legendre quadrature with certified polynomial exactness.
 
-Used for every floating-point integral in the package: the adaptive
-``integrate`` serves named-function expansions, and transformed-weight integrals
-carry one fixed rule through their map. Weighted integrals of
+Every floating-point integral in the package is one ``integrate`` call: one
+Gauss rule of an order its caller picks from the integrand's degree, no order
+doubling and no tolerance. Named-function expansions run it in x, and
+transformed-weight integrals carry it through their map. Weighted integrals of
 polynomials against 1/(1-x^2) are never computed here; admissible integrands
 cancel that singularity polynomially and stay in exact arithmetic. The float
 value recurrence of the Legendre polynomials lives here, so a rule needs no exact code.
@@ -13,15 +14,15 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 MAX_ORDER = 512
 _NEWTON_STEP_TOL = 5e-16
 _NEWTON_STEPS = 100
 
-# The named float integrands of `expand --fn`: smooth functions vanishing at
-# both endpoints, whose coefficients decay spectrally.
+# The named float integrands of `expand --fn`: entire functions vanishing at both
+# endpoints, whose coefficients decay spectrally. They must stay entire, since
+# approx._expand_named integrates them on one fixed rule with no error estimate.
 FUNCTIONS: dict[str, Callable[[float], float]] = {
     "one-minus-x2-exp": lambda x: (1.0 - x * x) * math.exp(x),
     "sin-pi": lambda x: math.sin(math.pi * x),
@@ -51,15 +52,6 @@ def legendre_float(n: int, x: float) -> tuple[float, float]:
 
 class ConvergenceFailure(RuntimeError):
     """Newton iteration failed to settle within its step cap."""
-
-
-class NoConvergence(RuntimeError):
-    """Order doubling hit the cap before reaching the tolerance."""
-
-    def __init__(self, message: str, value: tuple[float, ...], est_error: float) -> None:
-        super().__init__(message)
-        self.value = value
-        self.est_error = est_error
 
 
 class QuadratureRule(NamedTuple):
@@ -125,35 +117,12 @@ def gauss_legendre(m: int) -> QuadratureRule:
     return QuadratureRule(m, *map(tuple, zip(*pairs, *positive)))
 
 
-class IntegrationResult(NamedTuple):
-    value: tuple[float, ...]
-    est_error: float
-
-
-def integrate(
-    f: Callable[[float], Sequence[float]], a: float, b: float, tol: float = 1e-12
-) -> IntegrationResult:
-    """Adaptive-order integrals over [a, b] of each component of f, which maps
-    a point to a tuple of values (scalar integrands return a 1-tuple).
-
-    Doubles the order through 16, 32, ..., 512 until no component changes by
-    tol or more between successive orders; the largest change is the error
-    estimate. All integrands in this package are analytic on the closed
-    interval, so order doubling beats adaptive bisection here."""
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    prev: tuple[float, ...] | None = None
-    err = math.inf
-    value: tuple[float, ...] = ()
-    order = 16
-    while order <= MAX_ORDER:
-        rule = gauss_legendre(order)
-        # rows of doubles, not of float objects: a Gram matrix has hundreds of components
-        rows = [array("d", f(mid + half * x)) for x in rule.nodes]
-        value = tuple([half * math.fsum(map(mul, rule.weights, col)) for col in zip(*rows)])
-        if prev is not None:
-            err = max((abs(v - u) for v, u in zip(value, prev)), default=0.0)
-            if err < tol:
-                return IntegrationResult(value, err)
-        prev = value
-        order *= 2
-    raise NoConvergence(f"tolerance {tol} unmet at order {MAX_ORDER}", value, err)
+def integrate(f: Callable[[float, float], Sequence[float]], order: int) -> tuple[float, ...]:
+    """Integrals over [-1, 1] of each component of f by the Gauss rule of the given order,
+    exact for polynomials of degree <= 2 order - 1. f maps a node x and its weight w to
+    every component's value times w, so a caller folds w into its own products; f is
+    called once per node and each component is summed by math.fsum."""
+    rule = gauss_legendre(order)
+    # rows of doubles, not of float objects: a Gram matrix has hundreds of components
+    rows = [array("d", f(x, w)) for x, w in zip(rule.nodes, rule.weights)]
+    return tuple(map(math.fsum, zip(*rows)))

@@ -665,14 +665,17 @@ def _transformed(ctx: _Ctx, top: int) -> None:
     r = moebius.build_r_family(_GRAM_TOP).poly  # the exact Gram is the same for every map
     pairs = [(n, m) for n in range(_GRAM_TOP + 1) for m in range(n, _GRAM_TOP + 1)]
     exact = [float(moebius.reference_inner_product(r(n), r(m))) for n, m in pairs]
+    # each entry's bound scales with the exact diagonal, as worst does: |r_k|^2 falls like 4^-k
+    norm = {n: value for (n, m), value in zip(pairs, exact) if n == m}
+    bounds = [_FLOAT_TOL * math.sqrt(norm[n] * norm[m]) for n, m in pairs]
     for params in TEST_MAPS:
         label = [str(p) for p in params]
         system = moebius.build_transformed_system(moebius.MoebiusMap(*params))
         matrix, worst = moebius.gram_matrix(system, _GRAM_TOP + 1)
         if worst >= _FLOAT_TOL:
             raise Failed(inputs={"map": label}, oracle_value=worst)
-        for (n, m), value in zip(pairs, exact):
-            if abs(matrix[n][m] - value) >= _FLOAT_TOL:
+        for (n, m), value, bound in zip(pairs, exact, bounds):
+            if abs(matrix[n][m] - value) >= bound:
                 raise Failed(inputs={"map": label, "n": n, "m": m},
                              oracle_value=value, stated_value=matrix[n][m])
         for n in range(1, 4):

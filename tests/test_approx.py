@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intlegendre import quad
 from intlegendre.approx import (
     _GRID,
     FUNCTIONS,
@@ -368,6 +369,20 @@ def test_expand_named_function(qtable):
     assert rep.residual_weighted_l2 < 1e-8
     with pytest.raises(ValueError):
         expand("no-such-function", 6, qtable)
+
+
+def test_named_expansion_runs_one_rule_of_order_top_plus_32(monkeypatch):
+    orders, real = [], quad.gauss_legendre
+
+    def recorded(m):
+        orders.append(m)
+        return real(m)
+
+    monkeypatch.setattr(quad, "gauss_legendre", recorded)
+    expand("sin-pi", 12, None)
+    assert orders == [44, 44]  # the coefficients, then the weighted residual
+    with pytest.raises(TypeError):
+        expand("sin-pi", 12, None, 1e-12)  # no tolerance to pass
 
 
 def test_named_registry_values_vanish_at_endpoints():

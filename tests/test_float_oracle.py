@@ -6,6 +6,7 @@ the monomial-basis sums these outputs once went through lost all accuracy
 only from degree ~20 on.
 """
 
+import functools
 import json
 import math
 
@@ -70,6 +71,7 @@ def test_table_points_at_degree_64(capsys, family, member):
         assert values[repr(x)] == float(member(64, x)), x
 
 
+@functools.cache
 def named_coefficients_mp(name, top):
     """a_n = -(2n-1)/2 * integral of f P'_{n-1}, in closed form through
     spherical Bessel functions: integral of e^(i pi x) P_k = 2 i^k j_k(pi) and
@@ -87,17 +89,19 @@ def named_coefficients_mp(name, top):
     return {n: mpmath.mpf(n * (n - 1)) / 2 * (i[n] - i[n - 2]) for n in range(2, top + 1)}
 
 
-@pytest.mark.parametrize("top", [20, 29, 64])
+@pytest.mark.parametrize("top", range(2, 65))
 @pytest.mark.parametrize("name", ["sin-pi", "one-minus-x2-exp"])
 def test_named_expansion_up_to_order_64(capsys, name, top):
+    # a_n does not depend on N, so one oracle at 64 serves every N
+    expected = named_coefficients_mp(name, 64)
     payload = run_json(capsys, "expand", "--fn", name, "--N", str(top))
-    expected = named_coefficients_mp(name, top)
     got = payload["coefficients"]
     assert sorted(map(int, got)) == list(range(2, top + 1))
-    for n, a in expected.items():
-        assert abs(got[str(n)] - a) <= 1e-10, n
-    assert payload["residual_sup"] < 1e-12
-    assert payload["residual_weighted_l2"] < 1e-12
+    for n in range(2, top + 1):
+        assert abs(got[str(n)] - expected[n]) <= 1e-12, n
+    if top >= 20:
+        assert payload["residual_sup"] < 1e-12
+        assert payload["residual_weighted_l2"] < 1e-12
 
 
 def test_poly_expansion_residual_at_degree_64(capsys):

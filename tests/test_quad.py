@@ -4,7 +4,7 @@ import pytest
 
 from intlegendre import legendre, quad
 from intlegendre.legendre import legendre_float
-from intlegendre.quad import MAX_ORDER, NoConvergence, gauss_legendre, integrate
+from intlegendre.quad import MAX_ORDER, gauss_legendre, integrate
 
 
 def test_midpoint_rule():
@@ -70,48 +70,38 @@ def test_cross_module_oracle(qtable):
 
 
 def test_integrate_basic():
-    assert integrate(lambda x: (x * x,), -1, 1).value == pytest.approx((2 / 3,), abs=1e-14)
-    assert integrate(lambda x: (1 - x * x,), -1, 1).value == pytest.approx((4 / 3,), abs=1e-14)
-    res = integrate(lambda x: (math.exp(x),), 0, 1, tol=1e-13)
-    assert res.value == pytest.approx((math.e - 1,), abs=1e-13)
-    assert res.est_error < 1e-13
+    # exp is entire: a fixed order-16 rule is already at the rounding floor
+    assert integrate(lambda x, w: (w * math.exp(x),), 16) == pytest.approx(
+        (math.e - 1 / math.e,), abs=1e-15)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 8, 32, 128])
+def test_integrate_is_exact_through_degree_2_order_minus_1(order):
+    values = integrate(lambda x, w: [w * x**j for j in range(2 * order)], order)
+    for j, value in enumerate(values):
+        exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+        assert abs(value - exact) < 1e-13 * max(exact, 1.0), j
 
 
 def test_integrate_weighted_member(qtable):
+    # Q_2^2/(1 - x^2) = (1 - x^2)/4, a quadratic, so order 2 is exact
     q2 = qtable.q(2)
-    res = integrate(lambda x: (q2.at_float(x) ** 2 / (1 - x * x),), -1, 1, tol=1e-12)
-    assert res.value == pytest.approx((1 / 3,), abs=1e-12)
-
-
-def test_integrate_respects_interval():
-    res = integrate(lambda x: (x,), 0, 2)
-    assert res.value == pytest.approx((2.0,), abs=1e-13)
-
-
-def test_no_convergence_on_kink():
-    with pytest.raises(NoConvergence) as info:
-        integrate(lambda x: (abs(x - 1 / 3),), -1, 1, tol=1e-13)
-    assert info.value.est_error > 0
+    (value,) = integrate(lambda x, w: (w * q2.at_float(x) ** 2 / (1 - x * x),), 2)
+    assert value == pytest.approx(1 / 3, abs=1e-15)
 
 
 def test_integrate_all_components_in_one_pass():
     calls = []
 
-    def f(x):
-        calls.append(x)
-        return (1.0, x * x, math.exp(x))
+    def f(x, w):
+        calls.append((x, w))
+        return (w, w * x * x, w * math.exp(x))
 
-    res = integrate(f, -1, 1, tol=1e-13)
-    assert res.value == pytest.approx((2.0, 2 / 3, math.e - 1 / math.e), abs=1e-13)
-    assert res.est_error < 1e-13
-    assert len(calls) == 16 + 32  # one call per node, shared by every component
-
-
-def test_one_unsettled_component_blocks_convergence():
-    with pytest.raises(NoConvergence) as info:
-        integrate(lambda x: (x * x, abs(x - 1 / 3)), -1, 1, tol=1e-13)
-    assert info.value.est_error > 1e-13
-    assert info.value.value[0] == pytest.approx(2 / 3, abs=1e-14)
+    values = integrate(f, 16)
+    assert values == pytest.approx((2.0, 2 / 3, math.e - 1 / math.e), abs=1e-15)
+    # one call per node of the one rule, shared by every component
+    rule = gauss_legendre(16)
+    assert calls == list(zip(rule.nodes, rule.weights))
 
 
 def test_order_bounds():

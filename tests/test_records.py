@@ -7,12 +7,12 @@ from intlegendre.approx import brute_force_minimizer, expand, minimize_constrain
 from intlegendre.kernel import kernel_sum
 from intlegendre.legendre import build_legendre, legendre_special_values
 from intlegendre.qfamily import build_q_table
-from intlegendre.quad import gauss_legendre, integrate
+from intlegendre.quad import gauss_legendre
 from intlegendre.verify import run_verification
 
 PUBLIC_RECORDS = {
     "LegendreTable", "LegendreSpecialValues", "QTable", "KernelSection", "QuadratureRule",
-    "IntegrationResult", "BruteForceResult", "ExtremalSolution", "ExpansionReport",
+    "BruteForceResult", "ExtremalSolution", "ExpansionReport",
     "MoebiusMap", "Endpoints", "RationalWeight", "RFamily", "TransformedSystem",
     "VerificationReport", "IdentityEntry",
 }
@@ -26,8 +26,7 @@ def records():
     report = run_verification(4)
     return [
         build_legendre(4), legendre_special_values(3), qtable, kernel_sum(4, 0, qtable),
-        gauss_legendre(4), integrate(lambda x: (x * x,), -1.0, 1.0),
-        brute_force_minimizer(4, qtable), minimize_constrained(4, qtable),
+        gauss_legendre(4), brute_force_minimizer(4, qtable), minimize_constrained(4, qtable),
         expand(qtable.q(3), 4, qtable), m, moebius.induced_endpoints(m),
         moebius.induced_weight(m), moebius.build_r_family(4), system, report, report.entries[0],
     ]

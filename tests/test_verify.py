@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intlegendre import verify
+from intlegendre import moebius, verify
 from intlegendre.exactpoly import Poly, X
 from intlegendre.legendre import build_legendre
 from intlegendre.qfamily import X2_MINUS_1, build_q_table, weighted_inner_product
@@ -331,6 +331,23 @@ def test_recorded_correction_witness_comes_from_the_seeded_draw(ctx_21, identity
     entry = _run(identity_id, ctx_21._replace(max_degree=top))
     assert entry.verdict is _CORRECTIONS[identity_id]
     assert entry.witness["n"] % 2 == 1 and entry.witness["inputs"]
+
+
+def test_transformed_gram_bound_scales_with_the_exact_diagonal(ctx_21, monkeypatch):
+    # |r_20|^2 is about 7.4e-13, so an absolute bound of 1e-11 would pass a doubled entry
+    real = moebius.gram_matrix
+
+    def doubled(system, size):
+        matrix, worst = real(system, size)
+        matrix[20][20] *= 2
+        return matrix, worst
+
+    monkeypatch.setattr(verify, "_GRAM_TOP", 20)
+    assert _run("In", ctx_21).verdict is Verdict.CONFIRMED
+    monkeypatch.setattr(moebius, "gram_matrix", doubled)
+    entry = _run("In", ctx_21)
+    assert entry.verdict is Verdict.FAILED
+    assert entry.witness["inputs"]["n"] == entry.witness["inputs"]["m"] == 20
 
 
 @pytest.mark.parametrize("module", ["kernel", "qfamily", "approx", "moebius"])
