@@ -18,7 +18,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 from . import quad
 from .exactpoly import ONE, Poly, X, _moment_vector
 from .kernel import kernel_sum
-from .legendre import build_legendre, legendre_series, legendre_values
+from .legendre import legendre_poly, legendre_series, legendre_values
 from .qfamily import QTable, X2_MINUS_1, fourier_coeffs, q_series, weighted_inner_product
 from .quad import FUNCTIONS
 
@@ -233,10 +233,9 @@ def _expand_poly(f: Poly, top_degree: int, qtable: QTable) -> ExpansionReport:
         return ExpansionReport(coeffs, 0.0, 0.0, "quadrature_exact")
     # the residual's Legendre coefficients (2k+1)/2 * integral of diff*P_k, exact
     deg = diff.degree
-    ltable = qtable.legendre if deg <= qtable.legendre.max_degree else build_legendre(deg)
     scale, vec = _moment_vector(diff.nums, range(deg + 1), 2 * deg + 2)
     r = [Fraction((2 * k + 1) * sum(map(mul, vec, p.nums)), 2 * diff.den * scale * p.den)
-         for k, p in enumerate(ltable.polys[: deg + 1])]
+         for k, p in enumerate(map(legendre_poly, range(deg + 1)))]
     # |P_k| <= 1 on [-1, 1], so |diff| <= sum |r_k| there; an endpoint (a grid
     # point) that reaches the bound certifies it as the sup, exact
     bound, ends = sum(map(abs, r)), (diff.at(1), diff.at(-1))

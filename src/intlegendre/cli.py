@@ -98,13 +98,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
     floor = {"L": 0, "Q": 2, "r": 0}[family]
     if lo < floor or hi > legendre.MAX_DEGREE:
         raise CliError(f"family {family} supports degrees {floor}..{legendre.MAX_DEGREE}")
+    degrees = range(lo, hi + 1)  # only the printed members are built
     if family == "L":
-        poly = legendre.build_legendre(max(hi, 1)).poly
+        polys = {n: legendre.legendre_poly(n) for n in degrees}
     elif family == "Q":
-        poly = qfamily.build_q_table(hi).q
+        polys = {n: qfamily.q_member(n)[0] for n in degrees}
     else:
-        poly = moebius.build_r_family(hi).poly
-    polys = {n: poly(n) for n in range(lo, hi + 1)}
+        polys = {n: moebius.r_poly(n) for n in degrees}
     points = [_parse_point(p) for p in args.points.split(",")] if args.points else []
 
     def values(p: exactpoly.Poly) -> list[float]:  # each exact value, rounded once
@@ -212,9 +212,8 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         low, high = (2, args.top) if family == "Q" else (0, legendre.MAX_DEGREE)
         if not low <= degree <= high:
             raise CliError(f"{family}{degree} outside {low}..{high}")
-        # one Legendre table, deep enough for an L input, serves the expansion too
-        table = qfamily.build_q_table(args.top, legendre.build_legendre(max(args.top, degree)))
-        target = table.q(degree) if family == "Q" else table.legendre.poly(degree)
+        table = qfamily.build_q_table(args.top)
+        target = table.q(degree) if family == "Q" else legendre.legendre_poly(degree)
         label = f"{family}{degree}"
     else:  # a named function reads no exact table
         table = None if isinstance(spec, str) else qfamily.build_q_table(args.top)

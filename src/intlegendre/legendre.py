@@ -1,7 +1,7 @@
-"""Legendre polynomials: exact recurrence tables and closed-form special values.
+"""Legendre polynomials: exact members from their differential equation, and closed-form values.
 
-The three-term recurrence is the constructor of record; the derivative form
-of (x^2-1)^n and the shifted binomial expansion act as independent verifiers.
+Each member is built on its own from Legendre's equation and pinned by P_n(1) = 1; the derivative
+form of (x^2-1)^n and the shifted binomial expansion act as independent verifiers.
 """
 
 from __future__ import annotations
@@ -53,23 +53,34 @@ class LegendreTable(NamedTuple):
     poly = _member
 
 
+def _equation_row(n: int, e: int, lead: int) -> list[int]:
+    """Numerators of the degree-n solution, unique up to scale, of equation e: (1-x^2) y''
+    - (1+e) x y' + n(n+e) y = 0, with x^n numerator lead. (k+2)(k+1) c_{k+2} = (k-n)(k+n+e) c_k,
+    the relation _solves_equation tests, gives each c_k from c_{k+2} by one exact division."""
+    c = [0] * (n + 1)
+    c[n] = lead
+    for k in range(n - 2, -1, -2):
+        c[k], rem = divmod((k + 2) * (k + 1) * c[k + 2], (k - n) * (k + n + e))
+        if rem:
+            raise AssertionError(f"degree-{n} solution of equation {e} left a remainder at x^{k}")
+    return c
+
+
+def legendre_poly(n: int) -> Poly:
+    """P_n: equation 1 solved for 2^n P_n, whose lead is C(2n, n), checked by P_n(1) = 1."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    nums = _equation_row(n, 1, math.comb(2 * n, n))
+    if sum(nums) != 1 << n:
+        raise AssertionError(f"normalization P_n(1) = 1 broken at degree {n}")
+    return _make(1 << n, nums)
+
+
 def build_legendre(max_degree: int) -> LegendreTable:
-    """Build degrees 0..max_degree via (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1},
-    run on the integer rows N_n = 2^n P_n with every division by n+1 exact."""
+    """Degrees 0..max_degree, each member built on its own by legendre_poly."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    rows = [[1], [0, 2]]
-    for n in range(1, max_degree):
-        a, b, k = 2 * (2 * n + 1), 4 * n, n + 1
-        row = [a * c - b * d for c, d in zip([0] + rows[n], rows[n - 1] + [0, 0])]
-        if any(c % k for c in row):
-            raise AssertionError(f"recurrence left a remainder at degree {n + 1}")
-        rows.append([c // k for c in row])
-    polys = tuple([_make(1 << n, row) for n, row in enumerate(rows)])
-    for n, p in enumerate(polys):
-        if sum(p.nums) != p.den:
-            raise AssertionError(f"normalization P_n(1) = 1 broken at degree {n}")
-    return LegendreTable(max_degree, polys)
+    return LegendreTable(max_degree, tuple(map(legendre_poly, range(max_degree + 1))))
 
 
 def _derived_power(p: int, n: int) -> list[int]:

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import quad
 from .exactpoly import Poly, Scalar, _frac, _make
-from .legendre import _member, _solves_equation, build_legendre, legendre_values
+from .legendre import _equation_row, _member, legendre_values
 
 
 class DegenerateMap(ValueError):
@@ -132,19 +132,22 @@ def reference_inner_product(p: Poly, q: Poly) -> Fraction:
     return (p * q * _W).integral(-1, 1)
 
 
+def r_poly(k: int) -> Poly:
+    """r_k, the monic C_k^(3/2) (monic makes minimality well-posed): equation 3 solved for
+    2^(k+1) P'_{k+1}, whose lead is (k+1) C(2k+2, k+1), checked by P'_{k+1}(1) = (k+1)(k+2)/2."""
+    if k < 0:
+        raise ValueError("degree must be >= 0")
+    d = _equation_row(k, 3, (k + 1) * math.comb(2 * k + 2, k + 1))
+    if sum(d) != (k + 1) * (k + 2) << k:
+        raise AssertionError(f"normalization P'_(k+1)(1) = (k+1)(k+2)/2 broken at degree {k}")
+    return _make(d[-1], d)
+
+
 def build_r_family(max_degree: int) -> RFamily:
-    """Monic members 0..max_degree, read off one Legendre table: r_k (the monic C_k^(3/2)) is the
-    numerators j c_j of P_{k+1} over their lead, certified by exact degree k and the Jacobi(1,1)
-    equation (1-x^2) y'' - 4x y' + k(k+3) y = 0. Being monic makes minimality well-posed."""
+    """Monic members 0..max_degree, each built on its own by r_poly."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    polys = []
-    for k, row in enumerate(build_legendre(max_degree + 1).polys[1:]):
-        d = [j * c for j, c in enumerate(row.nums)][1:]
-        if not _solves_equation(d, k, 3):
-            raise AssertionError(f"Jacobi(1,1) equation fails at degree {k}")
-        polys.append(_make(d[-1], d))
-    return RFamily(max_degree, tuple(polys))
+    return RFamily(max_degree, tuple(map(r_poly, range(max_degree + 1))))
 
 
 class TransformedSystem(NamedTuple):

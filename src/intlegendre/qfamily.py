@@ -1,8 +1,8 @@
 """The integrated Legendre family: antiderivatives of Legendre polynomials
 pinned to vanish at both endpoints, orthogonal under the weight 1/(1-x^2).
 
-Members come from the closed form (x^2-1) P'_{n-1}/(n(n-1)) that Legendre's
-equation gives; build_q_table builds and checks each one once.
+Each member is built on its own as Q_n = (x^2-1) i_n, its interior factor
+i_n = P'_{n-1}/(n(n-1)) solving the Jacobi(1,1) equation and Q_n'(1) = 1.
 
 Family indices start at 2. There is no degree-0 member, and the degree-1
 candidate x - 1 has a divergent weighted norm, so every sum over the family
@@ -18,7 +18,7 @@ from operator import mul
 from typing import Mapping, NamedTuple, Optional
 
 from .exactpoly import NotDivisible, Poly, Scalar, _frac, _make, _moment_vector, _raw
-from .legendre import LegendreTable, _derived_power, build_legendre, legendre_float
+from .legendre import _derived_power, _equation_row, legendre_float
 from .quad import gauss_legendre, newton
 
 X2_MINUS_1 = Poly((-1, 0, 1))
@@ -40,7 +40,6 @@ class QTable(NamedTuple):
     """
 
     max_degree: int
-    legendre: LegendreTable
     polys: tuple[Optional[Poly], ...]
     interior: tuple[Optional[Poly], ...]
 
@@ -64,43 +63,29 @@ class QTable(NamedTuple):
         return Fraction(qn.nums[-1], qn.den)
 
 
-def build_q_table(max_degree: int, ltable: Optional[LegendreTable] = None) -> QTable:
-    """Build family members 2..max_degree.
+def q_member(n: int) -> tuple[Poly, Poly]:
+    """(Q_n, i_n): equation 3 solved for the numerators d of 2^(n-1) P'_{n-1}, whose lead is
+    (n-1) C(2n-2, n-1), so i_n = d/(2^(n-1) n(n-1)); Q_n'(1) = 2 i_n(1) = 1 checks the scale.
+    The registry's Qqn entry checks Q_n against the difference form (P_n - P_{n-2})/(2n-1)."""
+    if n < 2:
+        raise ValueError("family starts at degree 2")
+    d = _equation_row(n - 2, 3, (n - 1) * math.comb(2 * n - 2, n - 1))
+    den = n * (n - 1) << (n - 1)
+    if 2 * sum(d) != den:
+        raise AssertionError(f"normalization Q_n'(1) = 1 broken at degree {n}")
+    # the product with x^2 - 1 is one shift and one subtraction of numerators
+    q = [a - b for a, b in zip([0, 0, *d], [*d, 0, 0])]
+    # x^2 - 1 is primitive, so by Gauss's lemma q has the content of d
+    g = math.gcd(den, *d)
+    return _raw(den // g, tuple([a // g for a in q])), _raw(den // g, tuple([a // g for a in d]))
 
-    Legendre's equation gives each member in closed form, Q_n = (x^2 - 1) i_n
-    with interior factor i_n = P'_{n-1}/(n(n-1)), so it vanishes at both
-    endpoints by construction. Both run on the integer numerators of the
-    Legendre row and share one gcd normalisation. The member is checked once,
-    against its definition as the antiderivative of P_{n-1}: its derivative
-    must equal P_{n-1}. That pins each Legendre row only up to a constant
-    factor, which build_legendre's P_n(1) = 1 check fixes. The verify
-    registry's Qqn entry checks the member against the difference form
-    (P_n - P_{n-2})/(2n-1).
-    """
+
+def build_q_table(max_degree: int) -> QTable:
+    """Family members 2..max_degree, each built on its own by q_member."""
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
-    if ltable is None:
-        ltable = build_legendre(max_degree)
-    if ltable.max_degree < max_degree:
-        raise ValueError("Legendre table too shallow for requested depth")
-    polys: list[Optional[Poly]] = [None, None]
-    interior: list[Optional[Poly]] = [None, None]
-    for n in range(2, max_degree + 1):
-        # P_{n-1} = sum c_k x^k / D, so P'_{n-1} has numerators d_k = k c_k over D
-        row = ltable.poly(n - 1)
-        c, nn = row.nums, n * (n - 1)
-        d = [k * c[k] for k in range(1, len(c))]
-        # the product with x^2 - 1 is one shift and one subtraction of numerators
-        q = [a - b for a, b in zip([0, 0, *d], [*d, 0, 0])]
-        # Q_n' = P_{n-1}: over the common denominator D n(n-1), j q_j = n(n-1) c_{j-1}
-        if any(j * q[j] != nn * c[j - 1] for j in range(1, len(q))):
-            raise AssertionError(f"construction cross-check failed at degree {n}")
-        # x^2 - 1 is primitive, so by Gauss's lemma q has the content of d
-        g = math.gcd(row.den * nn, *d)
-        den = row.den * nn // g
-        polys.append(_raw(den, tuple([a // g for a in q])))
-        interior.append(_raw(den, tuple([a // g for a in d])))
-    return QTable(max_degree, ltable, tuple(polys), tuple(interior))
+    polys, interior = zip(*map(q_member, range(2, max_degree + 1)))
+    return QTable(max_degree, (None, None, *polys), (None, None, *interior))
 
 
 def q_rodrigues(n: int) -> Poly:

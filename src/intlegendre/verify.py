@@ -697,7 +697,7 @@ def run_verification(max_degree: int = 40,
         raise ValueError(f"max_degree must be in {MIN_DEGREE}..{MAX_DEGREE}")
     start = time.perf_counter()
     ltable = build_legendre(max_degree + 1)
-    qtable = build_q_table(max_degree + 1, ltable)
+    qtable = build_q_table(max_degree + 1)
     ctx = _Ctx(max_degree, ltable, qtable)
     table_build_s = time.perf_counter() - start
     entries, entries_s = [], {}

@@ -43,6 +43,39 @@ REQUEST_PINS = {
         "2f72ff59fd8a0514f9ec96fef8ca6db6c3621bb99dc6aff7d3a0e0ef6def03d3",
 }
 
+# Members 40..64 only, at and below the top, and L inputs deeper than N, whose residual's
+# Legendre rows are built at the residual's degree. Pinned before the table builders
+# stopped building the rows below the requested range.
+PARTIAL_TABLE_PINS = {
+    ("L", "json", "exact"): "0d08abbbd509d37784c5d5832cc58bc0185bfaebbb7c409a5d93b6068af510a8",
+    ("L", "json", "float"): "ba838cd22f4dea531faca5de00cc099dbb65ded4620bc7a97f47aec04793d92f",
+    ("L", "csv", "exact"): "da8a9516e93dd058b82a335cef42237a0b1b960adbd0d6c666242738728f8300",
+    ("L", "csv", "float"): "531dd6bc163d383347a05a2cca04a23eb1c0e5b7b877b2dbef277dd14d6d0dec",
+    ("Q", "json", "exact"): "946b52e9dd86eba36321681820b1a7530de21fa028e1a2ca817424588952c163",
+    ("Q", "json", "float"): "5c6c53e31a6050db2df1edd34fa36ce28f4db83fa476044b0acf4138e3b9ca6c",
+    ("Q", "csv", "exact"): "9ada934c97857e10aae08c294f0bff9e7fe3723e84cbf176ff72c82dab5a0ce4",
+    ("Q", "csv", "float"): "e84851299be675ca112b89cbd542f0a5d683662c910021d1a32eef32b4b82694",
+    ("r", "json", "exact"): "0f2d14c4877d6ac325e902860bb4a4716d8e18d7eb8313bc83c0ace70bb90b23",
+    ("r", "json", "float"): "5b0aeffcba491cca67828f4d60ac8a21cba24efe0851bf585c1a90e6eb457dd9",
+    ("r", "csv", "exact"): "dd10c6ed843abfd8cdc210373504b82888fe12a9fb0676cc0053b7f19fc379e6",
+    ("r", "csv", "float"): "6244662045b90586ae3b982f1ce5ac74393d1cff1f9014499645cc73173e341c",
+}
+
+PARTIAL_POINTS_PINS = {
+    "L": "66d3e8c9f1904f4f78e3bcf758089c1d238b4b91453e09cc99b93b93fa8d5256",
+    "Q": "6243e738eb987daa38c89910c83dab333195383a712b04401ae1791b9729b66b",
+    "r": "83ad4c3cc95852b0f7d2b0470af7f91ec7c4c29562dac968d6a0a9b96500022d",
+}
+
+DEEP_L_INPUT_PINS = {
+    ("expand", "--poly=L60", "--N", "8"):
+        "fa235217fad70e22561319836ed41bcf1073985ec3039878cde5cd177a2a66a2",
+    ("expand", "--poly=L60", "--N", "8", "--format", "csv"):
+        "efe7e82b4236d0124ff2a0d715bd5fd5fdde4b29b1430418a6fed28cc1db2fc2",
+    ("expand", "--poly=L64", "--N", "2"):
+        "fd9987a238337d724f8a303d84ed712c31fb41a5841dcef62ccda146c72f75a5",
+}
+
 
 def _stdout_sha256(capsys, argv) -> str:
     assert main(list(argv)) == 0
@@ -63,3 +96,22 @@ def test_table_to_64_is_byte_pinned(capsys, family, fmt, backend):
                                                           "expand-Q40", "minimize-64"])
 def test_exact_request_at_64_is_byte_pinned(capsys, argv):
     assert _stdout_sha256(capsys, argv) == REQUEST_PINS[argv]
+
+
+@pytest.mark.parametrize("family, fmt, backend", sorted(PARTIAL_TABLE_PINS))
+def test_table_40_to_64_is_byte_pinned(capsys, family, fmt, backend):
+    argv = ("table", "--family", family, "--degrees", "40..64", "--format", fmt,
+            "--backend", backend)
+    assert _stdout_sha256(capsys, argv) == PARTIAL_TABLE_PINS[family, fmt, backend]
+
+
+@pytest.mark.parametrize("family", sorted(PARTIAL_POINTS_PINS))
+def test_table_40_to_64_at_points_is_byte_pinned(capsys, family):
+    argv = ("table", "--family", family, "--degrees", "40..64", "--points", "0.5,-0.999",
+            "--backend", "float")
+    assert _stdout_sha256(capsys, argv) == PARTIAL_POINTS_PINS[family]
+
+
+@pytest.mark.parametrize("argv", list(DEEP_L_INPUT_PINS), ids=["L60-N8", "L60-N8-csv", "L64-N2"])
+def test_expand_of_an_l_input_deeper_than_n_is_byte_pinned(capsys, argv):
+    assert _stdout_sha256(capsys, argv) == DEEP_L_INPUT_PINS[argv]

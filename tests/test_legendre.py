@@ -1,16 +1,20 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
+from intlegendre import legendre
 from intlegendre.exactpoly import Poly, X
 from intlegendre.legendre import (
+    _solves_equation,
     build_legendre,
     double_factorial,
     legendre_even_at_zero,
     legendre_float,
     legendre_odd_deriv_at_zero,
+    legendre_poly,
     legendre_rodrigues,
     legendre_series,
     legendre_shifted_expansion,
@@ -196,30 +200,34 @@ def test_build_validates_input():
         build_legendre(0)
 
 
-def _reference_legendre(depth):
-    """The recurrence on Poly arithmetic, rational step by rational step."""
-    polys = [Poly((1,)), X]
-    for n in range(1, depth):
-        polys.append((X * polys[n]).scale(F(2 * n + 1, n + 1)) - polys[n - 1].scale(F(n, n + 1)))
-    return polys
-
-
 @pytest.mark.parametrize("depth", [1, 2, 3, 64, 128])
-def test_integer_rows_match_the_rational_recurrence(depth):
+def test_integer_rows_match_the_rational_recurrence(depth, reference_legendre):
     table = build_legendre(depth)
-    want = _reference_legendre(depth)
+    want = reference_legendre[: depth + 1]
     assert table.max_degree == depth
     assert [(p.den, p.nums) for p in table.polys] == [(p.den, p.nums) for p in want]
 
 
-def test_normalisation_check_catches_a_bad_row(monkeypatch):
-    from intlegendre import legendre
+def test_members_are_built_alone(reference_legendre):
+    assert [legendre_poly(n) for n in (128, 0, 57)] == [reference_legendre[n] for n in (128, 0, 57)]
+    with pytest.raises(ValueError):
+        legendre_poly(-1)
 
-    true_make = legendre._make
 
-    def bad(den, row):  # the degree-5 row gains a constant term
-        return true_make(den, [row[0] + 1] + row[1:] if den == 32 else row)
+@pytest.mark.parametrize("fault, message", [
+    ("lead", "degree-10 solution of equation 1 left a remainder at x^8"),
+    ("numerator", "degree-10 solution of equation 1 left a remainder at x^6"),
+    ("scale", "normalization P_n(1) = 1 broken at degree 10"),
+])
+def test_member_certificates_catch_a_fault(row_fault, fault, message):
+    row_fault(legendre, fault)
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        legendre_poly(10)
 
-    monkeypatch.setattr(legendre, "_make", bad)
-    with pytest.raises(AssertionError, match="degree 5"):
-        build_legendre(8)
+
+def test_equation_row_solves_its_equation():
+    # the leads of 2^n P_n (e = 1) and of 2^(n+1) P'_{n+1} (e = 3)
+    for n, e in ((0, 1), (1, 3), (9, 1), (12, 3), (40, 1), (41, 3)):
+        lead = math.comb(2 * n, n) if e == 1 else (n + 1) * math.comb(2 * n + 2, n + 1)
+        row = legendre._equation_row(n, e, lead)
+        assert row[-1] == lead and _solves_equation(row, n, e), (n, e)

@@ -1,12 +1,13 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from intlegendre import moebius, quad
 from intlegendre.exactpoly import Poly, X
-from intlegendre.legendre import build_legendre, legendre_values
+from intlegendre.legendre import legendre_values
 from intlegendre.moebius import (
     DegenerateMap,
     MoebiusMap,
@@ -16,6 +17,7 @@ from intlegendre.moebius import (
     induced_endpoints,
     induced_weight,
     minimality_check,
+    r_poly,
     reference_inner_product,
     weight_identity_gap,
 )
@@ -104,16 +106,26 @@ def test_recurrence_family_is_monic_interior_factor_of_q():
         assert fam.poly(k) == interior / interior.coeff(k)
 
 
-def test_recurrence_cross_check_catches_a_bad_legendre_table(monkeypatch):
-    def broken(depth):
-        table = build_legendre(depth)
-        polys = list(table.polys)
-        polys[4] = polys[4] + X
-        return table._replace(polys=tuple(polys))
+def test_family_is_the_monic_legendre_derivative_to_128(reference_legendre):
+    # r_k = P'_{k+1} / lead, on Legendre rows from the rational recurrence
+    fam = build_r_family(127)
+    for k in range(128):
+        d = reference_legendre[k + 1].deriv()
+        assert fam.poly(k) == d / d.coeff(k), k
+    assert r_poly(127) == fam.poly(127)
+    with pytest.raises(ValueError):
+        r_poly(-1)
 
-    monkeypatch.setattr(moebius, "build_legendre", broken)
-    with pytest.raises(AssertionError, match="degree 3"):
-        build_r_family(6)
+
+@pytest.mark.parametrize("fault, message", [
+    ("lead", "degree-8 solution of equation 3 left a remainder at x^6"),
+    ("numerator", "degree-8 solution of equation 3 left a remainder at x^4"),
+    ("scale", "normalization P'_(k+1)(1) = (k+1)(k+2)/2 broken at degree 8"),
+])
+def test_member_certificates_catch_a_fault(row_fault, fault, message):
+    row_fault(moebius, fault)
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        r_poly(8)
 
 
 def test_determinant_enforced():

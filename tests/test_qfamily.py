@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -14,13 +15,14 @@ from intlegendre.qfamily import (
     build_q_table,
     fourier_coeffs,
     q_float,
+    q_member,
     q_norm_sq,
     q_rodrigues,
     q_roots,
     q_series,
     weighted_inner_product,
 )
-from intlegendre.legendre import build_legendre, double_factorial, legendre_values
+from intlegendre.legendre import double_factorial, legendre_values
 from intlegendre.quad import gauss_legendre
 
 Q2 = Poly((F(-1, 2), 0, F(1, 2)))
@@ -245,44 +247,32 @@ def test_weighted_norm_nonnegative(a):
     assert weighted_inner_product(p, p) >= 0
 
 
-def _reference_q_table(depth):
-    """Members, interior factors and leading coefficients from Poly arithmetic."""
-    ltable = build_legendre(depth)
-    polys = [(ltable.poly(n) - ltable.poly(n - 2)) / (2 * n - 1) for n in range(2, depth + 1)]
-    return polys, [q.divexact(X2_MINUS_1) for q in polys], [q.coeffs[-1] for q in polys]
-
-
 @pytest.mark.parametrize("depth", [2, 3, 64, 128])
-def test_table_matches_the_poly_reference(depth):
+def test_table_matches_the_poly_reference(depth, reference_legendre):
+    # Q_n = (P_n - P_{n-2})/(2n-1) with Q_n' = P_{n-1}, on Legendre rows from the rational
+    # recurrence: no route through the equation rows the table is built from
+    p = reference_legendre
+    polys = [(p[n] - p[n - 2]) / (2 * n - 1) for n in range(2, depth + 1)]
+    fields = lambda ps: [(q.den, q.nums) for q in ps]  # noqa: E731
     table = build_q_table(depth)
-    polys, interior, leading = _reference_q_table(depth)
-    fields = lambda ps: [(p.den, p.nums) for p in ps]  # noqa: E731
     assert table.max_degree == depth
-    assert table.legendre == build_legendre(depth)
     assert fields(table.polys[2:]) == fields(polys)
-    assert fields(table.interior[2:]) == fields(interior)
-    assert [table.lead(n) for n in range(2, depth + 1)] == leading
+    assert fields(table.interior[2:]) == fields([q.divexact(X2_MINUS_1) for q in polys])
+    assert [table.lead(n) for n in range(2, depth + 1)] == [q.coeffs[-1] for q in polys]
+    assert all(table.q(n).deriv() == p[n - 1] for n in range(2, depth + 1))
     assert table.polys[:2] == table.interior[:2] == (None, None)
 
 
 @pytest.mark.parametrize("depth", [16, 64, 128])
-def test_integer_build_matches_the_rational_construction(depth):
-    # the integer-numerator builder against the construction it replaced:
+def test_integer_build_matches_the_rational_construction(depth, reference_legendre):
     # i_n = P'_{n-1}/(n(n-1)) and Q_n = (x^2-1) i_n in Poly arithmetic
     table = build_q_table(depth)
-    ltable = table.legendre
     for n in range(2, depth + 1):
-        inner = ltable.poly(n - 1).deriv() / (n * (n - 1))
+        inner = reference_legendre[n - 1].deriv() / (n * (n - 1))
         qn = X2_MINUS_1 * inner
         assert (table.interior_factor(n).den, table.interior_factor(n).nums) == (
             inner.den, inner.nums), n
         assert (table.q(n).den, table.q(n).nums) == (qn.den, qn.nums), n
-
-
-def _with_row(ltable, n, poly):
-    polys = list(ltable.polys)
-    polys[n] = poly
-    return ltable._replace(polys=tuple(polys))
 
 
 def test_interior_factors_equal_the_exact_quotients():
@@ -291,25 +281,23 @@ def test_interior_factors_equal_the_exact_quotients():
         assert table.interior_factor(n) == table.q(n).divexact(X2_MINUS_1), n
 
 
-def _rows_off_legendres_equation(ltable):
-    # P_1 + 1/3 with P_2 rebuilt as P_0 + 3 * (antiderivative of that row
-    # vanishing at 1): x^2 - 1 times P'_1/2 no longer has P_1 as its derivative
-    row1 = ltable.poly(1) + F(1, 3)
-    anti = row1.antideriv()
-    row2 = ltable.poly(0) + (anti - anti.at(1)).scale(3)
-    return _with_row(_with_row(ltable, 1, row1), 2, row2)
+def test_members_are_built_alone():
+    assert q_member(2) == (Q2, Poly((F(1, 2),)))
+    assert q_member(4) == (Q4, Poly((F(-1, 8), 0, F(5, 8))))
+    with pytest.raises(ValueError):
+        q_member(1)
 
 
-@pytest.mark.parametrize("bad, degree", [
-    (lambda lt: _with_row(lt, 6, lt.poly(6) + X2_MINUS_1), 7),
-    (lambda lt: _with_row(lt, 6, lt.poly(6) + 1), 7),
-    (_rows_off_legendres_equation, 2),
-], ids=["P6-plus-x2-minus-1", "P6-plus-1", "rows-1-2"])
-def test_construction_cross_check_catches_a_bad_row(bad, degree):
-    # Q_n is built from P_{n-1}, so a bad row k first trips the check at k + 1
-    with pytest.raises(AssertionError,
-                       match=f"construction cross-check failed at degree {degree}$"):
-        build_q_table(8, bad(build_legendre(8)))
+@pytest.mark.parametrize("fault, message", [
+    # Q_10's interior factor is the degree-8 row of the e = 3 equation
+    ("lead", "degree-8 solution of equation 3 left a remainder at x^6"),
+    ("numerator", "degree-8 solution of equation 3 left a remainder at x^4"),
+    ("scale", "normalization Q_n'(1) = 1 broken at degree 10"),
+])
+def test_member_certificates_catch_a_fault(row_fault, fault, message):
+    row_fault(qfamily, fault)
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        q_member(10)
 
 
 def _rand_scalar(rng):

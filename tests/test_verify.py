@@ -104,8 +104,7 @@ def test_depth_bounds():
 def test_uncapped_entries_follow_the_run_depth():
     # an entry without a cap checks every degree of the run, whatever MAX_DEGREE was
     # when it registered; a capped entry stops at its cap
-    ltable = build_legendre(71)
-    ctx = _Ctx(70, ltable, build_q_table(71, ltable))
+    ctx = _Ctx(70, build_legendre(71), build_q_table(71))
     assert _run("Qqn1", ctx).degrees_checked == "2..70"
     assert _run("Second", ctx).degrees_checked == "2..20"
 
@@ -138,7 +137,7 @@ def _perturbed_ctx(depth, k, j, c):
     gets c times itself added, which scales it by 1 + c.
     """
     ltable = build_legendre(depth + 1)
-    qtable = build_q_table(depth + 1, ltable)
+    qtable = build_q_table(depth + 1)
     lpolys = list(ltable.polys)
     polys, interior = list(qtable.polys), list(qtable.interior)
     if j is None:
@@ -227,8 +226,7 @@ def test_orthogonality_is_certified_without_the_scan(monkeypatch, depth):
     def scan(self, max_degree):
         raise AssertionError("the pair scan ran")
 
-    ltable = build_legendre(depth + 1)
-    ctx = _Ctx(depth, ltable, build_q_table(depth + 1, ltable))
+    ctx = _Ctx(depth, build_legendre(depth + 1), build_q_table(depth + 1))
     monkeypatch.setattr(Poly, "pairing", scan)
     for identity_id in ("orthLn", "OrthQn", "NormQn"):
         description, degrees, _, check = _REGISTRY[identity_id]
@@ -242,7 +240,7 @@ def test_orthqn_checks_the_interior_factor_degrees():
     # i_5 raised to degree 11 with every Q_n intact: each member's moments still
     # vanish, so only the interior factors' degree check sends OrthQn to the scan
     ltable = build_legendre(15)
-    qtable = build_q_table(15, ltable)
+    qtable = build_q_table(15)
     interior = list(qtable.interior)
     interior[5] = interior[5] + X**11
     ctx = _Ctx(14, ltable, qtable._replace(interior=tuple(interior)))
@@ -297,7 +295,7 @@ def test_registry_fault_injection(monkeypatch, family, k, j, c, failed, witnesse
     ltable = bad.ltable if family == "L" else build_legendre(13)
     qtable = bad.qtable if family == "Q" else build_q_table(13)
     monkeypatch.setattr(verify, "build_legendre", lambda n: ltable)
-    monkeypatch.setattr(verify, "build_q_table", lambda n, lt: qtable)
+    monkeypatch.setattr(verify, "build_q_table", lambda n: qtable)
     report = run_verification(12)
     assert set(report.failed_ids) == failed
     assert len(report.entries) == len(clean.entries)
@@ -319,8 +317,7 @@ _CORRECTIONS = {"CDS11-prefactor": Verdict.CORRECTED_FACTOR,
 
 @pytest.fixture(scope="module")
 def ctx_21():
-    ltable = build_legendre(21)
-    return _Ctx(21, ltable, build_q_table(21, ltable))
+    return _Ctx(21, build_legendre(21), build_q_table(21))
 
 
 @pytest.mark.parametrize("identity_id, top", [("CDS11-prefactor", top) for top in range(4, 21)]
