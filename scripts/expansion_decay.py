@@ -16,7 +16,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from intlegendre.approx import FUNCTIONS, expand
-from intlegendre.qfamily import build_q_table
 
 
 def main() -> int:
@@ -24,12 +23,11 @@ def main() -> int:
     parser.add_argument("--max-N", type=int, default=16, dest="top")
     args = parser.parse_args()
 
-    table = build_q_table(args.top)
     for name in sorted(FUNCTIONS):
         print(f"\n{name}")
         print(f"{'N':>4}  {'residual_sup':>14}  {'residual_weighted_l2':>20}")
         for top in range(2, args.top + 1, 2):
-            report = expand(name, top, table)
+            report = expand(name, top)
             print(f"{top:>4}  {report.residual_sup:>14.3e}  "
                   f"{report.residual_weighted_l2:>20.3e}")
     return 0

@@ -16,7 +16,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from intlegendre.approx import minimize_constrained
-from intlegendre.qfamily import build_q_table
 
 
 def main() -> int:
@@ -24,10 +23,9 @@ def main() -> int:
     parser.add_argument("--max-n", type=int, default=16, dest="top")
     args = parser.parse_args()
 
-    table = build_q_table(max(args.top, 2))
     print(f"{'n':>4}  {'M (exact)':>24}  {'M (float)':>12}")
     for n in range(2, args.top + 1):
-        solution = minimize_constrained(n, table)
+        solution = minimize_constrained(n)
         print(f"{n:>4}  {str(solution.min_value):>24}  {float(solution.min_value):>12.8f}")
     return 0
 

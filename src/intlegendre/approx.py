@@ -1,10 +1,10 @@
 """Constrained extremal problem and Fourier expansion in the integrated
 Legendre family.
 
-The kernel solution of the minimization problem is accepted only when the
-exact first-order (KKT) conditions certify it optimal; the registry keeps a
-brute-force quadratic program, solved by Bareiss elimination, as a witness.
-The coefficient from endpoint moments is returned as a value; the registry
+The minimizer, one member Q_{m+1} over x, is accepted only when the exact KKT conditions
+certify it optimal; the registry keeps a brute-force quadratic program, solved by Bareiss
+elimination, as a witness. Expansions of polynomials run on their Legendre coefficients,
+with no Q table. The coefficient from endpoint moments is returned as a value; the registry
 compares it with the orthogonality-based integral.
 """
 
@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from . import quad
-from .exactpoly import ONE, Poly, X, _moment_vector
-from .kernel import kernel_sum
-from .legendre import legendre_poly, legendre_series, legendre_values
-from .qfamily import QTable, X2_MINUS_1, fourier_coeffs, q_series, weighted_inner_product
+from .exactpoly import Poly, Scalar, _make, _moment_vector
+from .legendre import double_factorial, legendre_poly, legendre_series, legendre_values
+from .qfamily import QTable, X2_MINUS_1, fourier_coeffs, q_member, q_norm_sq, weighted_inner_product
 from .quad import FUNCTIONS
 
 
@@ -126,45 +125,38 @@ def certify_minimizer(p: Poly, n: int) -> Fraction:
     if p.at(1) or p.at(-1) or p.at(0) != 1:
         raise AssertionError(f"constraints fail at n={n}: p(1) = {p.at(1)}, "
                              f"p(-1) = {p.at(-1)}, p(0) = {p.at(0)}")
-    pair, xj = p.pairing(n - 2), X
+    scale, vec = _moment_vector(p.nums, range(n - 1), len(p.nums) + n - 1)  # as Poly.pairing
     for j in range(1, n - 1):
-        if pair(xj):
-            raise AssertionError(f"optimality fails at j={j}: integral of p x^{j} is {pair(xj)}")
-        xj = xj * X
-    return pair(ONE)
+        if vec[j]:
+            raise AssertionError(f"optimality fails at j={j}: integral of p x^{j} is "
+                                 f"{Fraction(vec[j], p.den * scale)}")
+    return Fraction(vec[0], p.den * scale)
 
 
-def minimize_constrained(n: int, qtable: QTable) -> ExtremalSolution:
-    """Solve the degree-n problem through the kernel section at 0.
+def _q_at_zero(k: int) -> Fraction:
+    """Q_k(0) = (-1)^(k/2) (k-3)!!/k!! for even k (the corrected Qnatzero form)."""
+    return Fraction((-1) ** (k // 2) * double_factorial(k - 3), double_factorial(k))
 
-    The minimum is 1/K_n(0,0) and the minimizer is the section scaled to 1
-    at 0, both certified. Sums involve even members only; odd members vanish at 0.
-    """
+
+def minimize_constrained(n: int) -> ExtremalSolution:
+    """Solve the degree-n problem through the kernel section at 0. The interior factors
+    Q_k/(x^2-1) are the Gegenbauer C^(3/2) family, so by Christoffel-Darboux K_n(x, 0) is
+    proportional to Q_{m+1}(x)/x, m = n rounded down to even (Q_{m+1}(0) = 0). Its scale to 1
+    at 0 is the minimizer, which certify_minimizer proves, and the minimum must be 1/K_n(0,0)."""
     if n < 2:
         raise ValueError("minimization needs degree >= 2")
-    section = kernel_sum(n, 0, qtable)
-    k00 = section.value_at_y
-    m_value = 1 / k00
-    minimizer = section.poly * m_value
-    q_coeffs = {
-        k: qtable.q(k).at(0) / qtable.norm_sq(k) * m_value
-        for k in range(2, n + 1, 2)
-    }
-    certified = certify_minimizer(minimizer, n)
-    if certified != m_value:
-        raise AssertionError(f"certified minimum {certified} is not 1/K_n(0,0) at n={n}")
+    q = q_member(n - n % 2 + 1)[0]
+    minimizer = _make(q.nums[1], list(q.nums[1:]))  # Q_{m+1}/x over its value at 0
+    m_value = certify_minimizer(minimizer, n)
+    zeros = {k: _q_at_zero(k) for k in range(2, n + 1, 2)}  # odd members vanish at 0
+    weights = {k: z / q_norm_sq(k) for k, z in zeros.items()}
+    if m_value * sum(weights[k] * z for k, z in zeros.items()) != 1:
+        raise AssertionError(f"certified minimum {m_value} is not 1/K_n(0,0) at n={n}")
+    q_coeffs = {k: w * m_value for k, w in weights.items()}
     return ExtremalSolution(n, q_coeffs, minimizer, m_value)
 
 
 # -- Fourier coefficients -----------------------------------------------------
-
-
-def moment_vector(f: Poly, n: int) -> list[Fraction]:
-    """Even moments of the n-th derivative: integral of x^(2k) f^(n) over
-    [-1, 1] for k = 0..n-1, exact."""
-    fn = f.deriv(n)
-    scale, vec = _moment_vector(fn.nums, range(0, 2 * n, 2), len(fn.nums) + 2 * n)
-    return [Fraction(v, fn.den * scale) for v in vec]
 
 
 def fourier_coeff_moments(f: Poly, n: int) -> Fraction:
@@ -179,11 +171,11 @@ def fourier_coeff_moments(f: Poly, n: int) -> Fraction:
     """
     if n < 2:
         raise ValueError("family starts at degree 2")
-    moments = moment_vector(f, n)
-    acc = sum(
-        ((-1) ** k * math.comb(n - 1, k)) * moments[k] for k in range(n)
-    )
-    return Fraction(2 * n - 1, 2**n * math.factorial(n - 1)) * acc
+    # the even moments of the n-th derivative, integral of x^(2k) f^(n) for k = 0..n-1
+    fn = f.deriv(n)
+    scale, moments = _moment_vector(fn.nums, range(0, 2 * n, 2), len(fn.nums) + 2 * n)
+    acc = sum((-1) ** k * math.comb(n - 1, k) * moments[k] for k in range(n))
+    return Fraction((2 * n - 1) * acc, 2**n * math.factorial(n - 1) * fn.den * scale)
 
 
 # -- expansion ----------------------------------------------------------------
@@ -206,13 +198,11 @@ class ExpansionReport(NamedTuple):
     method: str
 
 
-def expand(f: Union[Poly, str], top_degree: int, qtable: Optional[QTable]) -> ExpansionReport:
-    """Expand f over family members 2..top_degree.
-
-    Polynomial input stays exact end to end (method 'quadrature_exact');
-    named functions from FUNCTIONS use floating quadrature against the
-    interior factors (method 'quadrature_float') and no table (qtable=None).
-    """
+def expand(f: Union[Poly, str, Sequence[Scalar]], top_degree: int) -> ExpansionReport:
+    """Expand f over family members 2..top_degree: f is a Poly, the Legendre coefficients b
+    of a polynomial (f = sum of b_k P_k) or a name from FUNCTIONS. Polynomial input stays
+    exact end to end and builds no Q table (method 'quadrature_exact'); named functions use
+    floating quadrature against the interior factors (method 'quadrature_float')."""
     if top_degree < 2:
         raise ValueError("expansion needs top degree >= 2")
     if isinstance(f, str):
@@ -221,31 +211,43 @@ def expand(f: Union[Poly, str], top_degree: int, qtable: Optional[QTable]) -> Ex
         except KeyError:
             raise ValueError(f"unknown function name {f!r}") from None
         return _expand_named(fn, top_degree)
-    if qtable is None or top_degree > qtable.max_degree:
-        raise ValueError("table too shallow for requested expansion")
-    return _expand_poly(f, top_degree, qtable)
+    if isinstance(f, Poly):  # b_k = (2k+1)/2 * integral of f P_k, over one denominator
+        deg = len(f.nums) - 1
+        scale, vec = _moment_vector(f.nums, range(deg + 1), 2 * deg + 2)
+        two_deg = 1 << max(deg, 0)  # a multiple of the denominator of each P_k, k <= deg
+        den = 2 * f.den * scale * two_deg
+        b = [(2 * k + 1) * sum(map(mul, vec, p.nums)) * (two_deg // p.den)
+             for k, p in enumerate(map(legendre_poly, range(deg + 1)))]
+    else:  # integer numerators over one denominator, as a Poly holds its coefficients
+        den, b = (held := Poly(f)).den, held.nums
+    return _expand_legendre(b, den, top_degree)
 
 
-def _expand_poly(f: Poly, top_degree: int, qtable: QTable) -> ExpansionReport:
-    coeffs = {n: a for n, a in fourier_coeffs(f, top_degree, qtable).items() if a}
-    diff = f - q_series(coeffs, qtable)
-    if diff.is_zero():
+def _expand_legendre(b: Sequence[int], den: int, top_degree: int) -> ExpansionReport:
+    # P'_{n-1} = sum of (2k+1) P_k over k = n-2, n-4, ..., so a_n = -(2n-1)/2 * integral
+    # of f P'_{n-1} = -(2n-1) s_n/den, s_n the sum of b_k over k <= n-2 of n's parity
+    size = max(len(b), top_degree + 1)  # the residual has degree below size
+    b, s = [*b, *[0] * (size - len(b))], [0, 0]
+    for n in range(2, size + 2):
+        s.append(s[n - 2] + b[n - 2])
+    coeffs = {n: Fraction(-(2 * n - 1) * s[n], den) for n in range(2, top_degree + 1) if s[n]}
+    # Q_n = (P_n - P_{n-2})/(2n-1): the partial sum is (g_{k+2} - g_k)/den on P_k, g_k = s_k
+    # on 2..top_degree and 0 elsewhere, and the residual's r_k/den is b_k/den minus that
+    g = [s[k] if 2 <= k <= top_degree else 0 for k in range(size + 2)]
+    r = [b[k] + g[k] - g[k + 2] for k in range(size)]
+    if not any(r):
         return ExpansionReport(coeffs, 0.0, 0.0, "quadrature_exact")
-    # the residual's Legendre coefficients (2k+1)/2 * integral of diff*P_k, exact
-    deg = diff.degree
-    scale, vec = _moment_vector(diff.nums, range(deg + 1), 2 * deg + 2)
-    r = [Fraction((2 * k + 1) * sum(map(mul, vec, p.nums)), 2 * diff.den * scale * p.den)
-         for k, p in enumerate(map(legendre_poly, range(deg + 1)))]
-    # |P_k| <= 1 on [-1, 1], so |diff| <= sum |r_k| there; an endpoint (a grid
-    # point) that reaches the bound certifies it as the sup, exact
-    bound, ends = sum(map(abs, r)), (diff.at(1), diff.at(-1))
+    # |P_k| <= 1 on [-1, 1], so |residual| <= sum |r_k|/den there; an endpoint (a grid
+    # point, where P_k(+-1) = (+-1)^k) that reaches the bound certifies it as the sup
+    bound, ends = sum(map(abs, r)), (sum(r), sum(r[::2]) - sum(r[1::2]))
     if max(map(abs, ends)) == bound:
-        sup = float(bound)
+        sup = bound / den  # int / int rounds the exact value once
     else:  # rounded once and summed on the grid by the recurrence
-        series = legendre_series([float(c) for c in r])
+        series = legendre_series([c / den for c in r])
         sup = max(abs(series(x)) for x in _GRID)
-    if ends == (0, 0):
-        l2 = math.sqrt(float(weighted_inner_product(diff, diff)))
+    if ends == (0, 0):  # the residual is the sum of a_n Q_n over top_degree < n <= deg f: Parseval
+        tail = {n: Fraction((2 * n - 1) * s[n], den) for n in range(top_degree + 1, size)}  # -a_n
+        l2 = math.sqrt(float(sum(a * a * q_norm_sq(n) for n, a in tail.items())))
     else:
         l2 = math.inf
     return ExpansionReport(coeffs, sup, l2, "quadrature_exact")

@@ -179,8 +179,7 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
         raise CliError("--n must be >= 2")
     if args.n > legendre.MAX_DEGREE:
         raise CliError(f"--n must be <= {legendre.MAX_DEGREE}")
-    table = qfamily.build_q_table(args.n)
-    solution = approx.minimize_constrained(args.n, table)
+    solution = approx.minimize_constrained(args.n)
     payload = {
         "n": solution.n,
         "M": str(solution.min_value),
@@ -206,21 +205,22 @@ def _cmd_expand(args: argparse.Namespace) -> int:
             f"unknown function {args.fn!r}; known: {', '.join(sorted(quad.FUNCTIONS))}"
         )
     spec = args.fn if args.fn is not None else _parse_poly_spec(args.poly)
-    target: exactpoly.Poly | str
-    if isinstance(spec, tuple):
+    if isinstance(spec, tuple):  # handed over in the Legendre basis, never built
         family, degree = spec
-        low, high = (2, args.top) if family == "Q" else (0, legendre.MAX_DEGREE)
-        if not low <= degree <= high:
-            raise CliError(f"{family}{degree} outside {low}..{high}")
-        table = qfamily.build_q_table(args.top)
-        target = table.q(degree) if family == "Q" else legendre.legendre_poly(degree)
+        low = 2 if family == "Q" else 0
+        if not low <= degree <= legendre.MAX_DEGREE:
+            raise CliError(f"{family}{degree} outside {low}..{legendre.MAX_DEGREE}")
+        if family == "Q":  # Q_k = (P_k - P_{k-2})/(2k-1)
+            share = exactpoly.Fraction(1, 2 * degree - 1)
+            target = [0] * (degree - 2) + [-share, 0, share]
+        else:
+            target = [0] * degree + [1]
         label = f"{family}{degree}"
-    else:  # a named function reads no exact table
-        table = None if isinstance(spec, str) else qfamily.build_q_table(args.top)
+    else:
         target = spec
         label = spec if isinstance(spec, str) else spec.pretty()
     try:
-        report = approx.expand(target, args.top, table)
+        report = approx.expand(target, args.top)
     except OverflowError:
         raise CliError("the expansion residual leaves the float range") from None
     coeff_cell = str if report.method == "quadrature_exact" else float

@@ -19,7 +19,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .exactpoly import Poly, Scalar, _frac
 from .legendre import double_factorial, legendre_special_values
-from .qfamily import QTable, q_series
+from .qfamily import QTable
 
 
 class KernelSection(NamedTuple):
@@ -45,12 +45,10 @@ def kernel_sections(top: int, y: Scalar, qtable: QTable) -> Iterator[KernelSecti
 
 
 def kernel_sum(n: int, y: Scalar, qtable: QTable) -> KernelSection:
-    """Exact section sum_{k=2..n} Q_k(y)/norm_k * Q_k (minimize calls it)."""
-    if n < 2:
-        raise ValueError("kernel index starts at 2")
-    y = _frac(y)
-    acc = q_series({k: qtable.q(k).at(y) / qtable.norm_sq(k) for k in range(2, n + 1)}, qtable)
-    return KernelSection(n, y, acc, acc.at(y))
+    """The one section sum_{k=2..n} Q_k(y)/norm_k * Q_k, the last that kernel_sections
+    yields; nothing in the package calls it."""
+    *_, section = kernel_sections(n, y, qtable)
+    return section
 
 
 def kernel_values(top: int, x: Scalar, y: Scalar, qtable: QTable) -> list[Optional[Fraction]]:

@@ -144,7 +144,7 @@ def test_criterion_05_section_sequence_orthogonality(qtable):
 def test_criterion_06_extremal_problem(qtable):
     rng = random.Random("acceptance:extremal")
     for n in range(2, 17):
-        solution = approx.minimize_constrained(n, qtable)
+        solution = approx.minimize_constrained(n)
         assert approx.certify_minimizer(solution.minimizer, n) == solution.min_value, n
         for _ in range(50):
             core = Poly([_rand_fraction(rng, 6, 6) for _ in range(n - 1)])
@@ -154,8 +154,8 @@ def test_criterion_06_extremal_problem(qtable):
                 continue
             p = p / at_zero
             assert weighted_inner_product(p, p) >= solution.min_value, n
-    assert approx.minimize_constrained(2, qtable).min_value == F(4, 3)
-    assert approx.minimize_constrained(4, qtable).min_value == F(32, 45)
+    assert approx.minimize_constrained(2).min_value == F(4, 3)
+    assert approx.minimize_constrained(4).min_value == F(32, 45)
     # literal double-factorial sum for 1/M: correct restricted to even j,
     # spurious at odd j (witness j=3, summand 5/3 against an oracle of 0)
     def literal_summand(j):

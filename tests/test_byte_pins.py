@@ -11,6 +11,8 @@ from fractions import Fraction
 import pytest
 
 from intlegendre.cli import main
+from intlegendre.exactpoly import Poly
+from intlegendre.qfamily import X2_MINUS_1
 
 _RNG = random.Random(20260)
 # a random rational polynomial of degree 70, past N = 64, so its residual is nonzero
@@ -76,6 +78,37 @@ DEEP_L_INPUT_PINS = {
         "fd9987a238337d724f8a303d84ed712c31fb41a5841dcef62ccda146c72f75a5",
 }
 
+_RNG_VANISHING = random.Random(2027)
+# a random degree-12 polynomial that vanishes at both endpoints: its residual at N = 4 has the
+# finite weighted norm of the Parseval tail
+VANISHING_POLY = ",".join(map(str, (X2_MINUS_1 * Poly(
+    [Fraction(_RNG_VANISHING.randint(-99, 99), _RNG_VANISHING.randint(1, 99))
+     for _ in range(11)])).coeffs))
+
+# The minimizer at both parities and the expansion's edge cases: members at the ends of the
+# range, a constant, the zero input, and vanishing inputs deeper than N. Pinned before
+# expand --poly moved onto the input's Legendre coefficients and minimize onto one member.
+EDGE_PINS = {
+    ("minimize", "--n", "2"): "5aa3074e439f8568c3cfec51c3c6b83da6d330d36d8ac9a00864116f52391342",
+    ("minimize", "--n", "3"): "ee802c67e7cc28f650b4ce4f81923f77d2c1f02cd477e80dc790f5ab00b169d4",
+    ("minimize", "--n", "33"): "bf4c03abbb88844568e5f11179a470a4bc7228a19fcbb5ee3127cd6932f54dc4",
+    ("minimize", "--n", "63"): "6cd1c9fe99a37dc1033c22163de5ae23db4a4eb29cfabae72c01e7bdbf29e225",
+    ("expand", "--poly=Q64", "--N", "64"):
+        "0f83c74e854455e7dbac3c48cc1c7754f15ce52ec2bdba2491b739d21c62860c",
+    ("expand", "--poly=Q2", "--N", "2"):
+        "2ff95cd717bc33f1ed2fc2844b42d59d0b4bca98f052d9c2458f1e674654d4a3",
+    ("expand", "--poly=L0", "--N", "2"):
+        "3a49f3d64af7bfa06b55312d249ac244a9f435b28c104aa7ca3fdf8e29141bea",
+    ("expand", "--poly=0,-1,0,1", "--N", "2"):
+        "55d164d7ac775ea63ec1543ff457c465f788dc6143e032cde58659873b2e2f08",
+    ("expand", "--poly=0", "--N", "5"):
+        "b068b8902d0b54611a7fad40e926f03213410e8f9f383b523618a63e2894fb3e",
+    ("expand", f"--poly={VANISHING_POLY}", "--N", "4"):
+        "cffda04f0f4cf0b5e1bceef25f7d9aeaab45b9dddb67e7d55fcbf84bc42a56d8",
+    ("expand", f"--poly={VANISHING_POLY}", "--N", "4", "--format", "csv"):
+        "1398857ea4036ec5d0753055406ef1137050cb7bb792c848aa28b8d7c1dae8fb",
+}
+
 
 def _stdout_sha256(capsys, argv) -> str:
     assert main(list(argv)) == 0
@@ -115,3 +148,11 @@ def test_table_40_to_64_at_points_is_byte_pinned(capsys, family):
 @pytest.mark.parametrize("argv", list(DEEP_L_INPUT_PINS), ids=["L60-N8", "L60-N8-csv", "L64-N2"])
 def test_expand_of_an_l_input_deeper_than_n_is_byte_pinned(capsys, argv):
     assert _stdout_sha256(capsys, argv) == DEEP_L_INPUT_PINS[argv]
+
+
+@pytest.mark.parametrize("argv", list(EDGE_PINS), ids=[
+    "minimize-2", "minimize-3", "minimize-33", "minimize-63", "expand-Q64-N64", "expand-Q2-N2",
+    "expand-L0-N2", "expand-cubic-N2", "expand-zero-N5", "expand-vanishing-N4",
+    "expand-vanishing-N4-csv"])
+def test_minimize_and_expansion_edge_cases_are_byte_pinned(capsys, argv):
+    assert _stdout_sha256(capsys, argv) == EDGE_PINS[argv]

@@ -167,6 +167,34 @@ def test_expand_member_shorthand(capsys):
     assert json.loads(out)["coefficients"] == {"3": "1"}
 
 
+def test_expand_member_shorthand_reaches_the_depth_cap_at_any_n(capsys):
+    # Q<k> and L<k> go to approx.expand in the Legendre basis, so k is bounded by the
+    # depth cap alone and not by --N
+    code, out, err = run_cli(capsys, "expand", "--poly=Q64", "--N", "2")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["coefficients"] == {}
+    assert payload["residual_weighted_l2"] == math.sqrt(float(qfamily.q_norm_sq(64)))
+    for spec, low in (("Q65", 2), ("Q1", 2), ("L65", 0)):
+        assert run_cli(capsys, "expand", f"--poly={spec}", "--N", "2") == (
+            2, "", f"error: {spec} outside {low}..64\n")
+
+
+@pytest.mark.parametrize("spec", ["Q2", "Q40", "L0", "L64"])
+def test_expand_member_shorthand_builds_no_member(capsys, monkeypatch, spec):
+    from intlegendre import approx, legendre
+
+    def no_member(*args):
+        raise AssertionError("a family member was built")
+
+    for module, name in ((qfamily, "build_q_table"), (qfamily, "q_member"), (approx, "q_member"),
+                         (legendre, "legendre_poly"), (approx, "legendre_poly")):
+        monkeypatch.setattr(module, name, no_member)
+    code, out, err = run_cli(capsys, "expand", f"--poly={spec}", "--N", "8")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["input"] == spec
+
+
 def test_expand_named(capsys):
     code, out, _ = run_cli(capsys, "expand", "--fn", "one-minus-x2-exp", "--N", "12")
     assert code == 0

@@ -26,8 +26,8 @@ def records():
     report = run_verification(4)
     return [
         build_legendre(4), legendre_special_values(3), qtable, kernel_sum(4, 0, qtable),
-        gauss_legendre(4), brute_force_minimizer(4, qtable), minimize_constrained(4, qtable),
-        expand(qtable.q(3), 4, qtable), m, moebius.induced_endpoints(m),
+        gauss_legendre(4), brute_force_minimizer(4, qtable), minimize_constrained(4),
+        expand(qtable.q(3), 4), m, moebius.induced_endpoints(m),
         moebius.induced_weight(m), moebius.build_r_family(4), system, report, report.entries[0],
     ]
 
