@@ -24,15 +24,14 @@ __version__ = "0.1.0"
 # submodule -> the public names it provides
 _EXPORTS = {
     "exactpoly": ("NotDivisible", "Poly", "X"),
-    "legendre": ("LegendreTable", "build_legendre", "legendre_special_values"),
+    "legendre": ("build_legendre", "legendre_special_values"),
     "qfamily": ("QTable", "RootCountMismatch", "build_q_table", "q_norm_sq", "q_roots",
                 "weighted_inner_product"),
     "kernel": ("KernelSection", "kernel_sum"),
     "approx": ("ExpansionReport", "ExtremalSolution", "brute_force_minimizer", "expand",
                "fourier_coeff_moments", "minimize_constrained"),
-    "moebius": ("DegenerateMap", "MoebiusMap", "RFamily", "TransformedSystem",
-                "build_r_family", "build_transformed_system", "induced_endpoints",
-                "induced_weight"),
+    "moebius": ("DegenerateMap", "MoebiusMap", "TransformedSystem", "build_r_family",
+                "build_transformed_system", "induced_endpoints", "induced_weight"),
     "quad": ("QuadratureRule", "gauss_legendre", "integrate"),
     "verdict": ("Verdict",),
     "verify": ("VerificationReport", "run_verification"),

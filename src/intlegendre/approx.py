@@ -74,7 +74,7 @@ class BruteForceResult(NamedTuple):
     poly: Poly
 
 
-def brute_force_minimizer(n: int, qtable: QTable) -> BruteForceResult:
+def brute_force_minimizer(n: int) -> BruteForceResult:
     """Minimize the weighted square integral over degree-n polynomials with
     value 1 at 0, independently of the kernel machinery.
 

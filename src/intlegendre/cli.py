@@ -57,7 +57,7 @@ def _parse_poly_spec(text: str) -> exactpoly.Poly | tuple[str, int]:
     """Either a comma-separated ascending coefficient list, or a family
     shorthand like Q3 / L5 resolved against the exact tables."""
     text = text.strip()
-    if text and text[0] in "QLql" and text[1:].isdigit():
+    if text and text[0] in "QLql" and text[1:].isdecimal():
         return text[0].upper(), int(text[1:])
     coeffs = [_parse_fraction(part) for part in text.split(",")]
     return exactpoly.Poly(coeffs)

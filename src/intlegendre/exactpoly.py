@@ -332,4 +332,3 @@ class Poly:
 
 
 X = Poly((0, 1))
-ONE = Poly((1,))

@@ -1,7 +1,8 @@
 """Legendre polynomials: exact members from their differential equation, and closed-form values.
 
 Each member is built on its own from Legendre's equation and pinned by P_n(1) = 1; the derivative
-form of (x^2-1)^n and the shifted binomial expansion act as independent verifiers.
+form of (x^2-1)^n and the shifted binomial expansion act as independent verifiers. The one checked
+row of P'_m (the Jacobi(1,1) equation) serves both the Q and the r family.
 """
 
 from __future__ import annotations
@@ -37,22 +38,6 @@ def pochhammer_half(n: int) -> Fraction:
     return out
 
 
-def _member(self, n: int) -> Poly:
-    """Row n of a record holding degrees 0..max_degree: LegendreTable.poly, RFamily.poly."""
-    if n < 0 or n > self.max_degree:
-        raise IndexError(f"family holds degrees 0..{self.max_degree}, got {n}")
-    return self.polys[n]
-
-
-class LegendreTable(NamedTuple):
-    """Exact coefficient vectors for degrees 0..max_degree; immutable once built."""
-
-    max_degree: int
-    polys: tuple[Poly, ...]
-
-    poly = _member
-
-
 def _equation_row(n: int, e: int, lead: int) -> list[int]:
     """Numerators of the degree-n solution, unique up to scale, of equation e: (1-x^2) y''
     - (1+e) x y' + n(n+e) y = 0, with x^n numerator lead. (k+2)(k+1) c_{k+2} = (k-n)(k+n+e) c_k,
@@ -76,11 +61,20 @@ def legendre_poly(n: int) -> Poly:
     return _make(1 << n, nums)
 
 
-def build_legendre(max_degree: int) -> LegendreTable:
-    """Degrees 0..max_degree, each member built on its own by legendre_poly."""
+def build_legendre(max_degree: int) -> tuple[Poly, ...]:
+    """P_0..P_max_degree, indexed by degree, each member built on its own by legendre_poly."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    return LegendreTable(max_degree, tuple(map(legendre_poly, range(max_degree + 1))))
+    return tuple(map(legendre_poly, range(max_degree + 1)))
+
+
+def _derivative_row(m: int) -> list[int]:
+    """Numerators of 2^m P'_m, the Jacobi(1,1) row behind Q_{m+1} and r_{m-1}: equation 3
+    solved with lead m C(2m, m), checked by P'_m(1) = m(m+1)/2."""
+    d = _equation_row(m - 1, 3, m * math.comb(2 * m, m))
+    if sum(d) != m * (m + 1) << (m - 1):
+        raise AssertionError(f"normalization P'_m(1) = m(m+1)/2 broken at m = {m}")
+    return d
 
 
 def _derived_power(p: int, n: int) -> list[int]:

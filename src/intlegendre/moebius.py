@@ -1,9 +1,9 @@
 """Orthogonal systems induced by rational changes of variable.
 
-A unit-determinant map x -> (lam x + alpha)/(mu x + beta) carries an induced
-interval onto [-1, 1]; composing the monic family orthogonal under 1 - t^2
-with the map yields a system orthogonal (and integral-minimal) under the
-pulled-back weight, which vanishes at both induced endpoints.
+A unit-determinant map x -> (lam x + alpha)/(mu x + beta) carries an induced interval onto
+[-1, 1]; composing the monic family orthogonal under 1 - t^2 (r_k, the monic interior factor of
+Q_{k+2}) with the map yields a system orthogonal (and integral-minimal) under the pulled-back
+weight, which vanishes at both induced endpoints.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import quad
 from .exactpoly import Poly, Scalar, _frac, _make
-from .legendre import _equation_row, _member, legendre_values
+from .legendre import _derivative_row, legendre_values
 
 
 class DegenerateMap(ValueError):
@@ -118,36 +118,25 @@ def weight_identity_gap(m: MoebiusMap) -> Poly:
 _W = Poly((1, 0, -1))  # 1 - t^2
 
 
-class RFamily(NamedTuple):
-    """Monic polynomials orthogonal on [-1, 1] under the weight 1 - t^2."""
-
-    max_degree: int
-    polys: tuple[Poly, ...]
-
-    poly = _member
-
-
 def reference_inner_product(p: Poly, q: Poly) -> Fraction:
     """Exact inner product on [-1, 1] under the weight 1 - t^2."""
     return (p * q * _W).integral(-1, 1)
 
 
 def r_poly(k: int) -> Poly:
-    """r_k, the monic C_k^(3/2) (monic makes minimality well-posed): equation 3 solved for
-    2^(k+1) P'_{k+1}, whose lead is (k+1) C(2k+2, k+1), checked by P'_{k+1}(1) = (k+1)(k+2)/2."""
+    """r_k, the monic C_k^(3/2) (monic makes minimality well-posed): the derivative row
+    2^(k+1) P'_{k+1} over its lead, so the monic interior factor of Q_{k+2}."""
     if k < 0:
         raise ValueError("degree must be >= 0")
-    d = _equation_row(k, 3, (k + 1) * math.comb(2 * k + 2, k + 1))
-    if sum(d) != (k + 1) * (k + 2) << k:
-        raise AssertionError(f"normalization P'_(k+1)(1) = (k+1)(k+2)/2 broken at degree {k}")
+    d = _derivative_row(k + 1)
     return _make(d[-1], d)
 
 
-def build_r_family(max_degree: int) -> RFamily:
-    """Monic members 0..max_degree, each built on its own by r_poly."""
+def build_r_family(max_degree: int) -> tuple[Poly, ...]:
+    """r_0..r_max_degree, indexed by degree, each member built on its own by r_poly."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    return RFamily(max_degree, tuple(map(r_poly, range(max_degree + 1))))
+    return tuple(map(r_poly, range(max_degree + 1)))
 
 
 class TransformedSystem(NamedTuple):
@@ -222,15 +211,15 @@ def gram_matrix(system: TransformedSystem, size: int) -> tuple[list[list[float]]
     return matrix, worst
 
 
-_PERTURBATION_SIZES = (0.25, -0.25, 0.0625, -0.0625)
+def _perturbed(g: list[list[float]], n: int) -> list[tuple[int, float, float]]:
+    """(j, eps, square integral of r_n + eps r_j) for j < n, read off the Gram matrix g: the
+    rule is linear, so the integral is G_nn + 2 eps G_nj + eps^2 G_jj."""
+    return [(j, eps, g[n][n] + 2 * eps * g[n][j] + eps * eps * g[j][j])
+            for j in range(n) for eps in (0.25, -0.25, 0.0625, -0.0625)]
 
 
-def minimality_check(system: TransformedSystem, n: int) -> bool:
-    """Check that the monic member of degree n minimizes the induced-weight
-    square integral: every perturbation by a lower-degree member must
+def minimality_check(matrix: list[list[float]], n: int) -> bool:
+    """Check on a gram_matrix of size > n that the monic member of degree n minimizes the
+    induced-weight square integral: every perturbation by a lower-degree member must
     strictly increase it (by eps^2 times that member's norm)."""
-    # the unperturbed member first (eps = 0), then every (j, eps)
-    steps = [(0, 0.0)] + [(j, eps) for j in range(n) for eps in _PERTURBATION_SIZES]
-    base, *perturbed = _pulled_back(
-        system, n, lambda r, w: [(r[n] + eps * r[j]) ** 2 * w for j, eps in steps])
-    return not any(v <= base for v in perturbed)
+    return not any(v <= matrix[n][n] for _, _, v in _perturbed(matrix, n))

@@ -2,7 +2,7 @@
 pinned to vanish at both endpoints, orthogonal under the weight 1/(1-x^2).
 
 Each member is built on its own as Q_n = (x^2-1) i_n, its interior factor
-i_n = P'_{n-1}/(n(n-1)) solving the Jacobi(1,1) equation and Q_n'(1) = 1.
+i_n = P'_{n-1}/(n(n-1)) read off legendre's checked Jacobi(1,1) row, so Q_n'(1) = 1.
 
 Family indices start at 2. There is no degree-0 member, and the degree-1
 candidate x - 1 has a divergent weighted norm, so every sum over the family
@@ -18,7 +18,7 @@ from operator import mul
 from typing import Mapping, NamedTuple, Optional
 
 from .exactpoly import NotDivisible, Poly, Scalar, _frac, _make, _moment_vector, _raw
-from .legendre import _derived_power, _equation_row, legendre_float
+from .legendre import _derivative_row, _derived_power, legendre_float
 from .quad import gauss_legendre, newton
 
 X2_MINUS_1 = Poly((-1, 0, 1))
@@ -64,15 +64,12 @@ class QTable(NamedTuple):
 
 
 def q_member(n: int) -> tuple[Poly, Poly]:
-    """(Q_n, i_n): equation 3 solved for the numerators d of 2^(n-1) P'_{n-1}, whose lead is
-    (n-1) C(2n-2, n-1), so i_n = d/(2^(n-1) n(n-1)); Q_n'(1) = 2 i_n(1) = 1 checks the scale.
-    The registry's Qqn entry checks Q_n against the difference form (P_n - P_{n-2})/(2n-1)."""
+    """(Q_n, i_n): i_n = P'_{n-1}/(n(n-1)) is the row d of 2^(n-1) P'_{n-1} over 2^(n-1) n(n-1),
+    so Q_n'(1) = 1. The registry's Qqn entry checks Q_n against (P_n - P_{n-2})/(2n-1)."""
     if n < 2:
         raise ValueError("family starts at degree 2")
-    d = _equation_row(n - 2, 3, (n - 1) * math.comb(2 * n - 2, n - 1))
+    d = _derivative_row(n - 1)
     den = n * (n - 1) << (n - 1)
-    if 2 * sum(d) != den:
-        raise AssertionError(f"normalization Q_n'(1) = 1 broken at degree {n}")
     # the product with x^2 - 1 is one shift and one subtraction of numerators
     q = [a - b for a, b in zip([0, 0, *d], [*d, 0, 0])]
     # x^2 - 1 is primitive, so by Gauss's lemma q has the content of d

@@ -30,7 +30,6 @@ from . import approx, kernel, moebius
 from .exactpoly import Poly, X, _moment_vector
 from .legendre import (
     MAX_DEGREE,
-    LegendreTable,
     _solves_equation,
     build_legendre,
     double_factorial,
@@ -107,7 +106,7 @@ class VerificationReport(NamedTuple):
 
 class _Ctx(NamedTuple):
     max_degree: int
-    ltable: LegendreTable
+    ltable: tuple[Poly, ...]  # P_0..P_{max_degree+1}, indexed by degree
     qtable: QTable
     rng: Optional[random.Random] = None  # seeded from the identity id for each entry
 
@@ -212,34 +211,34 @@ def _residual_zero(ns: Iterable[int], residual: Callable[[int], Poly]) -> None:
 @identity("DifLn", "repeated-derivative form of (x^2-1)^n reproduces the recurrence table",
           "0..{top}")
 def _difln(ctx: _Ctx, top: int) -> None:
-    _every(range(top + 1), lambda n: legendre_rodrigues(n) == ctx.ltable.poly(n))
+    _every(range(top + 1), lambda n: legendre_rodrigues(n) == ctx.ltable[n])
 
 
 @identity("expp", "squared-binomial expansion in powers of x-1 and x+1 equals the table",
           "0..{top}")
 def _expp(ctx: _Ctx, top: int) -> None:
-    _every(range(top + 1), lambda n: legendre_shifted_expansion(n) == ctx.ltable.poly(n))
+    _every(range(top + 1), lambda n: legendre_shifted_expansion(n) == ctx.ltable[n])
 
 
 @identity("orthLn", "plain-weight orthogonality with norm 2/(2n+1)", "0..{top}")
 def _orthln(ctx: _Ctx, top: int) -> None:
-    p = ctx.ltable.poly
+    p = ctx.ltable
     # with P_n orthogonal to every lower power, its norm is lead(P_n) times its x^n moment
-    if all((mu := _sturm(p(n), n, 1, 2 * top + 1)) is not None
-           and p(n).coeff(n) * mu == Fraction(2, 2 * n + 1) for n in range(top + 1)):
+    if all((mu := _sturm(p[n], n, 1, 2 * top + 1)) is not None
+           and p[n].coeff(n) * mu == Fraction(2, 2 * n + 1) for n in range(top + 1)):
         return
-    width = _width(ctx.ltable.poly(m) for m in range(top + 1))
+    width = _width(p[: top + 1])
     for n in range(top + 1):
-        pair = ctx.ltable.poly(n).pairing(width)
+        pair = p[n].pairing(width)
         for m in range(n, top + 1):
             want = Fraction(2, 2 * n + 1) if n == m else Fraction(0)
-            _agree(pair(ctx.ltable.poly(m)), want, n=n, inputs={"m": m})
+            _agree(pair(p[m]), want, n=n, inputs={"m": m})
 
 
 @identity("Lnat1", "endpoint values and first/second endpoint derivatives", "0..{top}")
 def _lnat1(ctx: _Ctx, top: int) -> None:
     def holds(n: int) -> bool:
-        p = ctx.ltable.poly(n)
+        p = ctx.ltable[n]
         d1, d2 = p.deriv(), p.deriv(2)
         sv = legendre_special_values(n)
         return (
@@ -257,27 +256,27 @@ def _lnat1(ctx: _Ctx, top: int) -> None:
 @identity("Lnat0", "alternating squared-binomial sum for the midpoint value", "0..{top}")
 def _lnat0(ctx: _Ctx, top: int) -> None:
     _every(range(top + 1),
-           lambda n: legendre_special_values(n).at0 == ctx.ltable.poly(n).at(0))
+           lambda n: legendre_special_values(n).at0 == ctx.ltable[n].at(0))
 
 
 @identity("L2nat0", "rising-factorial form of the even-degree midpoint value", "even 0..{top}")
 def _l2nat0(ctx: _Ctx, top: int) -> None:
     _every(range(0, top + 1, 2),
-           lambda n: legendre_even_at_zero(n // 2) == ctx.ltable.poly(n).at(0))
+           lambda n: legendre_even_at_zero(n // 2) == ctx.ltable[n].at(0))
 
 
 @identity("DeriLnat0", "rising-factorial form of the odd-degree midpoint derivative",
           "odd 1..{top}")
 def _derilnat0(ctx: _Ctx, top: int) -> None:
     _every(range(1, top + 1, 2),
-           lambda n: legendre_odd_deriv_at_zero(n // 2) == ctx.ltable.poly(n).deriv().at(0))
+           lambda n: legendre_odd_deriv_at_zero(n // 2) == ctx.ltable[n].deriv().at(0))
 
 
 @identity("Lnderivat0", "alternating weighted squared-binomial sum for the midpoint derivative",
           "0..{top}")
 def _lnderivat0(ctx: _Ctx, top: int) -> None:
     _every(range(top + 1),
-           lambda n: legendre_special_values(n).deriv_at0 == ctx.ltable.poly(n).deriv().at(0))
+           lambda n: legendre_special_values(n).deriv_at0 == ctx.ltable[n].deriv().at(0))
 
 
 @identity("GenerIntegParts", "repeated integration by parts with alternating boundary sum",
@@ -304,12 +303,12 @@ def _parts(ctx: _Ctx, top: int) -> None:
 @identity("Qqn", "pinned antiderivative construction agrees with the difference form",
           "2..{top}")
 def _qqn(ctx: _Ctx, top: int) -> None:
-    p = ctx.ltable.poly
+    p = ctx.ltable
 
     def holds(n: int) -> bool:
-        anti = p(n - 1).antideriv()
+        anti = p[n - 1].antideriv()
         qn = ctx.qtable.q(n)
-        return qn == (p(n) - p(n - 2)) / (2 * n - 1) and anti - anti.at(1) == qn
+        return qn == (p[n] - p[n - 2]) / (2 * n - 1) and anti - anti.at(1) == qn
 
     _every(range(2, top + 1), holds)
 
@@ -511,7 +510,7 @@ def _kernelm(ctx: _Ctx, top: int) -> None:
     sections = {s.n: s for s in kernel.kernel_sections(top, 0, ctx.qtable)}
     for n in range(2, top + 1):
         m_kernel = 1 / sections[n].value_at_y
-        _agree(approx.brute_force_minimizer(n, ctx.qtable).m_value, m_kernel, n=n)
+        _agree(approx.brute_force_minimizer(n).m_value, m_kernel, n=n)
 
 
 @identity("Kernelf", "minimizer equals the kernel section scaled to 1 at 0",
@@ -521,7 +520,7 @@ def _kernelf(ctx: _Ctx, top: int) -> None:
     for n in range(2, top + 1):
         section = sections[n]
         minimizer = section.poly * (1 / section.value_at_y)
-        _agree(approx.brute_force_minimizer(n, ctx.qtable).poly, minimizer, n=n)
+        _agree(approx.brute_force_minimizer(n).poly, minimizer, n=n)
 
 
 def _literal_extremal_summand(j: int) -> Fraction:
@@ -662,9 +661,9 @@ def _endpoints(ctx: _Ctx, top: int) -> tuple[Verdict, dict]:
           "induced weight; transformed integrals match the reference inner products",
           f"5 reference maps; indices 0..{_GRAM_TOP}")
 def _transformed(ctx: _Ctx, top: int) -> None:
-    r = moebius.build_r_family(_GRAM_TOP).poly  # the exact Gram is the same for every map
+    r = moebius.build_r_family(_GRAM_TOP)  # the exact Gram is the same for every map
     pairs = [(n, m) for n in range(_GRAM_TOP + 1) for m in range(n, _GRAM_TOP + 1)]
-    exact = [float(moebius.reference_inner_product(r(n), r(m))) for n, m in pairs]
+    exact = [float(moebius.reference_inner_product(r[n], r[m])) for n, m in pairs]
     # each entry's bound scales with the exact diagonal, as worst does: |r_k|^2 falls like 4^-k
     norm = {n: value for (n, m), value in zip(pairs, exact) if n == m}
     bounds = [_FLOAT_TOL * math.sqrt(norm[n] * norm[m]) for n, m in pairs]
@@ -679,7 +678,7 @@ def _transformed(ctx: _Ctx, top: int) -> None:
                 raise Failed(inputs={"map": label, "n": n, "m": m},
                              oracle_value=value, stated_value=matrix[n][m])
         for n in range(1, 4):
-            if not moebius.minimality_check(system, n):
+            if not moebius.minimality_check(matrix, n):
                 raise Failed(inputs={"map": label, "n": n})
 
 
@@ -696,9 +695,7 @@ def run_verification(max_degree: int = 40,
     if not MIN_DEGREE <= max_degree <= MAX_DEGREE:
         raise ValueError(f"max_degree must be in {MIN_DEGREE}..{MAX_DEGREE}")
     start = time.perf_counter()
-    ltable = build_legendre(max_degree + 1)
-    qtable = build_q_table(max_degree + 1)
-    ctx = _Ctx(max_degree, ltable, qtable)
+    ctx = _Ctx(max_degree, build_legendre(max_degree + 1), build_q_table(max_degree + 1))
     table_build_s = time.perf_counter() - start
     entries, entries_s = [], {}
     for identity_id in sorted(_REGISTRY):

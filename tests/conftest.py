@@ -33,11 +33,11 @@ def reference_legendre():
 
 @pytest.fixture
 def row_fault(monkeypatch):
-    """inject(module, kind) plants one fault in the equation rows a family module builds:
-    "lead" adds 1 to each lead, "scale" doubles it, and "numerator" adds 1 to the first
-    numerator a division gives."""
+    """inject(kind) plants one fault in every equation row legendre solves, the P_n rows and
+    the one derivative row Q and r share: "lead" adds 1 to each lead, "scale" doubles it, and
+    "numerator" adds 1 to the first numerator a division gives."""
 
-    def inject(module, kind):
+    def inject(kind):
         if kind == "numerator":
             quotients = []
 
@@ -50,7 +50,8 @@ def row_fault(monkeypatch):
         else:
             change = {"lead": lambda c: c + 1, "scale": lambda c: 2 * c}[kind]
             row = legendre._equation_row
-            monkeypatch.setattr(module, "_equation_row", lambda n, e, lead: row(n, e, change(lead)))
+            monkeypatch.setattr(legendre, "_equation_row",
+                                lambda n, e, lead: row(n, e, change(lead)))
 
     return inject
 

@@ -70,8 +70,8 @@ def test_criterion_02_structural_identities(qtable, ltable):
         anti = anti - anti.at(-1)
         assert anti == (hi - lo) / (2 * n - 1), n
     for n in range(TOP + 1):
-        assert legendre_rodrigues(n) == ltable.poly(n), n
-        assert legendre_shifted_expansion(n) == ltable.poly(n), n
+        assert legendre_rodrigues(n) == ltable[n], n
+        assert legendre_shifted_expansion(n) == ltable[n], n
     rng = random.Random("acceptance:parts")
     for _ in range(25):
         u = Poly([_rand_fraction(rng, 9, 9) for _ in range(rng.randint(1, 9))])
@@ -94,7 +94,7 @@ def test_criterion_03_boundary_data(qtable, ltable):
         assert q.deriv(2).at(1) == F(n * (n - 1), 2), n
         assert q.deriv().at(-1) == (-1) ** (n - 1), n
     for n in range(TOP + 1):
-        p = ltable.poly(n)
+        p = ltable[n]
         sv = legendre_special_values(n)
         assert p.at(1) == 1 and p.at(-1) == (-1) ** n, n
         assert p.deriv().at(1) == sv.deriv_at_plus1 == F(n * (n + 1), 2), n
@@ -211,7 +211,7 @@ def test_criterion_08_transformed_systems():
         for n in range(9):
             for m in range(n, 9):
                 exact = float(
-                    moebius.reference_inner_product(family.poly(n), family.poly(m))
+                    moebius.reference_inner_product(family[n], family[m])
                 )
                 assert abs(matrix[n][m] - exact) < 1e-11, (mob, n, m)
     ends = moebius.induced_endpoints(moebius.MoebiusMap(1, 1, 0, 1))

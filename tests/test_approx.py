@@ -105,7 +105,7 @@ def test_brute_force_equals_unsplit_solve(n, qtable):
         coeffs += _gauss_jordan([[gram(i, j) for j in free] for i in free],
                                 [-gram(i, 0) for i in free])
     r = Poly(coeffs)
-    result = brute_force_minimizer(n, qtable)
+    result = brute_force_minimizer(n)
     assert result.poly == ONE_MINUS_X2 * r
     assert result.m_value == (ONE_MINUS_X2 * r * r).integral(-1, 1)
 
@@ -118,12 +118,12 @@ def test_minimize_at_the_depth_cap():
 
 
 def test_brute_force_small(qtable):
-    r2 = brute_force_minimizer(2, qtable)
+    r2 = brute_force_minimizer(2)
     assert r2.m_value == F(4, 3)
     assert r2.poly == ONE_MINUS_X2
-    r4 = brute_force_minimizer(4, qtable)
+    r4 = brute_force_minimizer(4)
     assert r4.m_value == F(32, 45)
-    r5 = brute_force_minimizer(5, qtable)
+    r5 = brute_force_minimizer(5)
     assert r5.m_value == F(32, 45)
     assert r5.poly == r4.poly  # odd directions vanish by symmetry
 
@@ -131,7 +131,7 @@ def test_brute_force_small(qtable):
 @pytest.mark.parametrize("n", range(2, 41))
 def test_certified_solution_is_the_brute_force_optimum(n, qtable):
     s = minimize_constrained(n)
-    oracle = brute_force_minimizer(n, qtable)
+    oracle = brute_force_minimizer(n)
     assert s.minimizer == oracle.poly
     assert certify_minimizer(s.minimizer, n) == s.min_value == oracle.m_value
 
@@ -139,7 +139,7 @@ def test_certified_solution_is_the_brute_force_optimum(n, qtable):
 @pytest.mark.parametrize("n", [4, 5, 12, 40])
 def test_certificate_rejects_a_perturbed_minimizer(n, qtable):
     p = minimize_constrained(n).minimizer
-    assert certify_minimizer(p, n) == brute_force_minimizer(n, qtable).m_value
+    assert certify_minimizer(p, n) == brute_force_minimizer(n).m_value
     # feasible, but not stationary: the integral of (1-x^2) x^2 * x^2 is nonzero
     bent = p + ONE_MINUS_X2 * Poly((0, 0, F(1, 1000)))
     with pytest.raises(AssertionError, match="j=2:"):

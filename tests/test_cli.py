@@ -79,8 +79,8 @@ def test_table_points_equal_the_fraction_value_rounded_once(capsys, family):
     # integer Horner on the dyadic point gives float(p.at(Fraction(x))), also at
     # the endpoints, at the smallest subnormal and past the float range
     points = (0.9, -0.9999, 1.0, -1.0, 5e-324, 1e300)
-    poly = {"L": build_legendre(64).poly, "Q": build_q_table(64).q,
-            "r": build_r_family(64).poly}[family]
+    poly = {"L": build_legendre(64).__getitem__, "Q": build_q_table(64).q,
+            "r": build_r_family(64).__getitem__}[family]
     lo = 2 if family == "Q" else 0
     code, out, _ = run_cli(capsys, "table", "--family", family, "--degrees", f"{lo}..64",
                            "--points", ",".join(map(repr, points)))
@@ -178,6 +178,14 @@ def test_expand_member_shorthand_reaches_the_depth_cap_at_any_n(capsys):
     for spec, low in (("Q65", 2), ("Q1", 2), ("L65", 0)):
         assert run_cli(capsys, "expand", f"--poly={spec}", "--N", "2") == (
             2, "", f"error: {spec} outside {low}..64\n")
+
+
+@pytest.mark.parametrize("spec", ["Q\u00b2", "L\u00b9\u2070", "Q\u00b9"])
+def test_expand_superscript_degree_is_a_usage_error(capsys, spec):
+    # str.isdigit accepts superscript digits, which int rejects: they must not reach int
+    code, out, err = run_cli(capsys, "expand", "--poly", spec, "--N", "4")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad rational {spec!r}\n"
 
 
 @pytest.mark.parametrize("spec", ["Q2", "Q40", "L0", "L64"])
@@ -287,7 +295,7 @@ def test_transform_keeps_a_weight_whose_parts_leave_the_float_range(capsys):
     matrix = json.loads(out)["gram_matrix"]
     family = build_r_family(4)
     for n in range(5):
-        exact = reference_inner_product(family.poly(n), family.poly(n))
+        exact = reference_inner_product(family[n], family[n])
         assert matrix[n][n] == pytest.approx(float(exact), rel=1e-13)  # 4/3, 4/15, ...
 
 
@@ -480,8 +488,8 @@ def test_out_files_written(capsys, tmp_path):
 
 @pytest.mark.parametrize("family", ["L", "Q", "r"])
 def test_table_cells_are_the_fraction_forms(capsys, family):
-    poly = {"L": build_legendre(40).poly, "Q": build_q_table(40).q,
-            "r": build_r_family(40).poly}[family]
+    poly = {"L": build_legendre(40).__getitem__, "Q": build_q_table(40).q,
+            "r": build_r_family(40).__getitem__}[family]
     lo = 2 if family == "Q" else 0
     for backend, cell in (("exact", str), ("float", float)):
         _, out, _ = run_cli(capsys, "table", "--family", family, "--degrees", f"{lo}..40",

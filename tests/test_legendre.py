@@ -41,29 +41,27 @@ def test_pochhammer_half():
 
 
 def test_first_members(ltable):
-    assert ltable.poly(0) == Poly((1,))
-    assert ltable.poly(1) == X
-    assert ltable.poly(2) == Poly((F(-1, 2), 0, F(3, 2)))
-    assert ltable.poly(3) == Poly((0, F(-3, 2), 0, F(5, 2)))
+    assert ltable[0] == Poly((1,))
+    assert ltable[1] == X
+    assert ltable[2] == Poly((F(-1, 2), 0, F(3, 2)))
+    assert ltable[3] == Poly((0, F(-3, 2), 0, F(5, 2)))
 
 
 def test_table_holds_degrees_0_to_max_degree():
     table = build_legendre(4)
-    assert table.poly(0) == Poly((1,)) and table.poly(4).degree == 4
-    for n in (-1, 5):
-        with pytest.raises(IndexError, match=rf"family holds degrees 0\.\.4, got {n}"):
-            table.poly(n)
+    assert type(table) is tuple and len(table) == 5
+    assert [p.degree for p in table] == [0, 1, 2, 3, 4] and table[0] == Poly((1,))
 
 
 def test_normalized_at_one(ltable):
-    assert all(ltable.poly(n).at(1) == 1 for n in range(41))
+    assert all(ltable[n].at(1) == 1 for n in range(41))
 
 
 def test_rodrigues_form(ltable):
     assert legendre_rodrigues(0) == Poly((1,))
     assert legendre_rodrigues(3) == Poly((0, F(-3, 2), 0, F(5, 2)))
     for n in range(13):
-        assert legendre_rodrigues(n) == ltable.poly(n)
+        assert legendre_rodrigues(n) == ltable[n]
 
 
 def test_binomial_rodrigues_equals_the_power_then_derivative_reference():
@@ -78,12 +76,12 @@ def test_shifted_expansion(ltable):
     assert legendre_shifted_expansion(1) == X
     assert legendre_shifted_expansion(2) == Poly((F(-1, 2), 0, F(3, 2)))
     for n in range(13):
-        assert legendre_shifted_expansion(n) == ltable.poly(n)
+        assert legendre_shifted_expansion(n) == ltable[n]
 
 
 def test_special_values_against_table(ltable):
     for n in range(21):
-        p = ltable.poly(n)
+        p = ltable[n]
         sv = legendre_special_values(n)
         assert sv.at_plus1 == p.at(1)
         assert sv.at_minus1 == p.at(-1)
@@ -101,51 +99,51 @@ def test_special_value_examples():
 
 def test_even_and_odd_zero_closed_forms(ltable):
     for m in range(16):
-        assert legendre_even_at_zero(m) == ltable.poly(2 * m).at(0)
+        assert legendre_even_at_zero(m) == ltable[2 * m].at(0)
     for m in range(15):
-        assert legendre_odd_deriv_at_zero(m) == ltable.poly(2 * m + 1).deriv().at(0)
+        assert legendre_odd_deriv_at_zero(m) == ltable[2 * m + 1].deriv().at(0)
 
 
 def test_derivative_recurrence(ltable):
     # (2n+1) P_n = P'_{n+1} - P'_{n-1}
     for n in (1, 2, 10):
-        lhs = ltable.poly(n).scale(2 * n + 1)
-        assert lhs == ltable.poly(n + 1).deriv() - ltable.poly(n - 1).deriv()
+        lhs = ltable[n].scale(2 * n + 1)
+        assert lhs == ltable[n + 1].deriv() - ltable[n - 1].deriv()
 
 
 def test_orthogonality_small(ltable):
     for n in range(13):
         for m in range(n, 13):
-            got = (ltable.poly(n) * ltable.poly(m)).integral(-1, 1)
+            got = (ltable[n] * ltable[m]).integral(-1, 1)
             assert got == (F(2, 2 * n + 1) if n == m else 0)
 
 
 def test_norm_ratio(ltable):
     for n in range(1, 13):
-        sq_n = (ltable.poly(n) * ltable.poly(n)).integral(-1, 1)
-        sq_prev = (ltable.poly(n - 1) * ltable.poly(n - 1)).integral(-1, 1)
+        sq_n = (ltable[n] * ltable[n]).integral(-1, 1)
+        sq_prev = (ltable[n - 1] * ltable[n - 1]).integral(-1, 1)
         assert sq_n == F(2 * n - 1, 2 * n + 1) * sq_prev
 
 
 def test_partial_integral_ladder(ltable):
     # the antiderivative pinned at -1 equals the scaled neighbour difference
     for n in range(1, 13):
-        anti = ltable.poly(n).antideriv()
+        anti = ltable[n].antideriv()
         anti = anti - anti.at(-1)
-        assert anti == (ltable.poly(n + 1) - ltable.poly(n - 1)) / (2 * n + 1)
+        assert anti == (ltable[n + 1] - ltable[n - 1]) / (2 * n + 1)
 
 
 def test_second_derivative_at_endpoints(ltable):
     for n in range(13):
         want = F((n - 1) * n * (n + 1) * (n + 2), 8)
-        assert ltable.poly(n).deriv(2).at(1) == want
-        assert ltable.poly(n).deriv(2).at(-1) == F((-1) ** n) * want
+        assert ltable[n].deriv(2).at(1) == want
+        assert ltable[n].deriv(2).at(-1) == F((-1) ** n) * want
 
 
 def test_float_recurrence_matches_table(ltable):
     # reference is the exact rational value of the binary float point
     for n in (5, 20, 40):
-        p, prev = ltable.poly(n), ltable.poly(n - 1)
+        p, prev = ltable[n], ltable[n - 1]
         for x in (-1.0, -0.7, 0.0, 0.3, 1.0):
             v, v_prev = legendre_float(n, x)
             assert v == pytest.approx(float(p.at(F(x))), rel=1e-12, abs=1e-13)
@@ -166,7 +164,7 @@ def test_rolling_pass_equals_the_full_pass_bit_for_bit():
 def test_shifted_expansion_up_to_128():
     table = build_legendre(128)
     for n in range(129):
-        assert legendre_shifted_expansion(n) == table.poly(n), n
+        assert legendre_shifted_expansion(n) == table[n], n
 
 
 def test_one_pass_gives_every_degree():
@@ -175,7 +173,7 @@ def test_one_pass_gives_every_degree():
         v = legendre_values(64, x)
         assert len(v.p) == len(v.d) == 65
         for n in range(65):
-            p = table.poly(n)
+            p = table[n]
             assert v.p[n] == pytest.approx(float(p.at(F(x))), rel=1e-12, abs=1e-14)
             assert v.d[n] == pytest.approx(float(p.deriv().at(F(x))), rel=1e-12, abs=1e-12)
     assert legendre_values(0, 0.5) == ([1.0], [0.0])
@@ -188,7 +186,7 @@ def test_series_sums_the_exact_combination():
     rng = random.Random(7)
     for size in (1, 2, 3, 17, 65):
         c = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(size)]
-        exact = sum((table.poly(k).scale(ck) for k, ck in enumerate(c)), Poly())
+        exact = sum((table[k].scale(ck) for k, ck in enumerate(c)), Poly())
         scale = float(sum(abs(ck) for ck in c))
         series = legendre_series([float(ck) for ck in c])
         for x in (-1.0, -0.999, -0.37, 0.0, 0.5, 0.9, 1.0):
@@ -204,8 +202,8 @@ def test_build_validates_input():
 def test_integer_rows_match_the_rational_recurrence(depth, reference_legendre):
     table = build_legendre(depth)
     want = reference_legendre[: depth + 1]
-    assert table.max_degree == depth
-    assert [(p.den, p.nums) for p in table.polys] == [(p.den, p.nums) for p in want]
+    assert len(table) == depth + 1
+    assert [(p.den, p.nums) for p in table] == [(p.den, p.nums) for p in want]
 
 
 def test_members_are_built_alone(reference_legendre):
@@ -220,9 +218,16 @@ def test_members_are_built_alone(reference_legendre):
     ("scale", "normalization P_n(1) = 1 broken at degree 10"),
 ])
 def test_member_certificates_catch_a_fault(row_fault, fault, message):
-    row_fault(legendre, fault)
+    row_fault(fault)
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
         legendre_poly(10)
+
+
+def test_derivative_row_is_the_scaled_legendre_derivative(reference_legendre):
+    # 2^m P'_m for m = 1..128, on Legendre rows from the rational recurrence
+    for m in range(1, 129):
+        want = [c * 2**m for c in reference_legendre[m].deriv().coeffs]
+        assert legendre._derivative_row(m) == want, m
 
 
 def test_equation_row_solves_its_equation():

@@ -22,6 +22,7 @@ from intlegendre.moebius import (
     weight_identity_gap,
 )
 from intlegendre.qfamily import build_q_table
+from intlegendre.verify import TEST_MAPS, _random_unit_map
 
 IDENTITY = MoebiusMap(1, 0, 0, 1)
 SHIFT = MoebiusMap(1, 1, 0, 1)  # x + 1
@@ -33,26 +34,25 @@ ALL_MAPS = (IDENTITY, SHIFT, SCALE, GENERIC, GENERIC2)
 
 def test_reference_family_values():
     fam = build_r_family(4)
-    assert fam.poly(0) == Poly((1,))
-    assert fam.poly(1) == X
-    assert fam.poly(2) == Poly((F(-1, 5), 0, 1))
-    assert fam.poly(3) == Poly((0, F(-3, 7), 0, 1))
+    assert fam[0] == Poly((1,))
+    assert fam[1] == X
+    assert fam[2] == Poly((F(-1, 5), 0, 1))
+    assert fam[3] == Poly((0, F(-3, 7), 0, 1))
 
 
 def test_reference_family_holds_degrees_0_to_max_degree():
     fam = build_r_family(3)
-    for n in (-1, 4):
-        with pytest.raises(IndexError, match=rf"family holds degrees 0\.\.3, got {n}"):
-            fam.poly(n)
+    assert type(fam) is tuple and len(fam) == 4
+    assert [p.degree for p in fam] == [0, 1, 2, 3]
 
 
 def test_reference_family_orthogonal_and_monic():
     fam = build_r_family(8)
     for n in range(9):
-        assert fam.poly(n).coeffs[-1] == 1
-        assert fam.poly(n).degree == n
+        assert fam[n].coeffs[-1] == 1
+        assert fam[n].degree == n
         for m in range(n):
-            assert reference_inner_product(fam.poly(n), fam.poly(m)) == 0
+            assert reference_inner_product(fam[n], fam[m]) == 0
 
 
 def _gram_schmidt_family(max_degree):
@@ -77,25 +77,25 @@ def _recurrence_family(max_degree):
 
 
 def test_family_matches_the_fraction_recurrence_to_64():
-    assert list(build_r_family(64).polys) == _recurrence_family(64)
-    assert list(build_r_family(1).polys) == _recurrence_family(1)
+    assert list(build_r_family(64)) == _recurrence_family(64)
+    assert list(build_r_family(1)) == _recurrence_family(1)
 
 
 def test_recurrence_family_matches_gram_schmidt():
-    assert list(build_r_family(24).polys) == _gram_schmidt_family(24)
-    assert build_r_family(0).polys == (Poly((1,)),)
+    assert list(build_r_family(24)) == _gram_schmidt_family(24)
+    assert build_r_family(0) == (Poly((1,)),)
 
 
 def test_recurrence_family_monic_and_orthogonal_to_64():
     fam = build_r_family(64)
     weight = Poly((1, 0, -1))
     for k in range(65):
-        assert fam.poly(k).degree == k
-        assert fam.poly(k).coeff(k) == 1
-        pair = (fam.poly(k) * weight).pairing(64)
+        assert fam[k].degree == k
+        assert fam[k].coeff(k) == 1
+        pair = (fam[k] * weight).pairing(64)
         for m in range(k):
-            assert pair(fam.poly(m)) == 0
-        assert pair(fam.poly(k)) > 0
+            assert pair(fam[m]) == 0
+        assert pair(fam[k]) > 0
 
 
 def test_recurrence_family_is_monic_interior_factor_of_q():
@@ -103,7 +103,7 @@ def test_recurrence_family_is_monic_interior_factor_of_q():
     qtable = build_q_table(42)
     for k in range(41):
         interior = qtable.interior_factor(k + 2)
-        assert fam.poly(k) == interior / interior.coeff(k)
+        assert fam[k] == interior / interior.coeff(k)
 
 
 def test_family_is_the_monic_legendre_derivative_to_128(reference_legendre):
@@ -111,8 +111,8 @@ def test_family_is_the_monic_legendre_derivative_to_128(reference_legendre):
     fam = build_r_family(127)
     for k in range(128):
         d = reference_legendre[k + 1].deriv()
-        assert fam.poly(k) == d / d.coeff(k), k
-    assert r_poly(127) == fam.poly(127)
+        assert fam[k] == d / d.coeff(k), k
+    assert r_poly(127) == fam[127]
     with pytest.raises(ValueError):
         r_poly(-1)
 
@@ -120,10 +120,11 @@ def test_family_is_the_monic_legendre_derivative_to_128(reference_legendre):
 @pytest.mark.parametrize("fault, message", [
     ("lead", "degree-8 solution of equation 3 left a remainder at x^6"),
     ("numerator", "degree-8 solution of equation 3 left a remainder at x^4"),
-    ("scale", "normalization P'_(k+1)(1) = (k+1)(k+2)/2 broken at degree 8"),
+    ("scale", "normalization P'_m(1) = m(m+1)/2 broken at m = 9"),
 ])
 def test_member_certificates_catch_a_fault(row_fault, fault, message):
-    row_fault(moebius, fault)
+    # the fault is planted in legendre's one derivative row, which Q and r both read
+    row_fault(fault)
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
         r_poly(8)
 
@@ -249,7 +250,7 @@ def test_change_of_variables_consistency():
     # transformed integrals equal the exact inner products under 1 - t^2
     # each bound scales with the exact diagonal, as the In entry's does
     fam = build_r_family(5)
-    exact = [[float(reference_inner_product(fam.poly(n), fam.poly(k))) for k in range(6)]
+    exact = [[float(reference_inner_product(fam[n], fam[k])) for k in range(6)]
              for n in range(6)]
     for m in ALL_MAPS:
         matrix, _ = gram_matrix(build_transformed_system(m), 6)
@@ -261,7 +262,7 @@ def test_change_of_variables_consistency():
 
 def test_gram_matrix_at_size_17_matches_the_exact_inner_products():
     fam = build_r_family(16)
-    exact = [[float(reference_inner_product(fam.poly(i), fam.poly(j))) for j in range(17)]
+    exact = [[float(reference_inner_product(fam[i], fam[j])) for j in range(17)]
              for i in range(17)]
     for m in ALL_MAPS:
         matrix, worst = gram_matrix(build_transformed_system(m), 17)
@@ -275,7 +276,7 @@ def test_gram_matrix_at_size_17_matches_the_exact_inner_products():
 @pytest.fixture(scope="module")
 def exact_gram_65():
     fam = build_r_family(64)
-    return [[float(reference_inner_product(fam.poly(i), fam.poly(j))) for j in range(65)]
+    return [[float(reference_inner_product(fam[i], fam[j])) for j in range(65)]
             for i in range(65)]
 
 
@@ -292,7 +293,7 @@ def test_gram_matrix_at_size_65_matches_the_exact_inner_products(params, exact_g
             scale = math.sqrt(exact_gram_65[i][i] * exact_gram_65[j][j])
             assert abs(matrix[i][j] - exact_gram_65[i][j]) <= 1e-13 * scale, (i, j)
     assert worst < 1e-13
-    assert minimality_check(system, 64)
+    assert minimality_check(matrix, 64)
 
 
 def test_minimality_fails_for_a_member_that_is_not_minimal(monkeypatch):
@@ -305,9 +306,17 @@ def test_minimality_fails_for_a_member_that_is_not_minimal(monkeypatch):
         return v
 
     monkeypatch.setattr(moebius, "legendre_values", shifted)
-    assert minimality_check(build_transformed_system(SHIFT), 2) is False
+    system = build_transformed_system(SHIFT)
+    matrix, _ = gram_matrix(system, 3)
+    assert minimality_check(matrix, 2) is False
+    # here G_20 = G_00 / 2 is far from 0, so the cross term 2 eps G_20 counts in full
+    perturbed = moebius._perturbed(matrix, 2)
+    direct = moebius._pulled_back(
+        system, 2, lambda r, w: [(r[2] + eps * r[j]) ** 2 * w for j, eps, _ in perturbed])
+    assert abs(matrix[2][0]) > 0.4 * matrix[0][0]
+    assert all(abs(v - want) <= 1e-12 * want for (_, _, v), want in zip(perturbed, direct))
     monkeypatch.undo()
-    assert minimality_check(build_transformed_system(SHIFT), 2) is True
+    assert minimality_check(_gram(SHIFT, 3), 2) is True
 
 
 def _pulled_back_per_node(system, top, f):
@@ -328,7 +337,8 @@ def _pulled_back_per_node(system, top, f):
 
 
 def test_per_system_constants_leave_every_integral_bit_identical(monkeypatch):
-    # the In entry's Gram matrices and minimality checks on the five reference maps
+    # the In entry's Gram matrices on the five reference maps; the minimality checks read
+    # those matrices and run no rule of their own
     fast, pairs = moebius._pulled_back, []
 
     def both(system, top, f):
@@ -338,27 +348,57 @@ def test_per_system_constants_leave_every_integral_bit_identical(monkeypatch):
 
     monkeypatch.setattr(moebius, "_pulled_back", both)
     for m in ALL_MAPS:
-        system = build_transformed_system(m)
-        gram_matrix(system, 9)
-        assert all(minimality_check(system, n) for n in range(1, 4))
-    assert len(pairs) == 20
+        matrix, _ = gram_matrix(build_transformed_system(m), 9)
+        assert all(minimality_check(matrix, n) for n in range(1, 4))
+    assert len(pairs) == 5
     for got, want in pairs:
         assert got == want
 
 
+def _gram(m, size):
+    return gram_matrix(build_transformed_system(m), size)[0]
+
+
 def test_minimality():
-    assert minimality_check(build_transformed_system(IDENTITY), 2) is True
-    assert minimality_check(build_transformed_system(SHIFT), 2) is True
-    assert minimality_check(build_transformed_system(SCALE), 3) is True
+    assert minimality_check(_gram(IDENTITY, 3), 2) is True
+    assert minimality_check(_gram(SHIFT, 3), 2) is True
+    assert minimality_check(_gram(SCALE, 4), 3) is True
+
+
+def _reference_and_random_systems():
+    """The five reference maps, then the first ten valid draws of the registry's random
+    unit maps."""
+    systems = [build_transformed_system(MoebiusMap(*params)) for params in TEST_MAPS]
+    rng, drawn = random.Random("intlegendre:minimality"), []
+    while len(drawn) < 10:
+        try:
+            drawn.append(build_transformed_system(_random_unit_map(rng)))
+        except DegenerateMap:  # endpoints out of order or a pole inside the interval
+            continue
+    return systems + drawn
+
+
+def test_perturbed_integrals_read_off_the_gram_matrix_equal_the_direct_rule():
+    # a rule is linear: G_nn + 2 eps G_nj + eps^2 G_jj is the rule applied to (r_n + eps r_j)^2 W
+    for system in _reference_and_random_systems():
+        matrix, _ = gram_matrix(system, 9)
+        for n in range(1, 9):
+            perturbed = moebius._perturbed(matrix, n)
+            assert [(j, eps) for j, eps, _ in perturbed] == [
+                (j, eps) for j in range(n) for eps in (0.25, -0.25, 0.0625, -0.0625)]
+            direct = _pulled_back_per_node(
+                system, n, lambda r, w: [(r[n] + e * r[j]) ** 2 * w for j, e, _ in perturbed])
+            for (j, eps, value), want in zip(perturbed, direct, strict=True):
+                assert abs(value - want) <= 1e-12 * want, (system.map, n, j, eps)
 
 
 def test_minimality_perturbation_grows_quadratically():
     # under the identity map the objective increase is exactly eps^2 |r_j|^2
     fam = build_r_family(4)
-    base = float(reference_inner_product(fam.poly(2), fam.poly(2)))
-    perturbed = fam.poly(2) + fam.poly(0).scale(F(1, 4))
+    base = float(reference_inner_product(fam[2], fam[2]))
+    perturbed = fam[2] + fam[0].scale(F(1, 4))
     grown = float(reference_inner_product(perturbed, perturbed))
-    expected = base + float(reference_inner_product(fam.poly(0), fam.poly(0))) / 16
+    expected = base + float(reference_inner_product(fam[0], fam[0])) / 16
     assert grown == pytest.approx(expected, rel=1e-12)
 
 

@@ -9,15 +9,14 @@ import intlegendre
 # The public names, as the package exported them when it imported every submodule.
 PUBLIC = {
     "exactpoly": ("NotDivisible", "Poly", "X"),
-    "legendre": ("LegendreTable", "build_legendre", "legendre_special_values"),
+    "legendre": ("build_legendre", "legendre_special_values"),
     "qfamily": ("QTable", "RootCountMismatch", "build_q_table", "q_norm_sq", "q_roots",
                 "weighted_inner_product"),
     "kernel": ("KernelSection", "kernel_sum"),
     "approx": ("ExpansionReport", "ExtremalSolution", "brute_force_minimizer", "expand",
                "fourier_coeff_moments", "minimize_constrained"),
-    "moebius": ("DegenerateMap", "MoebiusMap", "RFamily", "TransformedSystem",
-                "build_r_family", "build_transformed_system", "induced_endpoints",
-                "induced_weight"),
+    "moebius": ("DegenerateMap", "MoebiusMap", "TransformedSystem", "build_r_family",
+                "build_transformed_system", "induced_endpoints", "induced_weight"),
     "quad": ("QuadratureRule", "gauss_legendre", "integrate"),
     "verdict": ("Verdict",),
     "verify": ("VerificationReport", "run_verification"),
@@ -26,7 +25,7 @@ NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]
 
 
 def test_all_lists_the_public_names():
-    assert len(intlegendre.__all__) == len(NAMES) == 34
+    assert len(intlegendre.__all__) == len(NAMES) == 32
     assert set(intlegendre.__all__) == {name for _, name in NAMES}
 
 

@@ -55,7 +55,7 @@ def test_interior_factorization(qtable):
 
 def test_derivative_is_previous_legendre(qtable, ltable):
     for n in range(2, 21):
-        assert qtable.q(n).deriv() == ltable.poly(n - 1)
+        assert qtable.q(n).deriv() == ltable[n - 1]
 
 
 def test_rodrigues_form(qtable):
@@ -289,13 +289,14 @@ def test_members_are_built_alone():
 
 
 @pytest.mark.parametrize("fault, message", [
-    # Q_10's interior factor is the degree-8 row of the e = 3 equation
+    # Q_10's interior factor is the degree-8 row of the e = 3 equation, 2^9 P'_9
     ("lead", "degree-8 solution of equation 3 left a remainder at x^6"),
     ("numerator", "degree-8 solution of equation 3 left a remainder at x^4"),
-    ("scale", "normalization Q_n'(1) = 1 broken at degree 10"),
+    ("scale", "normalization P'_m(1) = m(m+1)/2 broken at m = 9"),
 ])
 def test_member_certificates_catch_a_fault(row_fault, fault, message):
-    row_fault(qfamily, fault)
+    # the fault is planted in legendre's one derivative row, which Q and r both read
+    row_fault(fault)
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
         q_member(10)
 

@@ -5,15 +5,15 @@ import pytest
 from intlegendre import moebius
 from intlegendre.approx import brute_force_minimizer, expand, minimize_constrained
 from intlegendre.kernel import kernel_sum
-from intlegendre.legendre import build_legendre, legendre_special_values
+from intlegendre.legendre import legendre_special_values
 from intlegendre.qfamily import build_q_table
 from intlegendre.quad import gauss_legendre
 from intlegendre.verify import run_verification
 
 PUBLIC_RECORDS = {
-    "LegendreTable", "LegendreSpecialValues", "QTable", "KernelSection", "QuadratureRule",
+    "LegendreSpecialValues", "QTable", "KernelSection", "QuadratureRule",
     "BruteForceResult", "ExtremalSolution", "ExpansionReport",
-    "MoebiusMap", "Endpoints", "RationalWeight", "RFamily", "TransformedSystem",
+    "MoebiusMap", "Endpoints", "RationalWeight", "TransformedSystem",
     "VerificationReport", "IdentityEntry",
 }
 
@@ -25,10 +25,10 @@ def records():
     system = moebius.build_transformed_system(m)
     report = run_verification(4)
     return [
-        build_legendre(4), legendre_special_values(3), qtable, kernel_sum(4, 0, qtable),
-        gauss_legendre(4), brute_force_minimizer(4, qtable), minimize_constrained(4),
+        legendre_special_values(3), qtable, kernel_sum(4, 0, qtable),
+        gauss_legendre(4), brute_force_minimizer(4), minimize_constrained(4),
         expand(qtable.q(3), 4), m, moebius.induced_endpoints(m),
-        moebius.induced_weight(m), moebius.build_r_family(4), system, report, report.entries[0],
+        moebius.induced_weight(m), system, report, report.entries[0],
     ]
 
 

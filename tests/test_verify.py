@@ -138,7 +138,7 @@ def _perturbed_ctx(depth, k, j, c):
     """
     ltable = build_legendre(depth + 1)
     qtable = build_q_table(depth + 1)
-    lpolys = list(ltable.polys)
+    lpolys = list(ltable)
     polys, interior = list(qtable.polys), list(qtable.interior)
     if j is None:
         lpolys[k], polys[k], interior[k] = (p * (1 + c) for p in (lpolys[k], polys[k],
@@ -148,9 +148,8 @@ def _perturbed_ctx(depth, k, j, c):
         lpolys[k] = lpolys[k] + bump
         polys[k] = polys[k] + X2_MINUS_1 * bump
         interior[k] = interior[k] + bump
-    ltable = ltable._replace(polys=tuple(lpolys))
     qtable = qtable._replace(polys=tuple(polys), interior=tuple(interior))
-    return _Ctx(depth, ltable, qtable)
+    return _Ctx(depth, tuple(lpolys), qtable)
 
 
 def _first_pairwise_failure(ctx):
@@ -160,7 +159,7 @@ def _first_pairwise_failure(ctx):
     orthln = next((
         {"n": n, "inputs": {"m": m}, "oracle_value": _w(got), "stated_value": _w(want)}
         for n in range(top + 1) for m in range(n, top + 1)
-        for got, want in [((lt.poly(n) * lt.poly(m)).integral(-1, 1),
+        for got, want in [((lt[n] * lt[m]).integral(-1, 1),
                            Fraction(2, 2 * n + 1) if n == m else Fraction(0))]
         if got != want
     ), None)
