@@ -19,7 +19,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from .exactpoly import NotDivisible, Poly, Scalar, _frac, _make, _moment_vector, _raw
 from .legendre import _derivative_row, _derived_power, legendre_float
-from .quad import gauss_legendre, newton
+from .quad import MAX_ORDER, gauss_legendre, newton
 
 X2_MINUS_1 = Poly((-1, 0, 1))
 _ROOT_RESIDUAL = 1e-12  # q_roots accepts a root only where |Q_n| falls below this
@@ -156,19 +156,27 @@ def q_roots(n: int, table: QTable) -> list[float]:
     The derivative P_{n-1} vanishes at the nodes of the order-(n-1) Gauss
     rule, so the member is strictly monotone between consecutive nodes and,
     by Rolle's theorem, has exactly one root in each of those n-2 gaps (the
-    two sets of zeros interlace). Each root is found by quad.newton from the
-    midpoint of its gap and is accepted only inside the gap with |value| < 1e-12
-    at Newton's last evaluation; otherwise RootCountMismatch is raised. Degrees
-    run up to quad.MAX_ORDER + 1 = 513; above that gauss_legendre raises ValueError.
+    two sets of zeros interlace): the zeros of P^(1,1)_{n-2}. Only the gaps above 0
+    are solved. Gap k = 1, 2, ... from the top starts quad.newton at the
+    Gatteschi-Pittaluga zero cos(t - 3/(8 rho^2 tan t)), t = (k + 1/4) pi/rho,
+    rho = n - 1/2 (Gatteschi & Pittaluga 1985; DLMF 18.16), and the middle gap of
+    an odd n at 0, so the bits depend on n alone. A root is accepted only inside its gap with
+    |value| < 1e-12 at Newton's last evaluation; otherwise RootCountMismatch is
+    raised. The lower half is the upper one negated: q_float(n, -x) is (+-value,
+    +-slope) bit for bit and the nodes are mirrored exactly, so each mirrored root
+    passes the same certificate. Degrees run 2..quad.MAX_ORDER + 1 = 513; at 257,
+    512 and 513 the outermost and innermost roots are within 6e-17 of 40-digit mpmath.
     """
-    if n < 2:
-        raise ValueError("family starts at degree 2")
-    nodes = gauss_legendre(n - 1).nodes
-    roots = [-1.0]
-    for lo, hi in zip(nodes, nodes[1:]):
-        x, value, _, _ = newton(functools.partial(q_float, n), (lo + hi) / 2)
+    if not 2 <= n <= MAX_ORDER + 1:
+        raise ValueError(f"degree must be in 2..{MAX_ORDER + 1}, got {n}")
+    nodes, rho, upper = gauss_legendre(n - 1).nodes, n - 0.5, []
+    for k in range(1, (n + 1) // 2):
+        t = (k + 0.25) * math.pi / rho
+        x0 = 0.0 if 2 * k == n - 1 else math.cos(t - 3 / (8 * rho * rho * math.tan(t)))
+        x, value, _, _ = newton(functools.partial(q_float, n), x0)
+        lo, hi = nodes[-k - 1], nodes[-k]
         if not (lo < x < hi and abs(value) < _ROOT_RESIDUAL):
             raise RootCountMismatch(f"root {x!r} with residual {value!r} is not in "
                                     f"({lo!r}, {hi!r}) to {_ROOT_RESIDUAL}")
-        roots.append(x)
-    return roots + [1.0]
+        upper.append(x)
+    return [-1.0, *[-x for x in upper[: n // 2 - 1]], *reversed(upper), 1.0]

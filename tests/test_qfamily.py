@@ -165,6 +165,23 @@ def test_root_residual_tolerance(qtable):
             assert abs(q_float(n, r)[0]) < 1e-12
 
 
+@pytest.mark.parametrize("n", [0, 1, 514, 10**6])
+def test_roots_outside_the_degree_range_name_the_degree(n):
+    with pytest.raises(ValueError, match=rf"^degree must be in 2\.\.513, got {n}$"):
+        q_roots(n, None)
+
+
+@pytest.mark.parametrize("n", [17, 64, 257, 512, 513])
+def test_root_bits_depend_on_n_alone(monkeypatch, n):
+    # nodes pulled 2^-30 toward 0 still bracket every root, mirrored exactly;
+    # Newton starts from n alone, so not one bit of a root moves
+    expected = q_roots(n, None)
+    rule = gauss_legendre(n - 1)
+    shrunk = rule._replace(nodes=tuple([x * (1 - 2**-30) for x in rule.nodes]))
+    monkeypatch.setattr(qfamily, "gauss_legendre", lambda m: shrunk)
+    assert q_roots(n, None) == expected
+
+
 @pytest.mark.parametrize("n", [3, 12])
 def test_root_with_a_large_residual_is_rejected(qtable, monkeypatch, n):
     # the value is off by 1e-6 and the slope reads infinite, so Newton settles

@@ -1,8 +1,9 @@
 import math
+import random
 
 import pytest
 
-from intlegendre import legendre, quad
+from intlegendre import legendre, qfamily, quad
 from intlegendre.legendre import legendre_float
 from intlegendre.quad import MAX_ORDER, gauss_legendre, integrate
 
@@ -127,6 +128,32 @@ def test_two_value_passes_per_node(monkeypatch, m):
     monkeypatch.setattr(quad, "legendre_float", counted)
     quad.gauss_legendre.__wrapped__(m)  # past the cache
     assert m // 2 <= len(calls) <= 2.25 * ((m + 1) // 2)
+
+
+@pytest.mark.parametrize("n", [8, 64, 128, 513])
+def test_q_roots_take_two_and_a_half_passes_per_solved_root(monkeypatch, n):
+    # the Gatteschi-Pittaluga starts leave Newton about two evaluations per root,
+    # and only the (n + 1) // 2 - 1 gaps at or above 0 are solved
+    calls = []
+    real = qfamily.q_float
+
+    def counted(n, x):
+        calls.append(x)
+        return real(n, x)
+
+    monkeypatch.setattr(qfamily, "q_float", counted)
+    qfamily.q_roots(n, None)  # the table is unread
+    assert min(calls) >= 0.0
+    assert len(calls) <= 2.5 * ((n + 1) // 2 - 1)
+
+
+def test_q_float_mirrors_bit_for_bit():
+    # q_roots negates its upper half on this: Q_n has the parity of n, Q_n' = P_{n-1} the other
+    rng = random.Random(29)
+    for n in range(2, 65):
+        for x in [rng.uniform(-1.0, 1.0) for _ in range(16)]:
+            value, slope = qfamily.q_float(n, x)
+            assert qfamily.q_float(n, -x) == ((-1) ** n * value, (-1) ** (n - 1) * slope)
 
 
 def test_legendre_float_has_one_function_object():
