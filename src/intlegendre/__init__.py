@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "exactpoly": ("NotDivisible", "Poly", "X"),
     "legendre": ("build_legendre", "legendre_special_values"),
-    "qfamily": ("QTable", "RootCountMismatch", "build_q_table", "q_norm_sq", "q_roots",
+    "qfamily": ("RootCountMismatch", "build_q_table", "q_norm_sq", "q_roots",
                 "weighted_inner_product"),
     "kernel": ("KernelSection", "kernel_sum"),
     "approx": ("ExpansionReport", "ExtremalSolution", "brute_force_minimizer", "expand",

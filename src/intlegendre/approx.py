@@ -18,7 +18,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence, Union
 from . import quad
 from .exactpoly import Poly, Scalar, _make, _moment_vector
 from .legendre import double_factorial, legendre_poly, legendre_series, legendre_values
-from .qfamily import QTable, X2_MINUS_1, fourier_coeffs, q_member, q_norm_sq, weighted_inner_product
+from .qfamily import X2_MINUS_1, fourier_coeffs, q_member, q_norm_sq, weighted_inner_product
 from .quad import FUNCTIONS
 
 
@@ -274,9 +274,10 @@ def _expand_named(fn: Callable[[float], float], top_degree: int) -> ExpansionRep
     return ExpansionReport(coeffs, sup, math.sqrt(max(res, 0.0)), "quadrature_float")
 
 
-def parseval_gap(f: Poly, top_degree: int, qtable: QTable) -> Fraction:
+def parseval_gap(f: Poly, top_degree: int, interior: Sequence[Poly]) -> Fraction:
     """Exact difference between the weighted square norm of f and the sum of
-    squared coefficients times member norms; zero on the admissible span."""
+    squared coefficients times member norms; zero on the admissible span. interior[n]
+    is the interior factor i_n, as fourier_coeffs reads it."""
     lhs = weighted_inner_product(f, f)
-    rhs = sum(a**2 * qtable.norm_sq(n) for n, a in fourier_coeffs(f, top_degree, qtable).items())
+    rhs = sum(a**2 * q_norm_sq(n) for n, a in fourier_coeffs(f, top_degree, interior).items())
     return lhs - rhs

@@ -3,7 +3,8 @@ report, extremal solving, expansion and transformed-system generation.
 
 Exit codes: 0 on success (all identities confirmed or corrected), 1 when the
 verification registry records any FAILED entry, 2 on usage errors (including an
---out path that cannot be written and an input whose floats leave the float range),
+--out path that cannot be written, an input whose floats leave the float range and
+an exact value with more digits than Python converts to a string),
 3 on a numerical limit: a quadrature node whose Newton iteration does not settle.
 Every float integral runs one fixed Gauss rule, so none can miss a tolerance. Exact
 rationals serialize as 'p/q' strings, never floats, so reports stay diffable and lossless.
@@ -365,6 +366,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except quad.ConvergenceFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # str() of an exact value past sys.get_int_max_str_digits()
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: an exact value has more than {sys.get_int_max_str_digits()} digits, "
+              "the limit PYTHONINTMAXSTRDIGITS sets on printing an int", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import functools
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, Optional, Sequence
 
 from .exactpoly import NotDivisible, Poly, Scalar, _frac, _make, _moment_vector, _raw
 from .legendre import _derivative_row, _derived_power, legendre_float
@@ -28,39 +28,6 @@ _ROOT_RESIDUAL = 1e-12  # q_roots accepts a root only where |Q_n| falls below th
 class RootCountMismatch(RuntimeError):
     """An interior root did not settle inside its Gauss-node gap with a residual
     under _ROOT_RESIDUAL."""
-
-
-class QTable(NamedTuple):
-    """Exact data for family members 2..max_degree.
-
-    Index n of each tuple holds the degree-n data; slots 0 and 1 are None.
-    ``interior`` holds the cofactor of x^2 - 1; ``lead`` reads the leading
-    coefficient off the member, and ``norm_sq`` gives the closed-form
-    weighted squared norm.
-    """
-
-    max_degree: int
-    polys: tuple[Optional[Poly], ...]
-    interior: tuple[Optional[Poly], ...]
-
-    def _get(self, seq, n: int):
-        if n < 2 or n > self.max_degree:
-            raise IndexError(f"family holds degrees 2..{self.max_degree}, got {n}")
-        return seq[n]
-
-    def q(self, n: int) -> Poly:
-        return self._get(self.polys, n)
-
-    def interior_factor(self, n: int) -> Poly:
-        return self._get(self.interior, n)
-
-    def norm_sq(self, n: int) -> Fraction:
-        self._get(self.polys, n)  # the same IndexError outside 2..max_degree
-        return q_norm_sq(n)
-
-    def lead(self, n: int) -> Fraction:
-        qn = self.q(n)
-        return Fraction(qn.nums[-1], qn.den)
 
 
 def q_member(n: int) -> tuple[Poly, Poly]:
@@ -77,12 +44,13 @@ def q_member(n: int) -> tuple[Poly, Poly]:
     return _raw(den // g, tuple([a // g for a in q])), _raw(den // g, tuple([a // g for a in d]))
 
 
-def build_q_table(max_degree: int) -> QTable:
-    """Family members 2..max_degree, each built on its own by q_member."""
+def build_q_table(max_degree: int) -> tuple[tuple[Optional[Poly], ...], tuple[Optional[Poly], ...]]:
+    """(Q, i): the members Q_n and their interior factors i_n for n = 2..max_degree, indexed
+    by degree with slots 0 and 1 None, each pair built on its own by q_member."""
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
     polys, interior = zip(*map(q_member, range(2, max_degree + 1)))
-    return QTable(max_degree, (None, None, *polys), (None, None, *interior))
+    return (None, None, *polys), (None, None, *interior)
 
 
 def q_rodrigues(n: int) -> Poly:
@@ -117,26 +85,26 @@ def weighted_inner_product(p: Poly, q: Poly) -> Fraction:
     return -reduced.integral(-1, 1)
 
 
-def fourier_coeffs(f: Poly, top_degree: int, qtable: QTable) -> dict[int, Fraction]:
+def fourier_coeffs(f: Poly, top_degree: int, interior: Sequence[Poly]) -> dict[int, Fraction]:
     """<f, Q_n>_w / norm_n = -n(n-1)(2n-1)/2 integral(f i_n) for members 2..top_degree and any
-    polynomial f: one integer dot product with f's moment vector (as in Poly.pairing) each."""
+    polynomial f, i_n = interior[n]: one integer dot product with f's moment vector (as in
+    Poly.pairing) each."""
     if top_degree < 2:
         raise ValueError("family starts at degree 2")
     scale, vec = _moment_vector(f.nums, range(top_degree - 1), len(f.nums) + top_degree - 1)
-    ins = [qtable.interior_factor(n) for n in range(2, top_degree + 1)]
-    return {n: Fraction(-n * (n - 1) * (2 * n - 1) * sum(map(mul, vec, i.nums)),
-                        2 * f.den * scale * i.den) for n, i in enumerate(ins, 2)}
+    return {n: Fraction(-n * (n - 1) * (2 * n - 1) * sum(map(mul, vec, interior[n].nums)),
+                        2 * f.den * scale * interior[n].den) for n in range(2, top_degree + 1)}
 
 
-def q_series(coeffs: Mapping[int, Scalar], qtable: QTable) -> Poly:
-    """The sum of c_n Q_n over the items of coeffs, skipping zero coefficients, on integer
-    numerators over one common denominator, normalised once."""
-    terms = [(qtable.q(n), _frac(c)) for n, c in coeffs.items() if c]
-    den = math.lcm(*[q.den * c.denominator for q, c in terms])
-    acc = [0] * max([len(q.nums) for q, _ in terms], default=0)
-    for q, c in terms:
-        m = c.numerator * (den // (q.den * c.denominator))
-        acc[: len(q.nums)] = [a + m * b for a, b in zip(acc, q.nums)]
+def q_series(coeffs: Mapping[int, Scalar], q: Sequence[Poly]) -> Poly:
+    """The sum of c_n Q_n, Q_n = q[n], over the items of coeffs, skipping zero coefficients,
+    on integer numerators over one common denominator, normalised once."""
+    terms = [(q[n], _frac(c)) for n, c in coeffs.items() if c]
+    den = math.lcm(*[qn.den * c.denominator for qn, c in terms])
+    acc = [0] * max([len(qn.nums) for qn, _ in terms], default=0)
+    for qn, c in terms:
+        m = c.numerator * (den // (qn.den * c.denominator))
+        acc[: len(qn.nums)] = [a + m * b for a, b in zip(acc, qn.nums)]
     return _make(den, acc)
 
 
@@ -149,9 +117,9 @@ def q_float(n: int, x: float) -> tuple[float, float]:
     return (pn - p0) / (2 * n - 1), p1
 
 
-def q_roots(n: int, table: QTable) -> list[float]:
+def q_roots(n: int, table: object = None) -> list[float]:
     """All n roots, sorted ascending: -1 and 1 exactly, plus n-2 interior
-    roots located to |value| < 1e-12 (_ROOT_RESIDUAL).
+    roots located to |value| < 1e-12 (_ROOT_RESIDUAL). ``table`` is unread.
 
     The derivative P_{n-1} vanishes at the nodes of the order-(n-1) Gauss
     rule, so the member is strictly monotone between consecutive nodes and,

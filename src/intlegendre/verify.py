@@ -40,7 +40,6 @@ from .legendre import (
     legendre_special_values,
 )
 from .qfamily import (
-    QTable,
     X2_MINUS_1,
     build_q_table,
     fourier_coeffs,
@@ -107,7 +106,8 @@ class VerificationReport(NamedTuple):
 class _Ctx(NamedTuple):
     max_degree: int
     ltable: tuple[Poly, ...]  # P_0..P_{max_degree+1}, indexed by degree
-    qtable: QTable
+    qtable: tuple[Optional[Poly], ...]  # Q_n, indexed by degree, slots 0 and 1 None
+    itable: tuple[Optional[Poly], ...]  # the interior factors i_n of Q_n = (x^2-1) i_n
     rng: Optional[random.Random] = None  # seeded from the identity id for each entry
 
 
@@ -307,7 +307,7 @@ def _qqn(ctx: _Ctx, top: int) -> None:
 
     def holds(n: int) -> bool:
         anti = p[n - 1].antideriv()
-        qn = ctx.qtable.q(n)
+        qn = ctx.qtable[n]
         return qn == (p[n] - p[n - 2]) / (2 * n - 1) and anti - anti.at(1) == qn
 
     _every(range(2, top + 1), holds)
@@ -315,22 +315,22 @@ def _qqn(ctx: _Ctx, top: int) -> None:
 
 @identity("Qqn1", "members vanish at both endpoints", "2..{top}")
 def _qqn1(ctx: _Ctx, top: int) -> None:
-    q = ctx.qtable.q
-    _every(range(2, top + 1), lambda n: q(n).at(1) == 0 and q(n).at(-1) == 0)
+    q = ctx.qtable
+    _every(range(2, top + 1), lambda n: q[n].at(1) == 0 and q[n].at(-1) == 0)
 
 
 @identity("Diff2", "second-order equation (1-x^2) Q'' + n(n-1) Q = 0 as a polynomial",
           "2..{top}")
 def _diff2(ctx: _Ctx, top: int) -> None:
-    q = ctx.qtable.q
+    q = ctx.qtable
     _residual_zero(range(2, top + 1),
-                   lambda n: (-X2_MINUS_1) * q(n).deriv(2) + q(n).scale(n * (n - 1)))
+                   lambda n: (-X2_MINUS_1) * q[n].deriv(2) + q[n].scale(n * (n - 1)))
 
 
 @identity("Diff3", "differentiated second-order equation as a polynomial identity", "2..{top}")
 def _diff3(ctx: _Ctx, top: int) -> None:
     def residual(n: int) -> Poly:
-        q = ctx.qtable.q(n)
+        q = ctx.qtable[n]
         return (X * q.deriv(2)).scale(-2) + (-X2_MINUS_1) * q.deriv(3) \
             + q.deriv().scale(n * (n - 1))
 
@@ -349,14 +349,14 @@ def _second(ctx: _Ctx, top: int) -> None:
 @identity("Rodrigues", "product form with the n-th derivative of (x^2-1)^(n-1) equals the table",
           "2..{top}")
 def _rodrigues(ctx: _Ctx, top: int) -> None:
-    _every(range(2, top + 1), lambda n: q_rodrigues(n) == ctx.qtable.q(n))
+    _every(range(2, top + 1), lambda n: q_rodrigues(n) == ctx.qtable[n])
 
 
 @identity("Qnderiv1", "endpoint derivative block: Q'(1)=1, Q'(-1)=(-1)^(n-1), Q''(1)=n(n-1)/2",
           "2..{top}")
 def _qnderiv1(ctx: _Ctx, top: int) -> None:
     def holds(n: int) -> bool:
-        d1 = ctx.qtable.q(n).deriv()
+        d1 = ctx.qtable[n].deriv()
         return (
             d1.at(1) == 1
             and d1.at(-1) == (-1) ** (n - 1)
@@ -371,7 +371,7 @@ def _qnderiv1(ctx: _Ctx, top: int) -> None:
 def _qnatzero(ctx: _Ctx, top: int) -> tuple[Verdict, dict]:
     witness = None
     for n in range(2, top + 1):
-        oracle = ctx.qtable.q(n).at(0)
+        oracle = ctx.qtable[n].at(0)
         if n % 2:  # the stated exponent (n-2)/2 is not an integer; odd members vanish at 0
             if oracle != 0:
                 raise Failed(n=n, oracle_value=_w(oracle))
@@ -388,17 +388,17 @@ def _qnatzero(ctx: _Ctx, top: int) -> tuple[Verdict, dict]:
           "first derivative equals the scaled difference of neighbour second derivatives",
           "3..{top}")
 def _pipcirs2(ctx: _Ctx, top: int) -> None:
-    q = ctx.qtable.q
+    q = ctx.qtable
     _every(range(3, top + 1),
-           lambda n: q(n).deriv() == (q(n + 1).deriv(2) - q(n - 1).deriv(2)) / (2 * n - 1))
+           lambda n: q[n].deriv() == (q[n + 1].deriv(2) - q[n - 1].deriv(2)) / (2 * n - 1))
 
 
 @identity("Pipcirs3", "pinned antiderivative equals the scaled difference of neighbours",
           "3..{top}")
 def _pipcirs3(ctx: _Ctx, top: int) -> None:
     def holds(n: int) -> bool:
-        anti = ctx.qtable.q(n).antideriv()
-        return anti - anti.at(-1) == (ctx.qtable.q(n + 1) - ctx.qtable.q(n - 1)) / (2 * n - 1)
+        anti = ctx.qtable[n].antideriv()
+        return anti - anti.at(-1) == (ctx.qtable[n + 1] - ctx.qtable[n - 1]) / (2 * n - 1)
 
     _every(range(3, top + 1), holds)
 
@@ -407,21 +407,21 @@ def _pipcirs3(ctx: _Ctx, top: int) -> None:
 def _orthqn(ctx: _Ctx, top: int) -> None:
     # with every i_n of degree n - 2, -integral of i_n Q_m vanishes for m > n once Q_m's
     # moments below x^(m-2) do
-    if all(ctx.qtable.interior_factor(n).degree == n - 2 and
-           _sturm(ctx.qtable.q(n), n, -1, 2 * top + 1) is not None for n in range(2, top + 1)):
+    if all(ctx.itable[n].degree == n - 2 and
+           _sturm(ctx.qtable[n], n, -1, 2 * top + 1) is not None for n in range(2, top + 1)):
         return
-    width = _width(ctx.qtable.q(m) for m in range(2, top + 1))
+    width = _width(ctx.qtable[m] for m in range(2, top + 1))
     for n in range(2, top + 1):
         # <Q_n, Q_m>_w = -integral of interior_n * Q_m, as in weighted_inner_product
-        pair = ctx.qtable.interior_factor(n).pairing(width)
+        pair = ctx.itable[n].pairing(width)
         for m in range(n + 1, top + 1):
-            _agree(-pair(ctx.qtable.q(m)), Fraction(0), n=n, inputs={"m": m})
+            _agree(-pair(ctx.qtable[m]), Fraction(0), n=n, inputs={"m": m})
 
 
 @identity("NormQn", "weighted squared norm 2/(n(n-1)(2n-1))", "2..{top}")
 def _normqn(ctx: _Ctx, top: int) -> None:
     for n in range(2, top + 1):
-        qn, i_n = ctx.qtable.q(n), ctx.qtable.interior_factor(n)
+        qn, i_n = ctx.qtable[n], ctx.itable[n]
         # with Q_n's moments below x^(n-2) zero, -integral of i_n Q_n is one product
         nu = _sturm(qn, n, -1, 2 * top + 1) if i_n.degree == n - 2 else None
         if nu is None or -i_n.coeff(n - 2) * nu != q_norm_sq(n):
@@ -448,7 +448,7 @@ def _cd_prefactor(ctx: _Ctx, top: int) -> tuple[Verdict, dict]:
               for x, y in points]
     witness = None
     for n in range(2, top + 1):
-        factor = ctx.qtable.lead(n) / ctx.qtable.lead(n + 1)  # the leading-coefficient ratio
+        factor = ctx.qtable[n].coeffs[-1] / ctx.qtable[n + 1].coeffs[-1]  # the leading ratio
         if factor != Fraction(n + 1, 2 * n - 1):
             raise Failed(n=n, oracle_value=_w(factor))
         for (x, y), oracle, stated, inputs in zip(points, oracles, forms, labels):
@@ -468,7 +468,7 @@ def _reprkernel(ctx: _Ctx, top: int) -> None:
     for trial in range(30):
         n = ctx.rng.randint(2, top)
         g = X2_MINUS_1 * _rand_poly(ctx.rng, max(0, n - 2))
-        if q_series(fourier_coeffs(g, n, ctx.qtable), ctx.qtable) != g:
+        if q_series(fourier_coeffs(g, n, ctx.itable), ctx.qtable) != g:
             raise Failed(n=n, inputs={"g": _w(g)})
 
 
@@ -555,9 +555,9 @@ def _fourierq(ctx: _Ctx, top: int) -> None:
         n = ctx.rng.randint(3, top)
         coeffs = {k: _rand_fraction(ctx.rng) for k in range(2, n + 1)}
         f = q_series(coeffs, ctx.qtable)
-        for k, c in fourier_coeffs(f, n, ctx.qtable).items():
+        for k, c in fourier_coeffs(f, n, ctx.itable).items():
             _agree(c, coeffs[k], n=k)
-        if approx.parseval_gap(f, n, ctx.qtable) != 0:
+        if approx.parseval_gap(f, n, ctx.itable) != 0:
             raise Failed(n=n, inputs={"f": _w(f)})
 
 
@@ -571,7 +571,7 @@ def _anex_sign(ctx: _Ctx, top: int) -> tuple[Verdict, dict]:
         n = ctx.rng.randint(2, top)
         f = X2_MINUS_1 * _rand_poly(ctx.rng, ctx.rng.randint(0, 6))
         corrected = approx.fourier_coeff_moments(f, n)
-        quadrature = fourier_coeffs(f, n, ctx.qtable)[n]
+        quadrature = fourier_coeffs(f, n, ctx.itable)[n]
         _agree(quadrature, corrected, n=n, inputs={"f": _w(f)})
         if witness is None and n % 2 and quadrature != 0:
             witness = {"n": n, "inputs": {"f": _w(f)},
@@ -596,7 +596,7 @@ def _akk(ctx: _Ctx, top: int) -> tuple[Verdict, dict]:
     return Verdict.CONFIRMED_UP_TO_SIGN, {
         "n": 2, "stated_value": _w(stated(2)),
         "oracle_value": _w(approx.fourier_coeff_moments(x2, 2)),
-        "fourier_coefficient": _w(fourier_coeffs(x2, 2, ctx.qtable)[2]),
+        "fourier_coefficient": _w(fourier_coeffs(x2, 2, ctx.itable)[2]),
         "note": "expansion coefficient differs from the moment functional"}
 
 
@@ -695,7 +695,7 @@ def run_verification(max_degree: int = 40,
     if not MIN_DEGREE <= max_degree <= MAX_DEGREE:
         raise ValueError(f"max_degree must be in {MIN_DEGREE}..{MAX_DEGREE}")
     start = time.perf_counter()
-    ctx = _Ctx(max_degree, build_legendre(max_degree + 1), build_q_table(max_degree + 1))
+    ctx = _Ctx(max_degree, build_legendre(max_degree + 1), *build_q_table(max_degree + 1))
     table_build_s = time.perf_counter() - start
     entries, entries_s = [], {}
     for identity_id in sorted(_REGISTRY):

@@ -17,8 +17,20 @@ def ltable():
 
 
 @pytest.fixture(scope="session")
-def qtable():
+def q_and_i():
     return build_q_table(41)
+
+
+@pytest.fixture(scope="session")
+def qtable(q_and_i):
+    """Q_0..Q_41 indexed by degree, slots 0 and 1 None."""
+    return q_and_i[0]
+
+
+@pytest.fixture(scope="session")
+def itable(q_and_i):
+    """The interior factors i_n of Q_n = (x^2-1) i_n, indexed as qtable."""
+    return q_and_i[1]
 
 
 @pytest.fixture(scope="session")

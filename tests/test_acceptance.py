@@ -42,7 +42,7 @@ def test_criterion_01_orthogonality_and_norms(qtable):
     # diagonal, 2/(n(n-1)(2n-1)) on it, rational arithmetic, no tolerance
     for n in range(2, TOP + 1):
         for m in range(n, TOP + 1):
-            value = weighted_inner_product(qtable.q(n), qtable.q(m))
+            value = weighted_inner_product(qtable[n], qtable[m])
             if n == m:
                 assert value == F(2, n * (n - 1) * (2 * n - 1)), (n, m)
             else:
@@ -52,7 +52,7 @@ def test_criterion_01_orthogonality_and_norms(qtable):
 
 def test_criterion_02_structural_identities(qtable, ltable):
     for n in range(2, TOP + 1):
-        q = qtable.q(n)
+        q = qtable[n]
         # second-order equation and its derivative, as polynomial identities
         assert ((-X2_MINUS_1) * q.deriv(2) + q.scale(n * (n - 1))).is_zero(), n
         third = (X * q.deriv(2)).scale(-2) + (-X2_MINUS_1) * q.deriv(3) + q.deriv().scale(
@@ -64,9 +64,9 @@ def test_criterion_02_structural_identities(qtable, ltable):
         v = X2_MINUS_1 ** (n - 1)
         assert X2_MINUS_1 * v.deriv(n) == v.deriv(n - 2).scale(n * (n - 1)), n
     for n in range(3, TOP + 1):
-        hi, lo = qtable.q(n + 1), qtable.q(n - 1)
-        assert qtable.q(n).deriv() == (hi.deriv(2) - lo.deriv(2)) / (2 * n - 1), n
-        anti = qtable.q(n).antideriv()
+        hi, lo = qtable[n + 1], qtable[n - 1]
+        assert qtable[n].deriv() == (hi.deriv(2) - lo.deriv(2)) / (2 * n - 1), n
+        anti = qtable[n].antideriv()
         anti = anti - anti.at(-1)
         assert anti == (hi - lo) / (2 * n - 1), n
     for n in range(TOP + 1):
@@ -88,7 +88,7 @@ def test_criterion_02_structural_identities(qtable, ltable):
 
 def test_criterion_03_boundary_data(qtable, ltable):
     for n in range(2, TOP + 1):
-        q = qtable.q(n)
+        q = qtable[n]
         assert q.at(1) == 0 and q.at(-1) == 0, n
         assert q.deriv().at(1) == 1, n
         assert q.deriv(2).at(1) == F(n * (n - 1), 2), n
@@ -102,7 +102,7 @@ def test_criterion_03_boundary_data(qtable, ltable):
     print("PASS criterion 3: endpoint data exact for n <= 40")
 
 
-def test_criterion_04_kernel_closed_forms(qtable):
+def test_criterion_04_kernel_closed_forms(qtable, itable):
     rng = random.Random("acceptance:kernel")
     points = []
     while len(points) < 20:
@@ -111,7 +111,7 @@ def test_criterion_04_kernel_closed_forms(qtable):
             points.append((x, y))
     witness_seen = False
     for n in range(2, 21):
-        factor = qtable.lead(n) / qtable.lead(n + 1)
+        factor = qtable[n].coeff(n) / qtable[n + 1].coeff(n + 1)
         assert factor == F(n + 1, 2 * n - 1), n
         for x, y in points:
             stated = kernel.kernel_forms(n, x, y, qtable)[1][n]
@@ -128,7 +128,7 @@ def test_criterion_04_kernel_closed_forms(qtable):
         n = rng.randint(2, 12)
         core = Poly([_rand_fraction(rng, 6, 6) for _ in range(max(1, n - 1))])
         g = X2_MINUS_1 * core
-        assert q_series(fourier_coeffs(g, n, qtable), qtable) == g, n
+        assert q_series(fourier_coeffs(g, n, itable), qtable) == g, n
     print("PASS criterion 4: kernel closed forms corrected and reproducing property exact")
 
 
@@ -164,31 +164,31 @@ def test_criterion_06_extremal_problem(qtable):
         ) ** 2
 
     assert literal_summand(3) == F(5, 3)
-    assert qtable.q(3).at(0) == 0
+    assert qtable[3].at(0) == 0
     even_only = sum((literal_summand(j) for j in range(2, 17, 2)), F(0))
     assert even_only == kernel.kernel_value(16, 0, 0, qtable)
     print("PASS criterion 6: extremal solutions exact, competitors never win, odd terms flagged")
 
 
-def test_criterion_07_fourier_machinery(qtable):
+def test_criterion_07_fourier_machinery(qtable, itable):
     rng = random.Random("acceptance:fourier")
     for _ in range(30):
         n = rng.randint(2, 12)
         core = Poly([_rand_fraction(rng, 6, 6) for _ in range(rng.randint(1, 7))])
         f = X2_MINUS_1 * core
         corrected = approx.fourier_coeff_moments(f, n)
-        assert corrected == fourier_coeffs(f, n, qtable)[n], n
+        assert corrected == fourier_coeffs(f, n, itable)[n], n
     for _ in range(10):
         top = rng.randint(3, 12)
         f = Poly()
         for k in range(2, top + 1):
-            f = f + qtable.q(k).scale(_rand_fraction(rng, 5, 5))
-        assert approx.parseval_gap(f, top, qtable) == 0
+            f = f + qtable[k].scale(_rand_fraction(rng, 5, 5))
+        assert approx.parseval_gap(f, top, itable) == 0
     for k in range(2, 13):
         stated = F(k * 2 ** (k - 1) * math.factorial(k - 1) ** 2, math.factorial(2 * k - 2))
         assert stated == abs(approx.fourier_coeff_moments(Poly.monomial(k), k)), k
     x2 = Poly.monomial(2)
-    assert fourier_coeffs(x2, 2, qtable) == {2: -1}
+    assert fourier_coeffs(x2, 2, itable) == {2: -1}
     assert approx.fourier_coeff_moments(x2, 2) == 2
     print("PASS criterion 7: moment formula (sign-corrected) exact; Parseval exact; "
           "monomial magnitudes match with k=2 discrepancy recorded")

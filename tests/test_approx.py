@@ -24,8 +24,8 @@ from intlegendre.exactpoly import Poly
 from intlegendre.kernel import kernel_sum
 from intlegendre.legendre import (double_factorial, legendre_poly, legendre_rodrigues,
                                   legendre_series)
-from intlegendre.qfamily import (X2_MINUS_1, build_q_table, fourier_coeffs, q_member, q_series,
-                                 weighted_inner_product)
+from intlegendre.qfamily import (X2_MINUS_1, build_q_table, fourier_coeffs, q_member, q_norm_sq,
+                                 q_series, weighted_inner_product)
 
 ONE_MINUS_X2 = Poly((1, 0, -1))
 
@@ -236,13 +236,13 @@ def test_random_competitors_never_beat():
             assert weighted_inner_product(p, p) >= best
 
 
-def test_fourier_quadrature_examples(qtable):
-    assert fourier_coeffs(ONE_MINUS_X2, 2, qtable) == {2: -2}
-    assert fourier_coeffs(Poly((0, 1, 0, -1)), 3, qtable)[3] == -2
-    assert fourier_coeffs(Poly((0, 0, 1, 0, -1)), 4, qtable)[4] == F(-8, 5)
+def test_fourier_quadrature_examples(itable):
+    assert fourier_coeffs(ONE_MINUS_X2, 2, itable) == {2: -2}
+    assert fourier_coeffs(Poly((0, 1, 0, -1)), 3, itable)[3] == -2
+    assert fourier_coeffs(Poly((0, 0, 1, 0, -1)), 4, itable)[4] == F(-8, 5)
     for top in (1, 0):
         with pytest.raises(ValueError, match="family starts at degree 2"):
-            fourier_coeffs(ONE_MINUS_X2, top, qtable)
+            fourier_coeffs(ONE_MINUS_X2, top, itable)
 
 
 def test_moment_vector():
@@ -264,16 +264,16 @@ def test_moment_formula_signs(qtable):
     c3 = fourier_coeff_moments(Poly((0, 1, 0, -1)), 3)
     assert c3 == -2
     assert (-1) ** 3 * c3 == 2  # stated sign flips at odd order
-    assert fourier_coeff_moments(qtable.q(4), 4) == 1  # self-coefficient of a basis member
+    assert fourier_coeff_moments(qtable[4], 4) == 1  # self-coefficient of a basis member
 
 
-def test_moment_formula_matches_quadrature_on_vanishing_inputs(qtable):
+def test_moment_formula_matches_quadrature_on_vanishing_inputs(itable):
     rng = random.Random(911)
     for _ in range(30):
         n = rng.randint(2, 12)
         core = Poly([F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(rng.randint(1, 7))])
         f = X2_MINUS_1 * core
-        assert fourier_coeff_moments(f, n) == fourier_coeffs(f, n, qtable)[n]
+        assert fourier_coeff_moments(f, n) == fourier_coeffs(f, n, itable)[n]
 
 
 def _monomial_stated(k):
@@ -281,9 +281,9 @@ def _monomial_stated(k):
     return F((-1) ** k * k * 2 ** (k - 1) * math.factorial(k - 1) ** 2, math.factorial(2 * k - 2))
 
 
-def test_monomial_closed_form(qtable):
+def test_monomial_closed_form(itable):
     x2 = Poly.monomial(2)
-    assert (fourier_coeffs(x2, 2, qtable)[2], fourier_coeff_moments(x2, 2),
+    assert (fourier_coeffs(x2, 2, itable)[2], fourier_coeff_moments(x2, 2),
             _monomial_stated(2)) == (F(-1), F(2), F(2))
     assert (fourier_coeff_moments(Poly.monomial(3), 3), _monomial_stated(3)) == (F(2), F(-2))
     assert fourier_coeff_moments(Poly.monomial(4), 4) == F(8, 5)
@@ -293,14 +293,14 @@ def test_monomial_closed_form(qtable):
         assert _monomial_stated(k) == (-1) ** k * moment
 
 
-def test_parseval_on_span(qtable):
+def test_parseval_on_span(qtable, itable):
     rng = random.Random(5150)
     for _ in range(10):
         top = rng.randint(3, 12)
         f = Poly()
         for k in range(2, top + 1):
-            f = f + qtable.q(k).scale(F(rng.randint(-4, 4), rng.randint(1, 4)))
-        assert parseval_gap(f, top, qtable) == 0
+            f = f + qtable[k].scale(F(rng.randint(-4, 4), rng.randint(1, 4)))
+        assert parseval_gap(f, top, itable) == 0
 
 
 def test_expand_exact_polynomial():
@@ -312,17 +312,17 @@ def test_expand_exact_polynomial():
 
 
 def test_expand_single_member(qtable):
-    rep = expand(qtable.q(10), 10)
+    rep = expand(qtable[10], 10)
     assert rep.coeffs == {10: F(1)}
     assert rep.residual_sup == 0.0
 
 
 def test_expand_truncation_reports_residuals(qtable):
     # truncating a span element leaves an exactly computable weighted residual
-    f = qtable.q(2) + qtable.q(6).scale(F(1, 3))
+    f = qtable[2] + qtable[6].scale(F(1, 3))
     rep = expand(f, 4)
     assert rep.coeffs == {2: F(1)}
-    expected_l2 = math.sqrt(float(qtable.norm_sq(6)) / 9)
+    expected_l2 = math.sqrt(float(q_norm_sq(6)) / 9)
     assert rep.residual_weighted_l2 == pytest.approx(expected_l2, rel=1e-12)
     assert rep.residual_sup > 0
 
@@ -334,7 +334,7 @@ def test_expand_non_vanishing_input_has_divergent_weighted_residual():
 
 
 def _partial_sum(rep, qtable):
-    return sum((qtable.q(n).scale(a) for n, a in rep.coeffs.items()), Poly())
+    return sum((qtable[n].scale(a) for n, a in rep.coeffs.items()), Poly())
 
 
 @pytest.mark.parametrize("seed, top", [(0, 40), (1, 40), (2, 41)])
@@ -437,26 +437,26 @@ def test_expansion_coefficients_decay_spectrally():
 
 def test_one_pairing_coefficients_equal_the_per_member_integrals():
     rng = random.Random("one-pairing")
-    qtable = build_q_table(64)
+    itable = build_q_table(64)[1]
     for _ in range(12):
         top = rng.randint(2, 64)
         f = Poly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 70))])
         # the exact integral of -f times the interior factor, one product per member
-        want = {n: -(f * qtable.interior_factor(n)).integral(-1, 1) / qtable.norm_sq(n)
+        want = {n: -(f * itable[n]).integral(-1, 1) / q_norm_sq(n)
                 for n in range(2, top + 1)}
-        assert fourier_coeffs(f, top, qtable) == want
+        assert fourier_coeffs(f, top, itable) == want
 
 
 # -- the Legendre route against the Q route -------------------------------------
 
-_Q64 = build_q_table(64)
+_Q64, _I64 = build_q_table(64)
 
 
 def _q_route(f, top):
     """The expansion by the Q table: fourier_coeffs, the partial sum by q_series, the
     weighted norm of the residual by weighted_inner_product, and the residual's sup from
     its Legendre coefficients, each an exact integral against P_k."""
-    coeffs = {n: a for n, a in fourier_coeffs(f, top, _Q64).items() if a}
+    coeffs = {n: a for n, a in fourier_coeffs(f, top, _I64).items() if a}
     diff = f - q_series(coeffs, _Q64)
     if diff.is_zero():
         return coeffs, 0.0, 0.0
@@ -503,12 +503,12 @@ def test_member_given_in_the_legendre_basis_equals_the_member(k, top):
 
 @pytest.mark.parametrize("n", range(2, 65))
 def test_minimizer_is_the_kernel_section_at_zero(n):
-    qtable = build_q_table(n)
+    qtable = build_q_table(n)[0]
     section = kernel_sum(n, 0, qtable)
     s = minimize_constrained(n)
     assert s.minimizer == section.poly * (1 / section.value_at_y)
     assert s.min_value == 1 / section.value_at_y
-    assert s.q_coeffs == {k: qtable.q(k).at(0) / qtable.norm_sq(k) * s.min_value
+    assert s.q_coeffs == {k: qtable[k].at(0) / q_norm_sq(k) * s.min_value
                           for k in range(2, n + 1, 2)}
 
 

@@ -49,7 +49,7 @@ def test_table_json_with_points(capsys):
 def test_table_points_round_the_exact_value_once(capsys):
     # near -1 the float recurrence for Q64 drifts by hundreds of ulp; the
     # printed value is the exact one rounded once, in JSON and CSV alike
-    exact = float(build_q_table(64).q(64).at(Fraction(-0.9999)))
+    exact = float(build_q_table(64)[0][64].at(Fraction(-0.9999)))
     code, out, _ = run_cli(capsys, "table", "--family", "Q", "--degrees", "64..64",
                            "--points", "-0.9999")
     assert code == 0
@@ -79,7 +79,7 @@ def test_table_points_equal_the_fraction_value_rounded_once(capsys, family):
     # integer Horner on the dyadic point gives float(p.at(Fraction(x))), also at
     # the endpoints, at the smallest subnormal and past the float range
     points = (0.9, -0.9999, 1.0, -1.0, 5e-324, 1e300)
-    poly = {"L": build_legendre(64).__getitem__, "Q": build_q_table(64).q,
+    poly = {"L": build_legendre(64).__getitem__, "Q": build_q_table(64)[0].__getitem__,
             "r": build_r_family(64).__getitem__}[family]
     lo = 2 if family == "Q" else 0
     code, out, _ = run_cli(capsys, "table", "--family", family, "--degrees", f"{lo}..64",
@@ -344,6 +344,20 @@ def test_inputs_past_the_float_range_are_usage_errors(capsys, argv):
     assert err.startswith("error: ") and "float range" in err
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python converts ints of any length to str")
+@pytest.mark.parametrize("argv", [
+    ("expand", "--poly", "1e5000", "--N", "2"),
+    ("expand", "--poly", "1e5000", "--N", "2", "--format", "csv"),
+    ("expand", "--poly", "1e-5000,0,-1e-5000", "--N", "2"),
+    ("transform", "--map", "1,1e-5000,0,1", "--N", "2"),
+])
+def test_values_past_the_int_to_str_limit_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"{sys.get_int_max_str_digits()} digits" in err
+
+
 def test_quad_csv(capsys):
     code, out, _ = run_cli(capsys, "quad", "--m", "3")
     assert code == 0
@@ -488,7 +502,7 @@ def test_out_files_written(capsys, tmp_path):
 
 @pytest.mark.parametrize("family", ["L", "Q", "r"])
 def test_table_cells_are_the_fraction_forms(capsys, family):
-    poly = {"L": build_legendre(40).__getitem__, "Q": build_q_table(40).q,
+    poly = {"L": build_legendre(40).__getitem__, "Q": build_q_table(40)[0].__getitem__,
             "r": build_r_family(40).__getitem__}[family]
     lo = 2 if family == "Q" else 0
     for backend, cell in (("exact", str), ("float", float)):

@@ -13,7 +13,7 @@ import math
 import pytest
 
 from intlegendre.cli import main
-from intlegendre.qfamily import build_q_table, q_roots
+from intlegendre.qfamily import q_roots
 from intlegendre.quad import gauss_legendre
 
 mpmath = pytest.importorskip("mpmath")
@@ -122,7 +122,7 @@ def test_legendre_expansion_residual_sup_is_exactly_one(capsys, m, top):
 
 @pytest.mark.parametrize("n", [64, 128, 257, 513])
 def test_q_roots_at_high_degree(n):
-    roots = q_roots(n, build_q_table(n))
+    roots = q_roots(n)
     assert roots[0] == -1.0 and roots[-1] == 1.0 and len(roots) == n
     checked = roots[1:-1]
     if n > 128:

@@ -64,7 +64,7 @@ def test_cross_module_oracle(qtable):
     # order-m rule reproduces exact integrals of polynomials of degree <= 2m-1
     rule = gauss_legendre(8)
     for n in range(2, 8):
-        p = qtable.q(n) * qtable.q(n)
+        p = qtable[n] * qtable[n]
         exact = float(p.integral(-1, 1))
         approx = math.fsum(w * p.at_float(x) for x, w in zip(rule.nodes, rule.weights))
         assert approx == pytest.approx(exact, rel=1e-13)
@@ -86,7 +86,7 @@ def test_integrate_is_exact_through_degree_2_order_minus_1(order):
 
 def test_integrate_weighted_member(qtable):
     # Q_2^2/(1 - x^2) = (1 - x^2)/4, a quadratic, so order 2 is exact
-    q2 = qtable.q(2)
+    q2 = qtable[2]
     (value,) = integrate(lambda x, w: (w * q2.at_float(x) ** 2 / (1 - x * x),), 2)
     assert value == pytest.approx(1 / 3, abs=1e-15)
 

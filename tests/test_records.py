@@ -11,7 +11,7 @@ from intlegendre.quad import gauss_legendre
 from intlegendre.verify import run_verification
 
 PUBLIC_RECORDS = {
-    "LegendreSpecialValues", "QTable", "KernelSection", "QuadratureRule",
+    "LegendreSpecialValues", "KernelSection", "QuadratureRule",
     "BruteForceResult", "ExtremalSolution", "ExpansionReport",
     "MoebiusMap", "Endpoints", "RationalWeight", "TransformedSystem",
     "VerificationReport", "IdentityEntry",
@@ -20,14 +20,14 @@ PUBLIC_RECORDS = {
 
 @pytest.fixture(scope="module")
 def records():
-    qtable = build_q_table(6)
+    qtable = build_q_table(6)[0]
     m = moebius.MoebiusMap(2, 1, 1, 1)
     system = moebius.build_transformed_system(m)
     report = run_verification(4)
     return [
-        legendre_special_values(3), qtable, kernel_sum(4, 0, qtable),
+        legendre_special_values(3), kernel_sum(4, 0, qtable),
         gauss_legendre(4), brute_force_minimizer(4), minimize_constrained(4),
-        expand(qtable.q(3), 4), m, moebius.induced_endpoints(m),
+        expand(qtable[3], 4), m, moebius.induced_endpoints(m),
         moebius.induced_weight(m), system, report, report.entries[0],
     ]
 

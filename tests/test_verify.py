@@ -104,7 +104,7 @@ def test_depth_bounds():
 def test_uncapped_entries_follow_the_run_depth():
     # an entry without a cap checks every degree of the run, whatever MAX_DEGREE was
     # when it registered; a capped entry stops at its cap
-    ctx = _Ctx(70, build_legendre(71), build_q_table(71))
+    ctx = _Ctx(70, build_legendre(71), *build_q_table(71))
     assert _run("Qqn1", ctx).degrees_checked == "2..70"
     assert _run("Second", ctx).degrees_checked == "2..20"
 
@@ -136,10 +136,8 @@ def _perturbed_ctx(depth, k, j, c):
     (and, for j > k, of P_k) above its index. With j None each degree-k member
     gets c times itself added, which scales it by 1 + c.
     """
-    ltable = build_legendre(depth + 1)
-    qtable = build_q_table(depth + 1)
-    lpolys = list(ltable)
-    polys, interior = list(qtable.polys), list(qtable.interior)
+    lpolys = list(build_legendre(depth + 1))
+    polys, interior = map(list, build_q_table(depth + 1))
     if j is None:
         lpolys[k], polys[k], interior[k] = (p * (1 + c) for p in (lpolys[k], polys[k],
                                                                    interior[k]))
@@ -148,8 +146,7 @@ def _perturbed_ctx(depth, k, j, c):
         lpolys[k] = lpolys[k] + bump
         polys[k] = polys[k] + X2_MINUS_1 * bump
         interior[k] = interior[k] + bump
-    qtable = qtable._replace(polys=tuple(polys), interior=tuple(interior))
-    return _Ctx(depth, tuple(lpolys), qtable)
+    return _Ctx(depth, tuple(lpolys), tuple(polys), tuple(interior))
 
 
 def _first_pairwise_failure(ctx):
@@ -166,13 +163,13 @@ def _first_pairwise_failure(ctx):
     orthqn = next((
         {"n": n, "inputs": {"m": m}, "oracle_value": _w(got), "stated_value": "0"}
         for n in range(2, top + 1) for m in range(n + 1, top + 1)
-        for got in [weighted_inner_product(qt.q(n), qt.q(m))]
+        for got in [weighted_inner_product(qt[n], qt[m])]
         if got != 0
     ), None)
     normqn = next((
         {"n": n, "oracle_value": _w(got), "stated_value": _w(want)}
         for n in range(2, top + 1)
-        for got, want in [(weighted_inner_product(qt.q(n), qt.q(n)),
+        for got, want in [(weighted_inner_product(qt[n], qt[n]),
                            Fraction(2, n * (n - 1) * (2 * n - 1)))]
         if got != want
     ), None)
@@ -225,7 +222,7 @@ def test_orthogonality_is_certified_without_the_scan(monkeypatch, depth):
     def scan(self, max_degree):
         raise AssertionError("the pair scan ran")
 
-    ctx = _Ctx(depth, build_legendre(depth + 1), build_q_table(depth + 1))
+    ctx = _Ctx(depth, build_legendre(depth + 1), *build_q_table(depth + 1))
     monkeypatch.setattr(Poly, "pairing", scan)
     for identity_id in ("orthLn", "OrthQn", "NormQn"):
         description, degrees, _, check = _REGISTRY[identity_id]
@@ -239,16 +236,27 @@ def test_orthqn_checks_the_interior_factor_degrees():
     # i_5 raised to degree 11 with every Q_n intact: each member's moments still
     # vanish, so only the interior factors' degree check sends OrthQn to the scan
     ltable = build_legendre(15)
-    qtable = build_q_table(15)
-    interior = list(qtable.interior)
+    qtable, itable = build_q_table(15)
+    interior = list(itable)
     interior[5] = interior[5] + X**11
-    ctx = _Ctx(14, ltable, qtable._replace(interior=tuple(interior)))
-    got = -(interior[5] * qtable.q(7)).integral(-1, 1)
+    ctx = _Ctx(14, ltable, qtable, tuple(interior))
+    got = -(interior[5] * qtable[7]).integral(-1, 1)
     assert got != 0
     entry = _run("OrthQn", ctx)
     assert entry.verdict is Verdict.FAILED
     assert entry.witness == {"n": 5, "inputs": {"m": 7}, "oracle_value": _w(got),
                              "stated_value": "0"}
+
+
+def test_prefactor_reads_the_leading_coefficient_of_a_member_that_lost_its_degree():
+    # Q_6 without its x^6 term has degree 4: CDS11-prefactor fails at n = 5 on the
+    # ratio of the leading coefficients actually present, and never divides by zero
+    qtable, itable = map(list, build_q_table(13))
+    qtable[6] = qtable[6] - Poly.monomial(6).scale(qtable[6].coeff(6))
+    ctx = _Ctx(12, build_legendre(13), tuple(qtable), tuple(itable))
+    entry = _run("CDS11-prefactor", ctx)
+    assert entry.verdict is Verdict.FAILED
+    assert entry.witness == {"n": 5, "oracle_value": _w(qtable[5].coeff(5) / qtable[6].coeff(4))}
 
 
 _L_IDS = {"DifLn", "Lnat1", "Qqn", "expp", "orthLn"}
@@ -292,7 +300,7 @@ def test_registry_fault_injection(monkeypatch, family, k, j, c, failed, witnesse
     clean = run_verification(12)
     bad = _perturbed_ctx(12, k, j, c)
     ltable = bad.ltable if family == "L" else build_legendre(13)
-    qtable = bad.qtable if family == "Q" else build_q_table(13)
+    qtable = (bad.qtable, bad.itable) if family == "Q" else build_q_table(13)
     monkeypatch.setattr(verify, "build_legendre", lambda n: ltable)
     monkeypatch.setattr(verify, "build_q_table", lambda n: qtable)
     report = run_verification(12)
@@ -316,7 +324,7 @@ _CORRECTIONS = {"CDS11-prefactor": Verdict.CORRECTED_FACTOR,
 
 @pytest.fixture(scope="module")
 def ctx_21():
-    return _Ctx(21, build_legendre(21), build_q_table(21))
+    return _Ctx(21, build_legendre(21), *build_q_table(21))
 
 
 @pytest.mark.parametrize("identity_id, top", [("CDS11-prefactor", top) for top in range(4, 21)]
