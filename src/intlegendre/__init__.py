@@ -49,7 +49,10 @@ def _register(name: str):
     return module
 
 
-globals().update({name: _register(name) for name in _EXPORTS})
+# runpy imports this package to find `python -m intlegendre.cli`, with sys.argv[0] "-m" until
+# it has found the module, and warns if the module is in sys.modules by then
+globals().update({name: _register(name) for name in _EXPORTS
+                  if name != "cli" or sys.argv[:1] != ["-m"]})
 
 
 def __getattr__(name: str):

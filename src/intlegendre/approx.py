@@ -3,9 +3,10 @@ Legendre family.
 
 The minimizer, one member Q_{m+1} over x, is accepted only when the exact KKT conditions
 certify it optimal; the registry keeps a brute-force quadratic program, solved by Bareiss
-elimination, as a witness. Expansions of polynomials run on their Legendre coefficients,
-with no Q table. The coefficient from endpoint moments is returned as a value; the registry
-compares it with the orthogonality-based integral.
+elimination, as a witness. Every expansion coefficient of a polynomial comes from one
+function, fourier_coeffs, which runs on its Legendre coefficients with no Q table; expand
+prints them and the registry checks them. The coefficient from endpoint moments is returned
+as a value; the registry compares it with fourier_coeffs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence, Union
 from . import quad
 from .exactpoly import Poly, Scalar, _make, _moment_vector
 from .legendre import double_factorial, legendre_poly, legendre_series, legendre_values
-from .qfamily import X2_MINUS_1, fourier_coeffs, q_member, q_norm_sq, weighted_inner_product
+from .qfamily import X2_MINUS_1, q_member, q_norm_sq, weighted_inner_product
 from .quad import FUNCTIONS
 
 
@@ -125,7 +126,7 @@ def certify_minimizer(p: Poly, n: int) -> Fraction:
     if p.at(1) or p.at(-1) or p.at(0) != 1:
         raise AssertionError(f"constraints fail at n={n}: p(1) = {p.at(1)}, "
                              f"p(-1) = {p.at(-1)}, p(0) = {p.at(0)}")
-    scale, vec = _moment_vector(p.nums, range(n - 1), len(p.nums) + n - 1)  # as Poly.pairing
+    scale, vec = _moment_vector(p.nums, range(n - 1), len(p.nums) + n - 1)
     for j in range(1, n - 1):
         if vec[j]:
             raise AssertionError(f"optimality fails at j={j}: integral of p x^{j} is "
@@ -163,7 +164,7 @@ def fourier_coeff_moments(f: Poly, n: int) -> Fraction:
     """Coefficient from endpoint moments of the n-th derivative,
     (2n-1)/(2^n (n-1)!) sum_k (-1)^k C(n-1, k) m_k.
 
-    This carries the sign that matches qfamily.fourier_coeffs whenever f
+    This carries the sign that matches fourier_coeffs whenever f
     vanishes at both endpoints (where the underlying integration by parts has
     no boundary terms); the stated form has an extra (-1)^n. The binomial sum
     runs over k = 0..n-1; the k = n term carries a vanishing binomial and is
@@ -198,6 +199,29 @@ class ExpansionReport(NamedTuple):
     method: str
 
 
+def fourier_coeffs(f: Union[Poly, Sequence[Scalar]], top_degree: int) -> dict[int, Fraction]:
+    """The nonzero a_n = <f, Q_n>_w / |Q_n|^2 for members n = 2..top_degree, the coefficients
+    expand prints, of a Poly f or of the Legendre coefficients b of a polynomial (f = sum of
+    b_k P_k). No Q table is built: P'_{n-1} = sum of (2k+1) P_k over k = n-2, n-4, ..., so
+    a_n = -(2n-1)/2 * integral of f P'_{n-1} = -(2n-1) s_n, s_n the sum of b_k over k <= n-2
+    of n's parity."""
+    if top_degree < 2:
+        raise ValueError("family starts at degree 2")
+    if isinstance(f, Poly):  # b_k = (2k+1)/2 * integral of f P_k for k <= top - 2, over one den
+        size = min(len(f.nums), top_degree - 1)
+        scale, vec = _moment_vector(f.nums, range(size), len(f.nums) + size)
+        two = 1 << max(size - 1, 0)  # a multiple of the denominator of each P_k, k < size
+        den = 2 * f.den * scale * two
+        b = [(2 * k + 1) * sum(map(mul, vec, p.nums)) * (two // p.den)
+             for k, p in enumerate(map(legendre_poly, range(size)))]
+    else:  # integer numerators over one denominator, as a Poly holds its coefficients
+        den, b = (held := Poly(f)).den, held.nums
+    s = [0, 0]
+    for k in range(top_degree - 1):
+        s.append(s[k] + (b[k] if k < len(b) else 0))
+    return {n: Fraction(-(2 * n - 1) * s[n], den) for n in range(2, top_degree + 1) if s[n]}
+
+
 def expand(f: Union[Poly, str, Sequence[Scalar]], top_degree: int) -> ExpansionReport:
     """Expand f over family members 2..top_degree: f is a Poly, the Legendre coefficients b
     of a polynomial (f = sum of b_k P_k) or a name from FUNCTIONS. Polynomial input stays
@@ -211,30 +235,19 @@ def expand(f: Union[Poly, str, Sequence[Scalar]], top_degree: int) -> ExpansionR
         except KeyError:
             raise ValueError(f"unknown function name {f!r}") from None
         return _expand_named(fn, top_degree)
-    if isinstance(f, Poly):  # b_k = (2k+1)/2 * integral of f P_k, over one denominator
-        deg = len(f.nums) - 1
-        scale, vec = _moment_vector(f.nums, range(deg + 1), 2 * deg + 2)
-        two_deg = 1 << max(deg, 0)  # a multiple of the denominator of each P_k, k <= deg
-        den = 2 * f.den * scale * two_deg
-        b = [(2 * k + 1) * sum(map(mul, vec, p.nums)) * (two_deg // p.den)
-             for k, p in enumerate(map(legendre_poly, range(deg + 1)))]
-    else:  # integer numerators over one denominator, as a Poly holds its coefficients
-        den, b = (held := Poly(f)).den, held.nums
-    return _expand_legendre(b, den, top_degree)
-
-
-def _expand_legendre(b: Sequence[int], den: int, top_degree: int) -> ExpansionReport:
-    # P'_{n-1} = sum of (2k+1) P_k over k = n-2, n-4, ..., so a_n = -(2n-1)/2 * integral
-    # of f P'_{n-1} = -(2n-1) s_n/den, s_n the sum of b_k over k <= n-2 of n's parity
-    size = max(len(b), top_degree + 1)  # the residual has degree below size
-    b, s = [*b, *[0] * (size - len(b))], [0, 0]
-    for n in range(2, size + 2):
-        s.append(s[n - 2] + b[n - 2])
-    coeffs = {n: Fraction(-(2 * n - 1) * s[n], den) for n in range(2, top_degree + 1) if s[n]}
-    # Q_n = (P_n - P_{n-2})/(2n-1): the partial sum is (g_{k+2} - g_k)/den on P_k, g_k = s_k
-    # on 2..top_degree and 0 elsewhere, and the residual's r_k/den is b_k/den minus that
-    g = [s[k] if 2 <= k <= top_degree else 0 for k in range(size + 2)]
-    r = [b[k] + g[k] - g[k + 2] for k in range(size)]
+    size = max(len(f.nums if isinstance(f, Poly) else f), top_degree + 1)  # deg f < size
+    coeffs = fourier_coeffs(f, size + 1)
+    tail = {n: coeffs.pop(n) for n in range(top_degree + 1, size + 2) if n in coeffs}
+    # With a_n for every n <= size + 1, f's Legendre coefficient on P_k is a_k/(2k-1) -
+    # a_{k+2}/(2k+3) for k < size, as Q_n = (P_n - P_{n-2})/(2n-1). So the residual, of degree
+    # below size, has the coefficients r_k/den of the tail's members alone, on integers.
+    den = math.lcm(*[a.denominator * (2 * n - 1) for n, a in tail.items()])
+    r = [0] * size
+    for n, a in tail.items():
+        u = a.numerator * (den // (a.denominator * (2 * n - 1)))  # a_n/(2n-1) = u/den
+        r[n - 2] -= u
+        if n < size:
+            r[n] += u
     if not any(r):
         return ExpansionReport(coeffs, 0.0, 0.0, "quadrature_exact")
     # |P_k| <= 1 on [-1, 1], so |residual| <= sum |r_k|/den there; an endpoint (a grid
@@ -245,8 +258,7 @@ def _expand_legendre(b: Sequence[int], den: int, top_degree: int) -> ExpansionRe
     else:  # rounded once and summed on the grid by the recurrence
         series = legendre_series([c / den for c in r])
         sup = max(abs(series(x)) for x in _GRID)
-    if ends == (0, 0):  # the residual is the sum of a_n Q_n over top_degree < n <= deg f: Parseval
-        tail = {n: Fraction((2 * n - 1) * s[n], den) for n in range(top_degree + 1, size)}  # -a_n
+    if ends == (0, 0):  # f vanishes at both ends, so the residual is the tail's sum: Parseval
         l2 = math.sqrt(float(sum(a * a * q_norm_sq(n) for n, a in tail.items())))
     else:
         l2 = math.inf
@@ -274,10 +286,8 @@ def _expand_named(fn: Callable[[float], float], top_degree: int) -> ExpansionRep
     return ExpansionReport(coeffs, sup, math.sqrt(max(res, 0.0)), "quadrature_float")
 
 
-def parseval_gap(f: Poly, top_degree: int, interior: Sequence[Poly]) -> Fraction:
+def parseval_gap(f: Poly, top_degree: int) -> Fraction:
     """Exact difference between the weighted square norm of f and the sum of
-    squared coefficients times member norms; zero on the admissible span. interior[n]
-    is the interior factor i_n, as fourier_coeffs reads it."""
+    squared coefficients times member norms; zero on the admissible span."""
     lhs = weighted_inner_product(f, f)
-    rhs = sum(a**2 * q_norm_sq(n) for n, a in fourier_coeffs(f, top_degree, interior).items())
-    return lhs - rhs
+    return lhs - sum(a**2 * q_norm_sq(n) for n, a in fourier_coeffs(f, top_degree).items())

@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -37,11 +38,24 @@ def _parse_degrees(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+# a decimal exponent as Fraction reads it, after the mantissa m[1]
+_EXPONENT = re.compile(r"(.*)e([-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE | re.DOTALL)
+
+
 def _parse_fraction(text: str) -> exactpoly.Fraction:
+    """Fraction(text), but an exponent is read before Fraction builds 10**exponent: past
+    the int-to-str limit (its default 4300 where it is lifted) plus len(text), the value has
+    more digits than the limit whatever its mantissa, and a zero mantissa makes 0."""
     try:
-        return exactpoly._frac(text)
+        if not (m := _EXPONENT.fullmatch(text)):
+            return exactpoly._frac(text)
+        mantissa, exponent = exactpoly._frac(m[1] + "e0"), int(m[2])
     except (ValueError, ZeroDivisionError):
         raise CliError(f"bad rational {text!r}") from None
+    bound = getattr(sys, "get_int_max_str_digits", int)() or 4300  # int() = 0: no limit
+    if mantissa and abs(exponent) > bound + len(text):
+        raise CliError(f"rational {text!r} has more than {bound} digits")
+    return exactpoly._frac(text) if mantissa else mantissa
 
 
 def _parse_point(text: str) -> float:
@@ -168,7 +182,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             line += _witness_summary(entry.witness)
         print(line)
     if args.out:
-        _emit(_json_text(report.to_dict()), args.out)
+        _emit(report.to_json(), args.out)
     if args.stats:
         _emit(_json_text({"max_degree": args.max_degree, "clock": "time.perf_counter",
                           "unit": "s", **timings}), args.stats)

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 
 Scalar = Union[int, Fraction]
 
@@ -229,27 +229,6 @@ class Poly:
             return Fraction(sum(map(mul, self.nums, moments)), self.den * scale)
         f = self.antideriv()
         return f.at(b) - f.at(a)
-
-    def pairing(self, max_degree: int) -> Callable[["Poly"], Fraction]:
-        """The functional q -> integral of self*q over [-1, 1], for deg q <= max_degree.
-
-        The moment vector of self (its products with the Hankel matrix of
-        the moments of x^k) is built once here, so each call is a single
-        integer dot product.
-        """
-        if max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-        nums = self.nums
-        size = max_degree + 1
-        scale, vec = _moment_vector(nums, range(size), len(nums) + size)
-        den = self.den * scale
-
-        def pair(q: Poly) -> Fraction:
-            if len(q.nums) > size:
-                raise ValueError(f"degree {q.degree} above the pairing's {max_degree}")
-            return Fraction(sum(map(mul, vec, q.nums)), den * q.den)
-
-        return pair
 
     def divexact(self, d: "Poly") -> "Poly":
         """Exact quotient self / d; raises NotDivisible on any remainder."""

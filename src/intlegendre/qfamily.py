@@ -14,10 +14,9 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import mul
 from typing import Mapping, Optional, Sequence
 
-from .exactpoly import NotDivisible, Poly, Scalar, _frac, _make, _moment_vector, _raw
+from .exactpoly import NotDivisible, Poly, Scalar, _frac, _make, _raw
 from .legendre import _derivative_row, _derived_power, legendre_float
 from .quad import MAX_ORDER, gauss_legendre, newton
 
@@ -83,17 +82,6 @@ def weighted_inner_product(p: Poly, q: Poly) -> Fraction:
         return -(reduced * second).integral(-1, 1)
     reduced = (p * q).divexact(X2_MINUS_1)
     return -reduced.integral(-1, 1)
-
-
-def fourier_coeffs(f: Poly, top_degree: int, interior: Sequence[Poly]) -> dict[int, Fraction]:
-    """<f, Q_n>_w / norm_n = -n(n-1)(2n-1)/2 integral(f i_n) for members 2..top_degree and any
-    polynomial f, i_n = interior[n]: one integer dot product with f's moment vector (as in
-    Poly.pairing) each."""
-    if top_degree < 2:
-        raise ValueError("family starts at degree 2")
-    scale, vec = _moment_vector(f.nums, range(top_degree - 1), len(f.nums) + top_degree - 1)
-    return {n: Fraction(-n * (n - 1) * (2 * n - 1) * sum(map(mul, vec, interior[n].nums)),
-                        2 * f.den * scale * interior[n].den) for n in range(2, top_degree + 1)}
 
 
 def q_series(coeffs: Mapping[int, Scalar], q: Sequence[Poly]) -> Poly:

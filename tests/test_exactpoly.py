@@ -250,8 +250,7 @@ def test_core_matches_fraction_reference(a, b, c, order, power):
     assert p.coeff(2) == (ra[2] if len(ra) > 2 else 0)
     if abs(c) <= 1:
         assert p.at_float(float(c)) == float(_ref_at(ra, F(float(c))))  # rounded once
-    top = max(len(rb) - 1, 0) + order
-    assert p.pairing(top)(q) == _ref_integral(_ref_mul(ra, rb), -1, 1)
+    assert (p * q).integral(-1, 1) == _ref_integral(_ref_mul(ra, rb), -1, 1)
     if rb and len(ra) >= len(rb):
         quot, rem = _ref_divmod(ra, rb)
         if rem:
@@ -277,14 +276,6 @@ def test_at_float_is_the_exact_value_rounded_once():
             assert p.at_float(1e300) == lead
             assert p.at_float(-1e300) == lead * (-1) ** p.degree
     assert ltable[64].at_float(0.9) == -0.15040882054494792
-
-
-def test_pairing_rejects_degree_above_its_bound():
-    pair = X.pairing(2)
-    assert pair(X * X) == 0
-    assert pair(X) == F(2, 3)
-    with pytest.raises(ValueError):
-        pair(X**3)
 
 
 def test_normalisation_makes_equal_polys_equal_and_hash_equal():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intlegendre import approx
 from intlegendre.exactpoly import Poly, X
 from intlegendre.kernel import (
     kernel_forms,
@@ -17,7 +18,6 @@ from intlegendre.kernel import (
 from intlegendre.qfamily import (
     X2_MINUS_1,
     build_q_table,
-    fourier_coeffs,
     q_norm_sq,
     q_series,
     weighted_inner_product,
@@ -101,23 +101,23 @@ def test_kernel_zero_closed_form(qtable):
         assert kernel_value(n, 0, 0, qtable) / kernel_zero_stated(n) == F(-(n + 1), 2 * n - 1)
 
 
-def _reproduced(n, g, qtable, itable):
+def _reproduced(n, g, qtable):
     """The kernel of index n applied to g: its expansion over members 2..n, summed back."""
-    return q_series(fourier_coeffs(g, n, itable), qtable)
+    return q_series(approx.fourier_coeffs(g, n), qtable)
 
 
-def test_reproducing_property(qtable, itable):
-    assert _reproduced(4, qtable[2], qtable, itable) == qtable[2]
+def test_reproducing_property(qtable):
+    assert _reproduced(4, qtable[2], qtable) == qtable[2]
     combo = qtable[3] * 5 - qtable[4] * 2
-    assert _reproduced(4, combo, qtable, itable) == combo
+    assert _reproduced(4, combo, qtable) == combo
     # outside the span: a degree above the kernel index, a constant, and a
     # polynomial that vanishes at one endpoint only
     for g in (qtable[5], Poly((1,)), X * X - X):
-        assert _reproduced(4, g, qtable, itable) != g
+        assert _reproduced(4, g, qtable) != g
 
 
-def test_reproducing_zero_function(qtable, itable):
-    assert _reproduced(4, Poly(), qtable, itable) == Poly()
+def test_reproducing_zero_function(qtable):
+    assert _reproduced(4, Poly(), qtable) == Poly()
 
 
 @settings(max_examples=40, deadline=None)
@@ -126,15 +126,15 @@ def test_reproducing_zero_function(qtable, itable):
 def test_span_elements_come_back_exactly(n, cofactor):
     # every (x^2 - 1) r with deg r <= n - 2 lies in the span of members 2..n
     g = X2_MINUS_1 * Poly(cofactor[: n - 1])
-    assert _reproduced(n, g, _QT12, _IT12) == g
+    assert _reproduced(n, g, _QT12) == g
 
 
-def test_section_times_x_is_admissible(qtable, itable):
+def test_section_times_x_is_admissible(qtable):
     # multiplying a section at 0 by x stays inside the span one degree up,
     # which is what makes the section-sequence orthogonality work
     for n in (2, 3, 4, 6):
         section = kernel_sum(n, 0, qtable).poly
-        assert _reproduced(n + 1, X * section, qtable, itable) == X * section
+        assert _reproduced(n + 1, X * section, qtable) == X * section
 
 
 def test_sequence_orthogonality(qtable):
@@ -154,7 +154,7 @@ def test_sections_vanish_at_endpoints(qtable):
 
 
 points = st.fractions(min_value=-1, max_value=1, max_denominator=8)
-_QT12, _IT12 = build_q_table(12)
+_QT12 = build_q_table(12)[0]
 
 
 @settings(max_examples=30, deadline=None)

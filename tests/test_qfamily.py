@@ -13,7 +13,6 @@ from intlegendre.qfamily import (
     X2_MINUS_1,
     RootCountMismatch,
     build_q_table,
-    fourier_coeffs,
     q_float,
     q_member,
     q_norm_sq,
@@ -319,18 +318,6 @@ def test_member_certificates_catch_a_fault(row_fault, fault, message):
 
 def _rand_scalar(rng):
     return rng.randint(-9, 9) if rng.random() < 0.3 else F(rng.randint(-99, 99), rng.randint(1, 99))
-
-
-def test_fourier_coeffs_equal_the_fraction_definition():
-    # a_n = <f, Q_n>_w / |Q_n|^2, each side one Fraction route of its own
-    rng = random.Random("fourier-coeffs")
-    qtable, itable = build_q_table(64)
-    inputs = [Poly(), Poly((7,)), Poly([rng.randint(-9, 9) for _ in range(40)])]
-    inputs += [Poly([_rand_scalar(rng) for _ in range(rng.randint(1, 70))]) for _ in range(8)]
-    for f in inputs:
-        top = rng.randint(2, 64)
-        want = {n: weighted_inner_product(f, qtable[n]) / q_norm_sq(n) for n in range(2, top + 1)}
-        assert fourier_coeffs(f, top, itable) == want
 
 
 def test_q_series_equals_the_fraction_definition():

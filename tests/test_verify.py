@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intlegendre import moebius, verify
+from intlegendre import approx, cli, moebius, verify
 from intlegendre.exactpoly import Poly, X
 from intlegendre.legendre import build_legendre
 from intlegendre.qfamily import X2_MINUS_1, build_q_table, weighted_inner_product
@@ -46,7 +46,8 @@ def test_no_failures(report):
 
 
 def test_non_confirmed_set_is_exact(report, expected_non_confirmed):
-    assert set(report.non_confirmed_ids) == expected_non_confirmed
+    assert {e.identity_id for e in report.entries
+            if e.verdict is not Verdict.CONFIRMED} == expected_non_confirmed
 
 
 def test_non_confirmed_entries_carry_witnesses(report):
@@ -176,11 +177,18 @@ def _first_pairwise_failure(ctx):
     return orthln, orthqn, normqn
 
 
-# The depth is 12, or k above that. The differential-equation certificates of
-# orthLn, OrthQn and NormQn hand every failure to the scan: (12, 11) breaks
-# P_12's parity, (12, 13) its degree, (64, 62) the top member's equation, and
-# the scaled P_6 (j None) still solves its equation and fails only orthLn's
-# norm; the scaled Q_6 is still orthogonal, so OrthQn holds there.
+def _norm_witness(pairwise):
+    """The certificate's witness for a member that solves its equation with the wrong
+    norm: the pair scan's values at its first failure, the pair (n, n)."""
+    assert pairwise["n"] == pairwise.get("inputs", {"m": pairwise["n"]})["m"]
+    return {key: pairwise[key] for key in ("n", "oracle_value", "stated_value")}
+
+
+# The depth is 12, or k above that. (7, 3) gives the pair scan its first failure at
+# n = 1, m = 7, and the certificate names the broken member, n = 7; (12, 11) breaks P_12's
+# parity, (12, 13) its degree, (64, 62) the top member's equation, and the scaled P_6
+# (j None) still solves its equation and fails only orthLn's norm; the scaled Q_6 is still
+# orthogonal, so OrthQn holds there, and NormQn reports its norm as the pair scan does.
 @pytest.mark.parametrize("k, j, c", [(7, 3, Fraction(1, 5)), (10, 0, Fraction(-3, 7)),
                                      (12, 10, Fraction(2, 9)), (12, 11, Fraction(1)),
                                      (12, 13, Fraction(1, 3)), (6, None, Fraction(1)),
@@ -188,13 +196,17 @@ def _first_pairwise_failure(ctx):
 def test_contracted_checks_report_the_pairwise_witness(k, j, c):
     ctx = _perturbed_ctx(max(12, k), k, j, c)
     want = _first_pairwise_failure(ctx)
-    for identity_id, expected in zip(("orthLn", "OrthQn", "NormQn"), want):
+    for identity_id, pairwise in zip(("orthLn", "OrthQn", "NormQn"), want):
         entry = _run(identity_id, ctx)
-        if expected is None:
+        if pairwise is None:
             assert entry.verdict is Verdict.CONFIRMED, entry.identity_id
         else:
             assert entry.verdict is Verdict.FAILED, entry.identity_id
-            assert entry.witness == expected, entry.identity_id
+            # with j given the degree-k member no longer solves its equation
+            want_witness = {"n": k} if j is not None else _norm_witness(pairwise)
+            assert entry.witness == want_witness, entry.identity_id
+    if (k, j) == (7, 3):
+        assert (want[0]["n"], want[0]["inputs"]["m"]) == (1, 7)
     if j is None:
         assert want[0]["n"] == want[0]["inputs"]["m"] == k and want[1] is None
 
@@ -207,23 +219,38 @@ _FAULTS = st.integers(2, 16).flatmap(lambda k: st.tuples(
 @settings(max_examples=100, deadline=None)
 @given(_FAULTS)
 def test_certified_checks_agree_with_the_pair_scan(fault):
-    # a certificate that passed a broken member would report CONFIRMED here
+    # a certificate that passed a broken member would report CONFIRMED here; the certificate
+    # may be stricter than the scan (a member scaled to zero is orthogonal to everything, and
+    # a wrong member's norm can come out right), and then it names the member
     k, j, c = fault
     ctx = _perturbed_ctx(max(12, k), k, j, c)
-    for identity_id, expected in zip(("orthLn", "OrthQn", "NormQn"),
+    for identity_id, pairwise in zip(("orthLn", "OrthQn", "NormQn"),
                                      _first_pairwise_failure(ctx)):
         entry = _run(identity_id, ctx)
-        assert entry.verdict is (Verdict.CONFIRMED if expected is None else Verdict.FAILED)
-        assert entry.witness == expected, identity_id
+        if pairwise is not None:
+            assert entry.verdict is Verdict.FAILED, identity_id
+        if entry.verdict is Verdict.FAILED:
+            assert entry.witness["n"] == k, identity_id
+            if len(entry.witness) > 1:  # a solution of the equation, whose norm is off
+                assert entry.witness == _norm_witness(pairwise), identity_id
+
+
+@pytest.mark.parametrize("k, j, c, identity_id", [(4, None, Fraction(-1), "OrthQn"),
+                                                  (4, 2, Fraction(-2, 3), "NormQn")])
+def test_certificate_is_stricter_than_the_pair_scan(k, j, c, identity_id):
+    # Q_4 scaled to zero is orthogonal to every member, and Q_4 + (-2/3)(x^2-1)x^2 has the
+    # right norm; neither solves its equation, so each fails with the member named
+    ctx = _perturbed_ctx(12, k, j, c)
+    pairwise = dict(zip(("orthLn", "OrthQn", "NormQn"), _first_pairwise_failure(ctx)))
+    assert pairwise[identity_id] is None
+    entry = _run(identity_id, ctx)
+    assert (entry.verdict, entry.witness) == (Verdict.FAILED, {"n": k})
 
 
 @pytest.mark.parametrize("depth", [64, 256])
 def test_orthogonality_is_certified_without_the_scan(monkeypatch, depth):
-    def scan(self, max_degree):
-        raise AssertionError("the pair scan ran")
-
+    # the certificates alone decide, and they hold above MAX_DEGREE too
     ctx = _Ctx(depth, build_legendre(depth + 1), *build_q_table(depth + 1))
-    monkeypatch.setattr(Poly, "pairing", scan)
     for identity_id in ("orthLn", "OrthQn", "NormQn"):
         description, degrees, _, check = _REGISTRY[identity_id]
         monkeypatch.setitem(_REGISTRY, identity_id, (description, degrees, depth, check))
@@ -234,18 +261,34 @@ def test_orthogonality_is_certified_without_the_scan(monkeypatch, depth):
 
 def test_orthqn_checks_the_interior_factor_degrees():
     # i_5 raised to degree 11 with every Q_n intact: each member's moments still
-    # vanish, so only the interior factors' degree check sends OrthQn to the scan
+    # vanish, so only the interior factors' degree check fails OrthQn, at n = 5
     ltable = build_legendre(15)
     qtable, itable = build_q_table(15)
     interior = list(itable)
     interior[5] = interior[5] + X**11
     ctx = _Ctx(14, ltable, qtable, tuple(interior))
-    got = -(interior[5] * qtable[7]).integral(-1, 1)
-    assert got != 0
+    assert -(interior[5] * qtable[7]).integral(-1, 1) != 0
     entry = _run("OrthQn", ctx)
     assert entry.verdict is Verdict.FAILED
-    assert entry.witness == {"n": 5, "inputs": {"m": 7}, "oracle_value": _w(got),
-                             "stated_value": "0"}
+    assert entry.witness == {"n": 5}
+
+
+def test_registry_guards_the_coefficients_expand_prints(monkeypatch, capsys):
+    # one wrong coefficient of approx.fourier_coeffs, the one route to every expansion
+    # coefficient: expand --poly prints it, and the entries that check the route fail
+    real = approx.fourier_coeffs
+
+    def perturbed(f, top):
+        coeffs = real(f, top)
+        coeffs[2] = coeffs.get(2, 0) + 1
+        return coeffs
+
+    monkeypatch.setattr(approx, "fourier_coeffs", perturbed)
+    assert cli.main(["expand", "--poly", "0,0,1,0,-1", "--N", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["coefficients"] == {"2": "3/5", "4": "-8/5"}
+    ctx = _Ctx(12, build_legendre(13), *build_q_table(13))
+    for identity_id in ("FourierQ", "Reprkernel", "anex-sign"):
+        assert _run(identity_id, ctx).verdict is Verdict.FAILED, identity_id
 
 
 def test_prefactor_reads_the_leading_coefficient_of_a_member_that_lost_its_degree():
@@ -261,7 +304,7 @@ def test_prefactor_reads_the_leading_coefficient_of_a_member_that_lost_its_degre
 
 _L_IDS = {"DifLn", "Lnat1", "Qqn", "expp", "orthLn"}
 _Q_IDS = {"CDS11-prefactor", "Diff2", "Diff3", "FourierQ", "NormQn", "OrthQn", "Pipcirs2",
-          "Pipcirs3", "Qnderiv1", "Qqn", "Reprkernel", "Rodrigues", "anex-sign"}
+          "Pipcirs3", "Qnderiv1", "Qqn", "Reprkernel", "Rodrigues"}
 
 
 # Witnesses of the kernel entries under the Q7 fault, as the from-scratch
