@@ -437,20 +437,17 @@ def test_expansion_coefficients_decay_spectrally():
     assert max(tail) < 1e-5 * max(head)
 
 
-def _rand_scalar(rng):
-    return rng.randint(-9, 9) if rng.random() < 0.3 else F(rng.randint(-99, 99), rng.randint(1, 99))
-
-
-def test_fourier_coeffs_equal_the_fraction_definition():
-    # a_n = <f, Q_n>_w / |Q_n|^2, each side one Fraction route of its own, for any polynomial
-    # f, endpoints vanishing or not; the zero coefficients are left out
-    rng = random.Random("fourier-coeffs")
-    qtable = build_q_table(64)[0]
-    inputs = [Poly(), Poly((7,)), Poly([rng.randint(-9, 9) for _ in range(40)])]
-    inputs += [Poly([_rand_scalar(rng) for _ in range(rng.randint(1, 70))]) for _ in range(8)]
-    for f in inputs:
+def test_one_pairing_coefficients_equal_the_per_member_integrals():
+    # a_n = -(2n-1)/2 * integral of f P'_{n-1} = -integral of f times the interior factor of
+    # Q_n over |Q_n|^2: one exact product per member against the coefficients fourier_coeffs
+    # reads off the Legendre coefficients of f; the zero coefficients are left out
+    rng = random.Random("one-pairing")
+    itable = build_q_table(64)[1]
+    for _ in range(12):
         top = rng.randint(2, 64)
-        want = {n: weighted_inner_product(f, qtable[n]) / q_norm_sq(n) for n in range(2, top + 1)}
+        f = Poly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 70))])
+        want = {n: -(f * itable[n]).integral(-1, 1) / q_norm_sq(n)
+                for n in range(2, top + 1)}
         assert fourier_coeffs(f, top) == {n: a for n, a in want.items() if a}
 
 

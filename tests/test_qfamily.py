@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intlegendre import qfamily
+from intlegendre.approx import fourier_coeffs
 from intlegendre.exactpoly import NotDivisible, Poly, X
 from intlegendre.qfamily import (
     X2_MINUS_1,
@@ -318,6 +319,19 @@ def test_member_certificates_catch_a_fault(row_fault, fault, message):
 
 def _rand_scalar(rng):
     return rng.randint(-9, 9) if rng.random() < 0.3 else F(rng.randint(-99, 99), rng.randint(1, 99))
+
+
+def test_fourier_coeffs_equal_the_fraction_definition():
+    # a_n = <f, Q_n>_w / |Q_n|^2, each side one Fraction route of its own, for any polynomial
+    # f, endpoints vanishing or not; the zero coefficients are left out
+    rng = random.Random("fourier-coeffs")
+    qtable = build_q_table(64)[0]
+    inputs = [Poly(), Poly((7,)), Poly([rng.randint(-9, 9) for _ in range(40)])]
+    inputs += [Poly([_rand_scalar(rng) for _ in range(rng.randint(1, 70))]) for _ in range(8)]
+    for f in inputs:
+        top = rng.randint(2, 64)
+        want = {n: weighted_inner_product(f, qtable[n]) / q_norm_sq(n) for n in range(2, top + 1)}
+        assert fourier_coeffs(f, top) == {n: a for n, a in want.items() if a}
 
 
 def test_q_series_equals_the_fraction_definition():
