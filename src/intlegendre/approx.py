@@ -146,7 +146,7 @@ def minimize_constrained(n: int) -> ExtremalSolution:
     at 0 is the minimizer, which certify_minimizer proves, and the minimum must be 1/K_n(0,0)."""
     if n < 2:
         raise ValueError("minimization needs degree >= 2")
-    q = q_member(n - n % 2 + 1)[0]
+    q = q_member(n - n % 2 + 1)
     minimizer = _make(q.nums[1], list(q.nums[1:]))  # Q_{m+1}/x over its value at 0
     m_value = certify_minimizer(minimizer, n)
     zeros = {k: _q_at_zero(k) for k in range(2, n + 1, 2)}  # odd members vanish at 0

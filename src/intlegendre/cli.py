@@ -107,19 +107,19 @@ def _float_or_none(value: float) -> Optional[float]:
 # -- subcommand handlers -------------------------------------------------------
 
 
+# family -> (lowest degree, lazy module, member function), looked up only for the printed family
+_MEMBERS = {"L": (0, legendre, "legendre_poly"), "Q": (2, qfamily, "q_member"),
+            "r": (0, moebius, "r_poly")}
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     lo, hi = _parse_degrees(args.degrees)
     family = args.family
-    floor = {"L": 0, "Q": 2, "r": 0}[family]
+    floor, module, name = _MEMBERS[family]
     if lo < floor or hi > legendre.MAX_DEGREE:
         raise CliError(f"family {family} supports degrees {floor}..{legendre.MAX_DEGREE}")
-    degrees = range(lo, hi + 1)  # only the printed members are built
-    if family == "L":
-        polys = {n: legendre.legendre_poly(n) for n in degrees}
-    elif family == "Q":
-        polys = {n: qfamily.q_member(n)[0] for n in degrees}
-    else:
-        polys = {n: moebius.r_poly(n) for n in degrees}
+    member = getattr(module, name)
+    polys = {n: member(n) for n in range(lo, hi + 1)}  # only the printed members are built
     points = [_parse_point(p) for p in args.points.split(",")] if args.points else []
 
     def values(p: exactpoly.Poly) -> list[float]:  # each exact value, rounded once
@@ -222,7 +222,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     spec = args.fn if args.fn is not None else _parse_poly_spec(args.poly)
     if isinstance(spec, tuple):  # handed over in the Legendre basis, never built
         family, degree = spec
-        low = 2 if family == "Q" else 0
+        low = _MEMBERS[family][0]
         if not low <= degree <= legendre.MAX_DEGREE:
             raise CliError(f"{family}{degree} outside {low}..{legendre.MAX_DEGREE}")
         if family == "Q":  # Q_k = (P_k - P_{k-2})/(2k-1)
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="emit exact coefficient tables")
-    p_table.add_argument("--family", choices=("L", "Q", "r"), required=True)
+    p_table.add_argument("--family", choices=tuple(_MEMBERS), required=True)
     p_table.add_argument("--degrees", required=True, help="range like 2..8")
     p_table.add_argument("--points", default=None, help="comma-separated floats to evaluate at")
     p_table.add_argument("--backend", choices=("exact", "float"), default="exact")

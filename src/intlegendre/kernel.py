@@ -4,12 +4,12 @@ The summed kernel over members 2..n is the oracle. The two-term closed form
 and the midpoint diagonal value are returned as stated; the verify registry
 compares them with the sums and records the correction factor.
 
-The sums are running sums: K_n is K_{n-1} plus one term, so one pass to a
-top index gives every K_n below it: ``kernel_values`` lists the scalar
-values, indexed by n with slots 0 and 1 None like the member tuple Q of
-build_q_table that every function here reads, and ``kernel_sections`` yields the sections;
-``kernel_forms`` lists the scalar values beside the stated two-term forms from
-one evaluation of each member. Nothing is cached between calls.
+The sums are running sums over the member tuple Q of build_q_table, which every
+function here reads: K_n is K_{n-1} plus one term, so one pass to a top index
+gives every K_n below it. ``kernel_sections`` yields the sections K_n(., y), each
+with its value K_n(y, y); ``kernel_forms`` lists the scalar values K_n(x, y),
+indexed by n with slots 0 and 1 None, beside the stated two-term forms from one
+evaluation of each member. Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -47,29 +47,14 @@ def kernel_sections(top: int, y: Scalar, q: Sequence[Poly]) -> Iterator[KernelSe
 
 def kernel_sum(n: int, y: Scalar, q: Sequence[Poly]) -> KernelSection:
     """The one section sum_{k=2..n} Q_k(y)/norm_k * Q_k, the last that kernel_sections
-    yields; nothing in the package calls it."""
+    yields; only kernel_value calls it."""
     *_, section = kernel_sections(n, y, q)
     return section
 
 
-def kernel_values(top: int, x: Scalar, y: Scalar, q: Sequence[Poly]) -> list[Optional[Fraction]]:
-    """K_n(x, y) = sum_{k=2..n} Q_k(x) Q_k(y)/norm_k for n = 2..top in one
-    pass, each the previous plus one term; index n holds K_n(x, y). Every member
-    is evaluated once at x and once at y (once in all when x == y)."""
-    if top < 2:
-        raise ValueError("kernel index starts at 2")
-    x, y = _frac(x), _frac(y)
-
-    def term(n: int) -> Fraction:
-        qx = q[n].at(x)
-        return qx * (qx if x == y else q[n].at(y)) / q_norm_sq(n)
-
-    return [None, None, *accumulate(map(term, range(2, top + 1)))]
-
-
 def kernel_value(n: int, x: Scalar, y: Scalar, q: Sequence[Poly]) -> Fraction:
-    """Scalar kernel value sum_{k=2..n} Q_k(x) Q_k(y)/norm_k, exact."""
-    return kernel_values(n, x, y, q)[n]
+    """Scalar kernel value sum_{k=2..n} Q_k(x) Q_k(y)/norm_k, exact: the section at y, at x."""
+    return kernel_sum(n, y, q).poly.at(x)
 
 
 def kernel_forms(top: int, x: Scalar, y: Scalar,

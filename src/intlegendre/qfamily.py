@@ -1,8 +1,8 @@
 """The integrated Legendre family: antiderivatives of Legendre polynomials
 pinned to vanish at both endpoints, orthogonal under the weight 1/(1-x^2).
 
-Each member is built on its own as Q_n = (x^2-1) i_n, its interior factor
-i_n = P'_{n-1}/(n(n-1)) read off legendre's checked Jacobi(1,1) row, so Q_n'(1) = 1.
+Each member is built on its own as Q_n = (x^2-1) i_n, i_n = P'_{n-1}/(n(n-1)) read off
+legendre's checked Jacobi(1,1) row, so Q_n'(1) = 1; only Q_n is kept: i_n = Q_n/(x^2-1).
 
 Family indices start at 2. There is no degree-0 member, and the degree-1
 candidate x - 1 has a divergent weighted norm, so every sum over the family
@@ -29,9 +29,10 @@ class RootCountMismatch(RuntimeError):
     under _ROOT_RESIDUAL."""
 
 
-def q_member(n: int) -> tuple[Poly, Poly]:
-    """(Q_n, i_n): i_n = P'_{n-1}/(n(n-1)) is the row d of 2^(n-1) P'_{n-1} over 2^(n-1) n(n-1),
-    so Q_n'(1) = 1. The registry's Qqn entry checks Q_n against (P_n - P_{n-2})/(2n-1)."""
+def q_member(n: int) -> Poly:
+    """Q_n = (x^2-1) i_n, i_n = P'_{n-1}/(n(n-1)) the row d of 2^(n-1) P'_{n-1} over
+    2^(n-1) n(n-1), so Q_n'(1) = 1. The registry's Qqn entry checks Q_n against
+    (P_n - P_{n-2})/(2n-1)."""
     if n < 2:
         raise ValueError("family starts at degree 2")
     d = _derivative_row(n - 1)
@@ -40,16 +41,15 @@ def q_member(n: int) -> tuple[Poly, Poly]:
     q = [a - b for a, b in zip([0, 0, *d], [*d, 0, 0])]
     # x^2 - 1 is primitive, so by Gauss's lemma q has the content of d
     g = math.gcd(den, *d)
-    return _raw(den // g, tuple([a // g for a in q])), _raw(den // g, tuple([a // g for a in d]))
+    return _raw(den // g, tuple([a // g for a in q]))
 
 
-def build_q_table(max_degree: int) -> tuple[tuple[Optional[Poly], ...], tuple[Optional[Poly], ...]]:
-    """(Q, i): the members Q_n and their interior factors i_n for n = 2..max_degree, indexed
-    by degree with slots 0 and 1 None, each pair built on its own by q_member."""
+def build_q_table(max_degree: int) -> tuple[Optional[Poly], ...]:
+    """The members Q_n for n = 2..max_degree, indexed by degree with slots 0 and 1 None,
+    each built on its own by q_member."""
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
-    polys, interior = zip(*map(q_member, range(2, max_degree + 1)))
-    return (None, None, *polys), (None, None, *interior)
+    return (None, None, *map(q_member, range(2, max_degree + 1)))
 
 
 def q_rodrigues(n: int) -> Poly:

@@ -102,7 +102,6 @@ class _Ctx(NamedTuple):
     max_degree: int
     ltable: tuple[Poly, ...]  # P_0..P_{max_degree+1}, indexed by degree
     qtable: tuple[Optional[Poly], ...]  # Q_n, indexed by degree, slots 0 and 1 None
-    itable: tuple[Optional[Poly], ...]  # the interior factors i_n of Q_n = (x^2-1) i_n
     rng: Optional[random.Random] = None  # seeded from the identity id for each entry
 
 
@@ -388,22 +387,20 @@ def _pipcirs3(ctx: _Ctx, top: int) -> None:
     _every(range(3, top + 1), holds)
 
 
+# A degree-n solution of the e = -1 equation vanishes at +-1, where it reads n(n-1) Q(+-1) = 0,
+# so Q_n = (x^2-1) i_n with deg i_n = n - 2 and lead(i_n) = lead(Q_n), and -integral of
+# i_n Q_m is one moment of Q_m: zero below x^(m-2), so for m > n, and lead(Q_n) nu at m = n.
 @identity("OrthQn", "weighted orthogonality of distinct members", "2..{top}")
 def _orthqn(ctx: _Ctx, top: int) -> None:
-    # with every i_n of degree n - 2, -integral of i_n Q_m vanishes for m > n once Q_m's
-    # moments below x^(m-2) do
-    _every(range(2, top + 1), lambda n: ctx.itable[n].degree == n - 2
-           and _sturm(ctx.qtable[n], n, -1, 2 * top + 1) is not None)
+    _every(range(2, top + 1), lambda n: _sturm(ctx.qtable[n], n, -1, 2 * top + 1) is not None)
 
 
 @identity("NormQn", "weighted squared norm 2/(n(n-1)(2n-1))", "2..{top}")
 def _normqn(ctx: _Ctx, top: int) -> None:
     for n in range(2, top + 1):
-        i_n = ctx.itable[n]
-        # with Q_n's moments below x^(n-2) zero, -integral of i_n Q_n is one product
-        if i_n.degree != n - 2 or (nu := _sturm(ctx.qtable[n], n, -1, 2 * top + 1)) is None:
+        if (nu := _sturm(ctx.qtable[n], n, -1, 2 * top + 1)) is None:
             raise Failed(n=n)
-        _agree(-i_n.coeff(n - 2) * nu, q_norm_sq(n), n=n)
+        _agree(-ctx.qtable[n].coeff(n) * nu, q_norm_sq(n), n=n)
 
 
 # -- kernel checks --------------------------------------------------------------
@@ -455,15 +452,14 @@ def _reprkernel(ctx: _Ctx, top: int) -> None:
           "times -(n+1)/(2n-1) on both parity branches", "2..{top}")
 def _knn00(ctx: _Ctx, top: int) -> tuple[Verdict, dict]:
     witness = {}
-    oracle = kernel.kernel_values(top, 0, 0, ctx.qtable)
-    for n in range(2, top + 1):
+    for n, _, _, oracle in kernel.kernel_sections(top, 0, ctx.qtable):
         stated = kernel.kernel_zero_stated(n)
-        factor = oracle[n] / stated
+        factor = oracle / stated
         if factor != Fraction(-(n + 1), 2 * n - 1):
-            raise Failed(n=n, oracle_value=_w(oracle[n]), stated_value=_w(stated))
+            raise Failed(n=n, oracle_value=_w(oracle), stated_value=_w(stated))
         parity = "even" if n % 2 == 0 else "odd"
         if parity not in witness:
-            witness[parity] = {"n": n, "oracle_value": _w(oracle[n]),
+            witness[parity] = {"n": n, "oracle_value": _w(oracle),
                                "stated_value": _w(stated), "factor": _w(factor)}
     return Verdict.CORRECTED_FACTOR, {"per_parity": witness, "factor": "-(n+1)/(2n-1)"}
 
@@ -485,20 +481,15 @@ def _kernel_seq(ctx: _Ctx, top: int) -> None:
 @identity("Kernelm", "minimum value equals 1/K_n(0,0) and the brute-force optimum",
           "2..{top}", cap=_EXTREMAL_TOP)
 def _kernelm(ctx: _Ctx, top: int) -> None:
-    sections = {s.n: s for s in kernel.kernel_sections(top, 0, ctx.qtable)}
-    for n in range(2, top + 1):
-        m_kernel = 1 / sections[n].value_at_y
-        _agree(approx.brute_force_minimizer(n).m_value, m_kernel, n=n)
+    for n, _, _, value in kernel.kernel_sections(top, 0, ctx.qtable):
+        _agree(approx.brute_force_minimizer(n).m_value, 1 / value, n=n)
 
 
 @identity("Kernelf", "minimizer equals the kernel section scaled to 1 at 0",
           "2..{top}", cap=_EXTREMAL_TOP)
 def _kernelf(ctx: _Ctx, top: int) -> None:
-    sections = {s.n: s for s in kernel.kernel_sections(top, 0, ctx.qtable)}
-    for n in range(2, top + 1):
-        section = sections[n]
-        minimizer = section.poly * (1 / section.value_at_y)
-        _agree(approx.brute_force_minimizer(n).poly, minimizer, n=n)
+    for n, _, section, value in kernel.kernel_sections(top, 0, ctx.qtable):
+        _agree(approx.brute_force_minimizer(n).poly, section * (1 / value), n=n)
 
 
 def _literal_extremal_summand(j: int) -> Fraction:
@@ -512,12 +503,11 @@ def _literal_extremal_summand(j: int) -> Fraction:
           "indices; odd summands are spurious (odd members vanish at 0)",
           "2..{top}", cap=_EXTREMAL_TOP)
 def _valuem(ctx: _Ctx, top: int) -> tuple[Verdict, dict]:
-    oracle = kernel.kernel_values(top, 0, 0, ctx.qtable)
     even_sum = Fraction(0)
-    for n in range(2, top + 1):
+    for n, _, _, oracle in kernel.kernel_sections(top, 0, ctx.qtable):
         if n % 2 == 0:
             even_sum += _literal_extremal_summand(n)
-        _agree(oracle[n], even_sum, n=n)
+        _agree(oracle, even_sum, n=n)
     spurious = _literal_extremal_summand(3)
     if spurious == 0:
         raise Failed(j=3, stated_value="0")
@@ -674,7 +664,7 @@ def run_verification(max_degree: int = 40,
     if not MIN_DEGREE <= max_degree <= MAX_DEGREE:
         raise ValueError(f"max_degree must be in {MIN_DEGREE}..{MAX_DEGREE}")
     start = time.perf_counter()
-    ctx = _Ctx(max_degree, build_legendre(max_degree + 1), *build_q_table(max_degree + 1))
+    ctx = _Ctx(max_degree, build_legendre(max_degree + 1), build_q_table(max_degree + 1))
     table_build_s = time.perf_counter() - start
     entries, entries_s = [], {}
     for identity_id in sorted(_REGISTRY):

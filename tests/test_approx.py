@@ -153,11 +153,11 @@ def test_certificate_reads_every_direction(n):
     # perturbation keeps p feasible (0 at +-1 and at 0) and first breaks stationarity at j
     p = minimize_constrained(n).minimizer
     for j in range(1, n - 1):
-        q = q_member(j + 2)[0]
+        q = q_member(j + 2)
         if j % 2 == 0:  # even members do not vanish at 0: cancel that with the next one
             if j + 4 > n:
                 continue
-            nxt = q_member(j + 4)[0]
+            nxt = q_member(j + 4)
             q = nxt - q * (nxt.at(0) / q.at(0))
         with pytest.raises(AssertionError, match=f"j={j}:"):
             certify_minimizer(p + q * F(1, 1000), n)
@@ -442,18 +442,20 @@ def test_one_pairing_coefficients_equal_the_per_member_integrals():
     # Q_n over |Q_n|^2: one exact product per member against the coefficients fourier_coeffs
     # reads off the Legendre coefficients of f; the zero coefficients are left out
     rng = random.Random("one-pairing")
-    itable = build_q_table(64)[1]
+    qtable = build_q_table(64)
+    interior = {n: qtable[n].divexact(X2_MINUS_1) for n in range(2, 65)}
     for _ in range(12):
         top = rng.randint(2, 64)
         f = Poly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 70))])
-        want = {n: -(f * itable[n]).integral(-1, 1) / q_norm_sq(n)
+        want = {n: -(f * interior[n]).integral(-1, 1) / q_norm_sq(n)
                 for n in range(2, top + 1)}
         assert fourier_coeffs(f, top) == {n: a for n, a in want.items() if a}
 
 
 # -- the Legendre route against the Q route -------------------------------------
 
-_Q64, _I64 = build_q_table(64)
+_Q64 = build_q_table(64)
+_I64 = {n: _Q64[n].divexact(X2_MINUS_1) for n in range(2, 65)}
 
 
 def _q_route(f, top):
@@ -502,13 +504,13 @@ def test_legendre_route_equals_the_q_route(case):
 def test_member_given_in_the_legendre_basis_equals_the_member(k, top):
     # Q_k = (P_k - P_{k-2})/(2k-1), and P_k = e_k, expand the same as their monomials
     q_basis = [0] * (k - 2) + [F(-1, 2 * k - 1), 0, F(1, 2 * k - 1)]
-    assert expand(q_basis, top) == expand(q_member(k)[0], top)
+    assert expand(q_basis, top) == expand(q_member(k), top)
     assert expand([0] * k + [1], top) == expand(legendre_poly(k), top)
 
 
 @pytest.mark.parametrize("n", range(2, 65))
 def test_minimizer_is_the_kernel_section_at_zero(n):
-    qtable = build_q_table(n)[0]
+    qtable = build_q_table(n)
     section = kernel_sum(n, 0, qtable)
     s = minimize_constrained(n)
     assert s.minimizer == section.poly * (1 / section.value_at_y)
@@ -525,11 +527,11 @@ def test_certificate_catches_a_perturbed_member_numerator(n, monkeypatch):
 
     def perturbed(k):
         # move x^3 - x^5 of the shifted minimizer: still feasible, no longer stationary
-        q, i = real(k)
+        q = real(k)
         nums = list(q.nums)
         nums[3] += q.den
         nums[5] -= q.den
-        return Poly([F(c, q.den) for c in nums]), i
+        return Poly([F(c, q.den) for c in nums])
 
     monkeypatch.setattr(approx, "q_member", perturbed)
     with pytest.raises(AssertionError, match="optimality fails at j="):

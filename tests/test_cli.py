@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intlegendre import cli, qfamily, quad
 from intlegendre.cli import build_parser, main
@@ -50,7 +54,7 @@ def test_table_json_with_points(capsys):
 def test_table_points_round_the_exact_value_once(capsys):
     # near -1 the float recurrence for Q64 drifts by hundreds of ulp; the
     # printed value is the exact one rounded once, in JSON and CSV alike
-    exact = float(build_q_table(64)[0][64].at(Fraction(-0.9999)))
+    exact = float(build_q_table(64)[64].at(Fraction(-0.9999)))
     code, out, _ = run_cli(capsys, "table", "--family", "Q", "--degrees", "64..64",
                            "--points", "-0.9999")
     assert code == 0
@@ -80,7 +84,7 @@ def test_table_points_equal_the_fraction_value_rounded_once(capsys, family):
     # integer Horner on the dyadic point gives float(p.at(Fraction(x))), also at
     # the endpoints, at the smallest subnormal and past the float range
     points = (0.9, -0.9999, 1.0, -1.0, 5e-324, 1e300)
-    poly = {"L": build_legendre(64).__getitem__, "Q": build_q_table(64)[0].__getitem__,
+    poly = {"L": build_legendre(64).__getitem__, "Q": build_q_table(64).__getitem__,
             "r": build_r_family(64).__getitem__}[family]
     lo = 2 if family == "Q" else 0
     code, out, _ = run_cli(capsys, "table", "--family", family, "--degrees", f"{lo}..64",
@@ -405,6 +409,52 @@ def test_a_lifted_int_to_str_limit_still_bounds_the_exponent(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+# The grammar fuzz's atoms: digits of other scripts (int() reads the Arabic-Indic, Devanagari
+# and full-width ones, not the superscripts), member shorthands written with them, a value
+# past the int-to-str limit, and zero denominators.
+_NUMBERS = ("0", "1", "2", "3", "4", "12", "64", "65", "-1", "1/3", "-7/9", "0.5", "nan", "",
+            "x", "²", "٣", "३", "３", "６４", "1e4400", "0/0", "1/0")
+_SHORTHANDS = ("Q3", "q4", "L5", "l0", "Q²", "Q٣", "L३", "Q３", "Q1", "Q65", "L-1", "Q 4")
+_NUMBER = st.sampled_from(_NUMBERS)
+_INT = st.sampled_from(("2", "3", "12", "64", "٣", "३", "６４")) | _NUMBER  # often in range
+_LIST = st.lists(_NUMBER, min_size=1, max_size=4).map(",".join)
+_MAP = (st.sampled_from(("1,0,0,1", "3,1,2,1", "1,0,999/1000,1", "2,0,0,1/2", "1,1,0,1"))
+        | st.lists(_NUMBER, min_size=3, max_size=5).map(",".join))
+_ARGV = st.one_of(
+    st.tuples(st.just(("table",)),
+              st.sampled_from(("L", "Q", "r", "q", "")).map(lambda f: ("--family", f)),
+              st.tuples(_INT, _INT).map(lambda r: ("--degrees", "..".join(r))),
+              st.none() | _LIST.map(lambda p: ("--points", p)),
+              st.sampled_from(("exact", "float")).map(lambda b: ("--backend", b)),
+              st.sampled_from(("json", "csv")).map(lambda f: ("--format", f))),
+    # verify runs only at depths 3, 4, 5 and 65, in several scripts
+    st.tuples(st.just(("verify", "--max-degree")), st.sampled_from(("3", "٤", "५", "６５"))),
+    st.tuples(st.just(("minimize",)), st.none() | _INT.map(lambda n: ("--n", n))),
+    st.tuples(st.just(("expand",)),
+              (_LIST | st.sampled_from(_SHORTHANDS)).map(lambda p: ("--poly", p))
+              | st.sampled_from(("sin-pi", "cos")).map(lambda f: ("--fn", f)),
+              st.sampled_from((None, None, ("--fn", "sin-pi"))),  # both sources: a usage error
+              _INT.map(lambda n: ("--N", n)),
+              st.sampled_from(("json", "csv")).map(lambda f: ("--format", f))),
+    st.tuples(st.just(("transform",)), _MAP.map(lambda m: ("--map", m)),
+              st.none() | _INT.map(lambda n: ("--N", n))),
+    st.tuples(st.just(("quad",)), st.none() | _INT.map(lambda m: ("--m", m)),
+              st.sampled_from(("json", "csv")).map(lambda f: ("--format", f))),
+).map(lambda parts: [arg for part in parts if part for arg in part])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ARGV)
+def test_every_command_line_exits_0_or_2_with_a_named_error(argv):
+    # no --out or --stats: nothing is written but the two streams
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 2), argv
+    if code == 2:
+        assert "error: " in err.getvalue(), argv
+
+
 def test_module_entry_runs_clean_under_warnings_as_errors():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
@@ -499,6 +549,14 @@ def test_cold_quad_executes_only_what_it_uses():
     assert not {"fractions", "decimal"} & loaded
 
 
+@pytest.mark.parametrize("family, own", [("L", set()), ("Q", {"qfamily"}), ("r", {"moebius"})])
+def test_cold_table_executes_only_its_own_family(family, own):
+    # the member function is looked up in the printed family's module alone; a table of
+    # bound functions would execute all three family modules
+    _, executed = _executed("table", "--family", family, "--degrees", "2..4")
+    assert executed == {"cli", "exactpoly", "legendre", "quad"} | own
+
+
 def test_traced_cold_child_sees_the_lazy_modules():
     # perfbench/child.py installs the tracer right after `from intlegendre import cli`
     perfbench = SRC.parent / "perfbench"
@@ -559,7 +617,7 @@ def test_out_files_written(capsys, tmp_path):
 
 @pytest.mark.parametrize("family", ["L", "Q", "r"])
 def test_table_cells_are_the_fraction_forms(capsys, family):
-    poly = {"L": build_legendre(40).__getitem__, "Q": build_q_table(40)[0].__getitem__,
+    poly = {"L": build_legendre(40).__getitem__, "Q": build_q_table(40).__getitem__,
             "r": build_r_family(40).__getitem__}[family]
     lo = 2 if family == "Q" else 0
     for backend, cell in (("exact", str), ("float", float)):

@@ -266,7 +266,7 @@ def test_at_float_is_the_exact_value_rounded_once():
     # family members to the top depth, whose monomial coefficients cancel far
     # beyond double precision, and numerators far beyond 2**53
     ltable = build_legendre(64)
-    members = [*ltable, *build_q_table(64)[0][2:], *build_r_family(64),
+    members = [*ltable, *build_q_table(64)[2:], *build_r_family(64),
                Poly([F((-1) ** k * (3**45 + k), 7**22 + 2 * k) for k in range(12)])]
     for p in members:
         for x in (0.9, -0.9999, 1.0, -1.0, 5e-324):

@@ -12,7 +12,6 @@ from intlegendre.kernel import (
     kernel_sections,
     kernel_sum,
     kernel_value,
-    kernel_values,
     kernel_zero_stated,
 )
 from intlegendre.qfamily import (
@@ -79,12 +78,13 @@ def test_confluent_is_limit_of_cd(qtable):
 
 
 def test_forms_equal_the_per_index_forms_and_the_running_sums(qtable):
-    # the two-term and confluent forms written out from member values, per n,
-    # next to the running sums of the same pass
+    # the two-term and confluent forms written out from member values, per n, next to the
+    # running sums of the same pass, which meet the section at y evaluated at x
     q = qtable
     for x, y in ((F(1, 3), F(-2, 5)), (F(-7, 8), F(1, 2)), (F(2, 7), F(2, 7)), (F(0), F(0))):
         sums, values = kernel_forms(20, x, y, qtable)
-        assert values[:2] == [None, None] and sums == kernel_values(20, x, y, qtable)
+        assert values[:2] == sums[:2] == [None, None]
+        assert sums[2:] == [kernel_value(n, x, y, qtable) for n in range(2, 21)]
         for n in range(2, 21):
             if x != y:
                 want = (q[n + 1].at(x) * q[n].at(y) - q[n + 1].at(y) * q[n].at(x)) / (x - y)
@@ -154,7 +154,7 @@ def test_sections_vanish_at_endpoints(qtable):
 
 
 points = st.fractions(min_value=-1, max_value=1, max_denominator=8)
-_QT12 = build_q_table(12)[0]
+_QT12 = build_q_table(12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -174,8 +174,8 @@ def test_running_sums_equal_the_direct_sums(qtable):
     q, norm = qtable, q_norm_sq
     for _ in range(6):
         x, y = _rational(rng), _rational(rng)
-        values = kernel_values(20, x, y, qtable)
-        diagonal = kernel_values(20, y, y, qtable)
+        values = kernel_forms(20, x, y, qtable)[0]
+        diagonal = kernel_forms(20, y, y, qtable)[0]
         sections = {s.n: s for s in kernel_sections(20, y, qtable)}
         assert values[:2] == [None, None] and list(sections) == list(range(2, 21))
         for n in range(2, 21):
@@ -203,5 +203,6 @@ def test_points_refuse_floats(qtable):
 
 def test_oracles_handed_in_are_used(qtable):
     # the closed forms take no oracle; the running sums still start at index 2
-    with pytest.raises(ValueError):
-        kernel_values(1, F(1, 2), 0, qtable)
+    for call in (kernel_value, kernel_forms):
+        with pytest.raises(ValueError):
+            call(1, F(1, 2), 0, qtable)

@@ -21,7 +21,7 @@ from intlegendre.moebius import (
     reference_inner_product,
     weight_identity_gap,
 )
-from intlegendre.qfamily import build_q_table
+from intlegendre.qfamily import X2_MINUS_1, build_q_table
 from intlegendre.verify import TEST_MAPS, _random_unit_map
 
 IDENTITY = MoebiusMap(1, 0, 0, 1)
@@ -101,9 +101,9 @@ def test_recurrence_family_monic_and_orthogonal_to_64():
 
 def test_recurrence_family_is_monic_interior_factor_of_q():
     fam = build_r_family(40)
-    itable = build_q_table(42)[1]
+    qtable = build_q_table(42)
     for k in range(41):
-        interior = itable[k + 2]
+        interior = qtable[k + 2].divexact(X2_MINUS_1)
         assert fam[k] == interior / interior.coeff(k)
 
 

@@ -43,15 +43,16 @@ def test_table_bounds():
 
 @pytest.mark.parametrize("depth", [2, 3, 17])
 def test_table_holds_each_member_at_its_degree(depth):
-    q, i = build_q_table(depth)
-    assert q[:2] == i[:2] == (None, None)
-    assert [(q[k], i[k]) for k in range(2, len(q))] == list(map(q_member, range(2, depth + 1)))
+    q = build_q_table(depth)
+    assert q[:2] == (None, None)
+    assert list(q[2:]) == list(map(q_member, range(2, depth + 1)))
 
 
-def test_interior_factorization(qtable, itable):
+def test_interior_factorization(qtable, ltable):
+    # Q_n = (x^2-1) i_n with i_n = P'_{n-1}/(n(n-1)), the quotient exact
     for n in range(2, 21):
-        assert qtable[n] == X2_MINUS_1 * itable[n]
-    assert itable[4] == Poly((F(-1, 8), 0, F(5, 8)))
+        assert qtable[n].divexact(X2_MINUS_1) == ltable[n - 1].deriv() / (n * (n - 1))
+    assert qtable[4].divexact(X2_MINUS_1) == Poly((F(-1, 8), 0, F(5, 8)))
 
 
 def test_derivative_is_previous_legendre(qtable, ltable):
@@ -141,7 +142,7 @@ def test_roots_small_cases():
     assert roots4[2] == pytest.approx(1 / math.sqrt(5), abs=1e-13)
 
 
-def test_roots_interlace_and_inflect(qtable, itable):
+def test_roots_interlace_and_inflect(qtable):
     for n in range(3, 13):
         roots = q_roots(n)
         assert len(roots) == n
@@ -154,7 +155,7 @@ def test_roots_interlace_and_inflect(qtable, itable):
         # interior roots are inflection points: the second derivative is a
         # multiple of the interior factor, so it vanishes there after scaling
         scale = n * (n - 1) * max(
-            1.0, max(abs(itable[n].at_float(x)) for x in interior)
+            1.0, max(abs(qtable[n].divexact(X2_MINUS_1).at_float(x)) for x in interior)
         )
         second = qtable[n].deriv(2)
         assert all(abs(second.at_float(r)) / scale < 1e-9 for r in interior)
@@ -272,10 +273,9 @@ def test_table_matches_the_poly_reference(depth, reference_legendre):
     p = reference_legendre
     polys = [(p[n] - p[n - 2]) / (2 * n - 1) for n in range(2, depth + 1)]
     fields = lambda ps: [(q.den, q.nums) for q in ps]  # noqa: E731
-    q, i = build_q_table(depth)
-    assert len(q) == len(i) == depth + 1
+    q = build_q_table(depth)
+    assert len(q) == depth + 1
     assert fields(q[2:]) == fields(polys)
-    assert fields(i[2:]) == fields([qn.divexact(X2_MINUS_1) for qn in polys])
     assert [q[n].coeff(n) for n in range(2, depth + 1)] == [qn.coeffs[-1] for qn in polys]
     assert all(q[n].deriv() == p[n - 1] for n in range(2, depth + 1))
 
@@ -283,23 +283,28 @@ def test_table_matches_the_poly_reference(depth, reference_legendre):
 @pytest.mark.parametrize("depth", [16, 64, 128])
 def test_integer_build_matches_the_rational_construction(depth, reference_legendre):
     # i_n = P'_{n-1}/(n(n-1)) and Q_n = (x^2-1) i_n in Poly arithmetic
-    q, i = build_q_table(depth)
+    q = build_q_table(depth)
     for n in range(2, depth + 1):
         inner = reference_legendre[n - 1].deriv() / (n * (n - 1))
         qn = X2_MINUS_1 * inner
-        assert (i[n].den, i[n].nums) == (inner.den, inner.nums), n
+        i = q[n].divexact(X2_MINUS_1)
+        assert (i.den, i.nums) == (inner.den, inner.nums), n
         assert (q[n].den, q[n].nums) == (qn.den, qn.nums), n
 
 
 def test_interior_factors_equal_the_exact_quotients():
-    q, i = build_q_table(128)
+    # each member vanishes at +-1, so i_n = Q_n/(x^2-1) is exact, of degree n - 2 and with
+    # Q_n's lead: NormQn reads lead(i_n) off Q_n
+    q = build_q_table(128)
     for n in range(2, 129):
-        assert i[n] == q[n].divexact(X2_MINUS_1), n
+        i = q[n].divexact(X2_MINUS_1)
+        assert (q[n].at(1), q[n].at(-1)) == (0, 0), n
+        assert (i.degree, i.coeff(n - 2)) == (n - 2, q[n].coeff(n)), n
 
 
 def test_members_are_built_alone():
-    assert q_member(2) == (Q2, Poly((F(1, 2),)))
-    assert q_member(4) == (Q4, Poly((F(-1, 8), 0, F(5, 8))))
+    assert q_member(2) == Q2
+    assert q_member(4) == Q4
     with pytest.raises(ValueError):
         q_member(1)
 
@@ -325,7 +330,7 @@ def test_fourier_coeffs_equal_the_fraction_definition():
     # a_n = <f, Q_n>_w / |Q_n|^2, each side one Fraction route of its own, for any polynomial
     # f, endpoints vanishing or not; the zero coefficients are left out
     rng = random.Random("fourier-coeffs")
-    qtable = build_q_table(64)[0]
+    qtable = build_q_table(64)
     inputs = [Poly(), Poly((7,)), Poly([rng.randint(-9, 9) for _ in range(40)])]
     inputs += [Poly([_rand_scalar(rng) for _ in range(rng.randint(1, 70))]) for _ in range(8)]
     for f in inputs:
@@ -337,7 +342,7 @@ def test_fourier_coeffs_equal_the_fraction_definition():
 def test_q_series_equals_the_fraction_definition():
     # the coefficient of x^j is the Fraction sum of c_n times Q_n's x^j coefficient
     rng = random.Random("q-series")
-    qtable = build_q_table(64)[0]
+    qtable = build_q_table(64)
     maps = [{}, {5: 0, 9: F(0)}, {2: 1, 3: -4, 64: 2}]
     for _ in range(8):
         ns = rng.sample(range(2, 65), rng.randint(1, 20))

@@ -20,7 +20,7 @@ PUBLIC_RECORDS = {
 
 @pytest.fixture(scope="module")
 def records():
-    qtable = build_q_table(6)[0]
+    qtable = build_q_table(6)
     m = moebius.MoebiusMap(2, 1, 1, 1)
     system = moebius.build_transformed_system(m)
     report = run_verification(4)

@@ -105,7 +105,7 @@ def test_depth_bounds():
 def test_uncapped_entries_follow_the_run_depth():
     # an entry without a cap checks every degree of the run, whatever MAX_DEGREE was
     # when it registered; a capped entry stops at its cap
-    ctx = _Ctx(70, build_legendre(71), *build_q_table(71))
+    ctx = _Ctx(70, build_legendre(71), build_q_table(71))
     assert _run("Qqn1", ctx).degrees_checked == "2..70"
     assert _run("Second", ctx).degrees_checked == "2..20"
 
@@ -137,17 +137,14 @@ def _perturbed_ctx(depth, k, j, c):
     (and, for j > k, of P_k) above its index. With j None each degree-k member
     gets c times itself added, which scales it by 1 + c.
     """
-    lpolys = list(build_legendre(depth + 1))
-    polys, interior = map(list, build_q_table(depth + 1))
+    lpolys, polys = list(build_legendre(depth + 1)), list(build_q_table(depth + 1))
     if j is None:
-        lpolys[k], polys[k], interior[k] = (p * (1 + c) for p in (lpolys[k], polys[k],
-                                                                   interior[k]))
+        lpolys[k], polys[k] = lpolys[k] * (1 + c), polys[k] * (1 + c)
     else:
         bump = X**j * c
         lpolys[k] = lpolys[k] + bump
         polys[k] = polys[k] + X2_MINUS_1 * bump
-        interior[k] = interior[k] + bump
-    return _Ctx(depth, tuple(lpolys), tuple(polys), tuple(interior))
+    return _Ctx(depth, tuple(lpolys), tuple(polys))
 
 
 def _first_pairwise_failure(ctx):
@@ -250,27 +247,13 @@ def test_certificate_is_stricter_than_the_pair_scan(k, j, c, identity_id):
 @pytest.mark.parametrize("depth", [64, 256])
 def test_orthogonality_is_certified_without_the_scan(monkeypatch, depth):
     # the certificates alone decide, and they hold above MAX_DEGREE too
-    ctx = _Ctx(depth, build_legendre(depth + 1), *build_q_table(depth + 1))
+    ctx = _Ctx(depth, build_legendre(depth + 1), build_q_table(depth + 1))
     for identity_id in ("orthLn", "OrthQn", "NormQn"):
         description, degrees, _, check = _REGISTRY[identity_id]
         monkeypatch.setitem(_REGISTRY, identity_id, (description, degrees, depth, check))
         entry = _run(identity_id, ctx)
         assert entry.verdict is Verdict.CONFIRMED, identity_id
         assert entry.degrees_checked.endswith(f"..{depth}")
-
-
-def test_orthqn_checks_the_interior_factor_degrees():
-    # i_5 raised to degree 11 with every Q_n intact: each member's moments still
-    # vanish, so only the interior factors' degree check fails OrthQn, at n = 5
-    ltable = build_legendre(15)
-    qtable, itable = build_q_table(15)
-    interior = list(itable)
-    interior[5] = interior[5] + X**11
-    ctx = _Ctx(14, ltable, qtable, tuple(interior))
-    assert -(interior[5] * qtable[7]).integral(-1, 1) != 0
-    entry = _run("OrthQn", ctx)
-    assert entry.verdict is Verdict.FAILED
-    assert entry.witness == {"n": 5}
 
 
 def test_registry_guards_the_coefficients_expand_prints(monkeypatch, capsys):
@@ -286,7 +269,7 @@ def test_registry_guards_the_coefficients_expand_prints(monkeypatch, capsys):
     monkeypatch.setattr(approx, "fourier_coeffs", perturbed)
     assert cli.main(["expand", "--poly", "0,0,1,0,-1", "--N", "4"]) == 0
     assert json.loads(capsys.readouterr().out)["coefficients"] == {"2": "3/5", "4": "-8/5"}
-    ctx = _Ctx(12, build_legendre(13), *build_q_table(13))
+    ctx = _Ctx(12, build_legendre(13), build_q_table(13))
     for identity_id in ("FourierQ", "Reprkernel", "anex-sign"):
         assert _run(identity_id, ctx).verdict is Verdict.FAILED, identity_id
 
@@ -294,9 +277,9 @@ def test_registry_guards_the_coefficients_expand_prints(monkeypatch, capsys):
 def test_prefactor_reads_the_leading_coefficient_of_a_member_that_lost_its_degree():
     # Q_6 without its x^6 term has degree 4: CDS11-prefactor fails at n = 5 on the
     # ratio of the leading coefficients actually present, and never divides by zero
-    qtable, itable = map(list, build_q_table(13))
+    qtable = list(build_q_table(13))
     qtable[6] = qtable[6] - Poly.monomial(6).scale(qtable[6].coeff(6))
-    ctx = _Ctx(12, build_legendre(13), tuple(qtable), tuple(itable))
+    ctx = _Ctx(12, build_legendre(13), tuple(qtable))
     entry = _run("CDS11-prefactor", ctx)
     assert entry.verdict is Verdict.FAILED
     assert entry.witness == {"n": 5, "oracle_value": _w(qtable[5].coeff(5) / qtable[6].coeff(4))}
@@ -343,7 +326,7 @@ def test_registry_fault_injection(monkeypatch, family, k, j, c, failed, witnesse
     clean = run_verification(12)
     bad = _perturbed_ctx(12, k, j, c)
     ltable = bad.ltable if family == "L" else build_legendre(13)
-    qtable = (bad.qtable, bad.itable) if family == "Q" else build_q_table(13)
+    qtable = bad.qtable if family == "Q" else build_q_table(13)
     monkeypatch.setattr(verify, "build_legendre", lambda n: ltable)
     monkeypatch.setattr(verify, "build_q_table", lambda n: qtable)
     report = run_verification(12)
@@ -367,7 +350,7 @@ _CORRECTIONS = {"CDS11-prefactor": Verdict.CORRECTED_FACTOR,
 
 @pytest.fixture(scope="module")
 def ctx_21():
-    return _Ctx(21, build_legendre(21), *build_q_table(21))
+    return _Ctx(21, build_legendre(21), build_q_table(21))
 
 
 @pytest.mark.parametrize("identity_id, top", [("CDS11-prefactor", top) for top in range(4, 21)]
